@@ -295,8 +295,8 @@ def _cmd_michelson(args, raw):
     if args.curve:
         t0_ns = spec.long_path / CONSTANTS.c * 1e9
         grid = np.linspace(t0_ns + 0.05, t0_ns + 12.0 * spec.tau_s * 1e9, 400)
-        rows = [(t, michelson.visibility(spec, t * 1e-9)) for t in grid]
-        _write_csv(args.curve, ["t_max_ns", "visibility"], rows)
+        _write_csv(args.curve, ["t_max_ns", "visibility"],
+                   zip(grid, michelson.visibility_curve(spec, grid * 1e-9)))
         outputs["curve_csv"] = args.curve
     return _summary("michelson", raw,
                     {"arm_m": spec.arm_length, "d_m": spec.imbalance,
@@ -451,13 +451,14 @@ def _recipe_fig9(csv_path):
     lam = CONSTANTS.lambda_na_d
     kappa = 2.0 * math.pi / lam
     t_grid = [round(7.0 + 0.25 * i, 4) for i in range(170)]
-    rows = michelson.gated_visibility_table(0.5, (0.125, 0.25, 0.50),
+    imbalances = {"d=12.5cm": 0.125, "d=25cm": 0.25, "d=50cm": 0.50}
+    rows = michelson.gated_visibility_table(0.5, imbalances.values(),
                                             1e-8, kappa, t_grid)
     outputs = {
         "asymptotes": {
-            "d=12.5cm": math.exp(-0.125 / (CONSTANTS.c * 1e-8)),
-            "d=25cm": math.exp(-0.25 / (CONSTANTS.c * 1e-8)),
-            "d=50cm": math.exp(-0.50 / (CONSTANTS.c * 1e-8)),
+            label: michelson.visibility_asymptote(
+                michelson.InterferometerSpec(0.5, d, 1e-8, kappa))
+            for label, d in imbalances.items()
         }
     }
     if csv_path:
@@ -703,7 +704,7 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.config) as fh:
             stored = json.load(fh)
         replay = stored["argv"]
-        return main(replay + (["--out", args.out] if args.out else []))
+        return main((["--out", args.out] if args.out else []) + replay)
 
     if not getattr(args, "subcommand", None):
         parser.print_help()

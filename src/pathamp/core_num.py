@@ -11,15 +11,21 @@ import cmath
 import math
 from dataclasses import dataclass, field, fields
 
-ComplexAmp = complex
-
-
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
 class PreconditionError(ValueError):
     """Inputs are individually valid but mutually inconsistent."""
+
+
+class ConvergenceError(RuntimeError):
+    """An iteration failed to reach its tolerance; carries the last partial
+    results so the caller can inspect how far the computation got."""
+
+    def __init__(self, message: str, partials=()):
+        super().__init__(message)
+        self.partials = tuple(partials)
 
 
 class ApproximationWarning(UserWarning):

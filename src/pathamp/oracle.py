@@ -7,9 +7,9 @@ These routines know nothing about the closed forms they are used to
 validate, so an agreement is evidence, not tautology.
 
 Monte Carlo uses the counter-based Philox generator, so a fixed seed gives
-bit-identical results across platforms.  Sample batches may be distributed
-across workers; accumulation is a pairwise sum over batch results, which is
-deterministic for a fixed seed and worker count.
+bit-identical results across platforms.  Samples are drawn in fixed-size
+batches by one sequential loop, and the hit count is an exact integer sum,
+so a fixed seed and sample count always give the same estimate.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from mpmath import mp, mpc, mpf
 from mpmath import exp as mp_exp
 
-from pathamp.core_num import DomainError, PreconditionError
+from pathamp.core_num import ConvergenceError, DomainError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -36,18 +36,6 @@ class OracleResult:
     @property
     def real(self) -> float:
         return self.value.real
-
-
-class ConvergenceFailure(RuntimeError):
-    """An oracle routine failed to reach the requested tolerance.
-
-    Carries the last two partial results so the caller can inspect how far
-    the computation got.
-    """
-
-    def __init__(self, message: str, partials=()):
-        super().__init__(message)
-        self.partials = tuple(partials)
 
 
 def _gauss_segments(f, a: float, edges: np.ndarray, nodes: int):
@@ -128,7 +116,7 @@ def quad_oscillatory(f: Callable, a: float, b: float, kappa: float,
     fine, _ = _gauss_segments(f, a, edges, 2 * nodes)
     err = abs(fine - coarse)
     if abs(fine) > 0 and err > max(tol * abs(fine), 1e3 * tol):
-        raise ConvergenceFailure(
+        raise ConvergenceError(
             f"oscillatory quadrature did not converge: error {err:.3e}",
             partials=(coarse, fine))
     return OracleResult(fine, err, n_seg * 3 * nodes)
@@ -195,6 +183,8 @@ def mc_ordered_volume(order: int, length: float, samples: int,
         raise PreconditionError("order must be between 1 and 8")
     if length <= 0:
         raise DomainError("length must be positive")
+    if samples < 1:
+        raise DomainError("samples must be >= 1")
     if order == 1:
         return OracleResult(complex(length), 0.0, 0)
     rng = np.random.Generator(np.random.Philox(seed))

@@ -13,14 +13,18 @@ around the classical ray.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from scipy.optimize import brentq
-
-from pathamp.core_num import CONSTANTS, DiscrepancyFlag, DomainError
+from pathamp.core_num import CONSTANTS, ConvergenceError, DiscrepancyFlag, DomainError
 
 _THETA_EPS = 1e-12
+
+# Relative tolerance and iteration cap of the bracketed root search
+# (the defaults of scipy.optimize.brentq).
+_BRENT_RTOL = 4 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
 
 
 class TotalInternalReflection(DomainError):
@@ -111,6 +115,71 @@ def _displacement_gradient(geom: InterfaceGeometry, theta: float,
                              - n_out * math.sin(theta))
 
 
+def _brentq(f, lo: float, hi: float, xtol: float) -> float:
+    """Root of f in the bracket [lo, hi] by the Brent-Dekker method
+    (Brent 1973, *Algorithms for Minimization without Derivatives*, ch. 4).
+
+    The steps and their order are those of scipy.optimize.brentq, so the
+    roots agree with it to the last bit.  The search stops when half the
+    bracket is below (xtol + rtol |x|)/2.  Raises DomainError if f is NaN
+    or has the same sign at both ends, ConvergenceError after
+    ``_BRENT_MAXITER`` steps.
+    """
+
+    def fx(x: float) -> float:
+        y = f(x)
+        if math.isnan(y):
+            raise DomainError(f"residual is NaN at {x!r}")
+        return y
+
+    xpre, xcur = lo, hi
+    fpre, fcur = fx(xpre), fx(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise DomainError("residual has the same sign at both ends of the bracket")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 \
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant interpolation
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic extrapolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) \
+                    / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fx(xcur)
+    raise ConvergenceError(
+        f"root search did not converge in {_BRENT_MAXITER} steps",
+        partials=(xcur, xblk))
+
+
 class StationaryPoint(NamedTuple):
     theta: float
     residual: float
@@ -154,7 +223,7 @@ def stationary_phase_angle(geom: InterfaceGeometry, kappa: float = 1.0,
         raise DomainError(
             f"no stationary point in window ({lo:.4g}, {hi:.4g}):"
             f" residuals {flo:.4g}, {fhi:.4g}")
-    theta = brentq(residual, lo, hi, xtol=tol)
+    theta = _brentq(residual, lo, hi, tol)
     return StationaryPoint(theta, abs(residual(theta)))
 
 
@@ -231,4 +300,4 @@ def fermat_stationary_angle(geom: InterfaceGeometry,
     lo, hi = window
     if dt_dr(lo) * dt_dr(hi) > 0:
         raise DomainError("no stationary time in window")
-    return brentq(dt_dr, lo, hi, xtol=tol)
+    return _brentq(dt_dr, lo, hi, tol)

@@ -24,6 +24,7 @@ from typing import NamedTuple
 from pathamp.core_num import (
     CONSTANTS,
     ApproximationWarning,
+    ConvergenceError,
     DiscrepancyFlag,
     DomainError,
     PreconditionError,
@@ -42,14 +43,6 @@ _REFERENCE_PROMPT_FRACTION = 4e-4
 
 class SeriesDisagreement(RuntimeError):
     """The two independent series evaluations failed to agree."""
-
-
-class ConvergenceError(RuntimeError):
-    """Series summation failed to converge; carries the last partial sums."""
-
-    def __init__(self, message: str, partials=()):
-        super().__init__(message)
-        self.partials = tuple(partials)
 
 
 @dataclass(frozen=True)
@@ -117,20 +110,6 @@ class MediumSpec:
     def beta_l(self, kappa: float) -> float:
         """Dimensionless scattering strength of the full thickness."""
         return self.beta_coefficient(kappa) * self.thickness
-
-
-@dataclass(frozen=True)
-class TimeBudget:
-    """Spare path length delta_s = c(t_D - t0) - x_SD available for detours."""
-
-    delta_s: float
-
-    def __post_init__(self):
-        if self.delta_s < 0:
-            raise DomainError("delta_s must be >= 0 (causality)")
-
-    def phase(self, kappa: float) -> float:
-        return kappa * self.delta_s
 
 
 def thin_sheet_phase_shift(medium: MediumSpec, kappa: float) -> float:

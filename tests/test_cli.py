@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import pathamp
 from pathamp.cli import main
 
 
@@ -89,6 +93,19 @@ class TestRoundTrip:
         code, second, _ = run_cli(["--config", str(out_file)], capsys)
         assert code == 0
         assert second == first
+
+    def test_replay_with_output_file(self, capsys, tmp_path):
+        first_file = tmp_path / "s.json"
+        replay_file = tmp_path / "t.json"
+        code, first, _ = run_cli(["--out", str(first_file), "snell",
+                                  "--n1", "1.5", "--n2", "1.0",
+                                  "--theta-i", "30deg", "--search"], capsys)
+        assert code == 0
+        code, second, err = run_cli(["--config", str(first_file),
+                                     "--out", str(replay_file)], capsys)
+        assert code == 0, err
+        assert second == first
+        assert replay_file.read_bytes() == first_file.read_bytes()
 
     def test_seed_changes_output(self, capsys):
         _, a, _ = run_cli(["oracle", "--op", "mc-volume", "--order", "4",
@@ -281,6 +298,33 @@ class TestOtherCommands:
         summary = json.loads(out)   # strict parse: no bare NaN tokens
         assert summary["outputs"]["phi_compact"] is None
         assert summary["outputs"]["phi_path"] > 0
+
+    @pytest.mark.parametrize("samples", [["--samples", "0"], ["--samples=-5"]])
+    def test_oracle_refuses_non_positive_samples(self, capsys, samples):
+        code, out, err = run_cli(["oracle", "--op", "mc-volume", *samples],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "DomainError"
+        assert "samples" in payload["message"]
+
+    def test_snell_search_runs_without_scipy(self):
+        # a fresh interpreter, so modules imported by the test suite do not
+        # mask what the command line itself pulls in
+        src_dir = os.path.dirname(os.path.dirname(pathamp.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src_dir, env.get("PYTHONPATH")) if p)
+        script = ("import sys\n"
+                  "from pathamp.cli import main\n"
+                  "code = main(['snell', '--n1', '1.5', '--n2', '1.0',"
+                  " '--theta-i', '30deg', '--search'])\n"
+                  "print('exit', code, 'scipy' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "exit 0 False"
 
     def test_unknown_flag_yields_error_json(self, capsys):
         code, out, err = run_cli(["reflect", "--n2", "1.5", "--bogus", "1"],

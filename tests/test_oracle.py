@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pathamp.core_num import PreconditionError
+from pathamp.core_num import ConvergenceError, DomainError, PreconditionError
 from pathamp.oracle import (
     OracleResult,
     gaussian_ratio_integral,
@@ -13,6 +13,7 @@ from pathamp.oracle import (
     quad_oscillatory,
     series_sum_highprec,
 )
+from pathamp import refraction
 from pathamp.refraction import scattering_order_kernel
 
 
@@ -27,6 +28,14 @@ class TestQuadOscillatory:
                                x1, x1 + math.pi / kappa, kappa)
         expected = 2j * cmath.exp(1j * kappa * x1) / kappa
         assert abs(res.value - expected) <= 1e-10 * abs(expected)
+
+    def test_unresolved_integrand_raises_shared_convergence_error(self):
+        # the integrand oscillates 50 times faster than the declared kappa,
+        # so the 10- and 20-point rules per segment disagree
+        with pytest.raises(ConvergenceError) as err:
+            quad_oscillatory(lambda x: np.exp(50j * x), 0.0, 10.0, 1.0)
+        assert len(err.value.partials) == 2
+        assert refraction.ConvergenceError is ConvergenceError
 
     def test_infinite_limit_requires_envelope(self):
         with pytest.raises(PreconditionError):
@@ -106,6 +115,12 @@ class TestMonteCarlo:
     def test_order_cap(self):
         with pytest.raises(PreconditionError):
             mc_ordered_volume(9, 1.0, 100)
+
+    @pytest.mark.parametrize("order", [1, 3])
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_refuses_non_positive_sample_count(self, order, samples):
+        with pytest.raises(DomainError, match="samples"):
+            mc_ordered_volume(order, 1.0, samples)
 
 
 class TestGaussianRatio:

@@ -1,9 +1,12 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
+from scipy.optimize import brentq
 
-from pathamp.core_num import CONSTANTS, DomainError
+from pathamp import ray_optics
+from pathamp.core_num import CONSTANTS, ConvergenceError, DomainError
 from pathamp.ray_optics import (
     InterfaceGeometry,
     TotalInternalReflection,
@@ -90,6 +93,58 @@ class TestStationaryPhase:
         geom = geometry(1.5, 1.0, math.radians(30.0))
         with pytest.raises(DomainError):
             stationary_phase_angle(geom, window=(0.9, 1.2))
+
+
+class TestRootSearch:
+    def test_roots_equal_scipy_brentq_at_both_call_sites(self, monkeypatch):
+        own = ray_optics._brentq
+
+        def reference(f, lo, hi, xtol):
+            return brentq(f, lo, hi, xtol=xtol)
+
+        searches = {
+            (branch, mode): (lambda g, kappa, tol, branch=branch, mode=mode:
+                             stationary_phase_angle(g, kappa, branch, mode,
+                                                    tol=tol).theta)
+            for branch in ("refraction", "reflection")
+            for mode in ("analytic", "fd")
+        }
+        searches["fermat"] = lambda g, kappa, tol: fermat_stationary_angle(g, tol=tol)
+        compared = dict.fromkeys(searches, 0)
+        rng = random.Random(2005)
+        for _ in range(1000):
+            geom = InterfaceGeometry(rng.uniform(1.0, 2.5), rng.uniform(1.0, 2.5),
+                                     rng.uniform(0.02, math.pi / 2),
+                                     rng.uniform(0.1, 5.0), rng.uniform(0.1, 5.0))
+            kappa = rng.uniform(1.0, 1e7)
+            tol = rng.choice((1e-12, 1e-9, 1e-6))
+            for name, search in searches.items():
+                monkeypatch.setattr(ray_optics, "_brentq", own)
+                try:
+                    got = search(geom, kappa, tol)
+                except DomainError:
+                    continue   # refused by the bracket check, before any search
+                monkeypatch.setattr(ray_optics, "_brentq", reference)
+                assert got == search(geom, kappa, tol), (name, geom, kappa, tol)
+                compared[name] += 1
+        assert min(compared.values()) >= 700, compared
+
+    def test_same_sign_bracket_refused(self):
+        with pytest.raises(DomainError):
+            ray_optics._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+
+    def test_nan_residual_refused(self):
+        with pytest.raises(DomainError, match="NaN"):
+            ray_optics._brentq(lambda x: -1.0 if x < 0.5 else math.nan,
+                               0.0, 1.0, 1e-12)
+
+    def test_iteration_cap_raises_convergence_error(self):
+        # a sign step far below a huge bracket leaves only bisection, which
+        # needs ~1300 halvings to reach the tolerance
+        with pytest.raises(ConvergenceError) as err:
+            ray_optics._brentq(lambda x: -1.0 if x < 1e-100 else 1.0,
+                               -1.0, 1e300, 1e-300)
+        assert len(err.value.partials) == 2
 
 
 class TestPathPhase:
