@@ -12,6 +12,7 @@ bit for bit.  Curves go to CSV via --csv; nothing is ever plotted.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import math
@@ -19,17 +20,9 @@ import os
 import re
 import sys
 
-import numpy as np
-
-from pathamp import flavour, michelson, oracle, ray_optics, reflection, refraction, wave_optics
+# Each handler imports the pathamp modules it calls, and numpy only where
+# it builds a curve, so a one-shot process loads only what it runs.
 from pathamp.core_num import CONSTANTS
-from pathamp.propagators import (
-    EmitterSpec,
-    OnShellParticle,
-    covariant_propagator,
-    energy_propagator,
-    temporal_propagator,
-)
 
 SEED_ENV_VAR = "PATHAMP_SEED"
 
@@ -48,6 +41,11 @@ _DENSITY = {"m-3": 1.0, "cm-3": 1e6}
 
 class UnitError(ValueError):
     pass
+
+
+class ConfigError(ValueError):
+    """A run configuration that cannot be used: a --config summary that
+    cannot be read or replayed, or a non-integer PATHAMP_SEED."""
 
 
 def _parse(value: str, table: dict, flag: str) -> float:
@@ -136,6 +134,7 @@ def _require(args, names):
 
 
 def _cmd_propagator(args, raw):
+    from pathamp import propagators
     if args.mode == "covariant":
         _require(args, ["--r"])
         mass = _parse(args.mass, _ENERGY_MEV, "--mass") if args.mass else 0.0
@@ -144,8 +143,8 @@ def _cmd_propagator(args, raw):
         dt = _parse(args.dt, _TIME, "--dt") if args.dt \
             else r / (beta * CONSTANTS.c)
         width = _parse(args.width, _ENERGY_MEV, "--width") if args.width else 0.0
-        particle = OnShellParticle(mass, beta, width)
-        amp = covariant_propagator(particle, r, dt)
+        particle = propagators.OnShellParticle(mass, beta, width)
+        amp = propagators.covariant_propagator(particle, r, dt)
         inputs = {"mass_mev": mass, "beta": beta, "r_m": r, "dt_s": dt,
                   "width_mev": width}
     elif args.mode == "temporal":
@@ -153,15 +152,15 @@ def _cmd_propagator(args, raw):
         lam = _parse(args.wavelength, _LENGTH, "--wavelength")
         tau = _parse(args.tau, _TIME, "--tau")
         dtau = _parse(args.dtau, _TIME, "--dtau")
-        emitter = EmitterSpec.from_line(lam, tau)
-        amp = temporal_propagator(emitter, dtau)
+        emitter = propagators.EmitterSpec.from_line(lam, tau)
+        amp = propagators.temporal_propagator(emitter, dtau)
         inputs = {"wavelength_m": lam, "tau_s": tau, "dtau_s": dtau}
     else:
         _require(args, ["--energy", "--energy0", "--width"])
         e = _parse(args.energy, _ENERGY_MEV, "--energy") * 1e6
         e0 = _parse(args.energy0, _ENERGY_MEV, "--energy0") * 1e6
         width = _parse(args.width, _ENERGY_MEV, "--width") * 1e6
-        amp = energy_propagator(e, e0, width)
+        amp = propagators.energy_propagator(e, e0, width)
         inputs = {"energy_ev": e, "energy0_ev": e0, "width_ev": width}
     return _summary("propagator", raw, inputs,
                     {"amplitude": _complex_out(amp)},
@@ -169,6 +168,7 @@ def _cmd_propagator(args, raw):
 
 
 def _cmd_diffraction(args, raw):
+    from pathamp import wave_optics
     lam = _parse(args.wavelength, _LENGTH, "--wavelength")
     a = _parse(args.alpha, _ANGLE, "--alpha")
     a1 = _parse(args.alpha1, _ANGLE, "--alpha1")
@@ -181,6 +181,7 @@ def _cmd_diffraction(args, raw):
 
 
 def _cmd_refract_index(args, raw):
+    from pathamp import refraction
     lam = _parse(args.wavelength, _LENGTH, "--wavelength")
     if args.n is not None:
         _require(args, ["--density"])
@@ -201,6 +202,7 @@ def _cmd_refract_index(args, raw):
 
 
 def _cmd_refract_series(args, raw):
+    from pathamp import refraction
     dphi = _dimensionless(args.dphi, "--dphi")
     beta_l = _dimensionless(args.betal, "--betal")
     factor = refraction.time_budget_factor(dphi, beta_l)
@@ -217,6 +219,7 @@ def _cmd_refract_series(args, raw):
 
 
 def _cmd_annulment(args, raw):
+    from pathamp import refraction
     radius = _parse(args.radius, _LENGTH, "--radius")
     axis_distance = _parse(args.axis_distance, _LENGTH, "--axis-distance")
     wavelength = _parse(args.wavelength, _LENGTH, "--wavelength")
@@ -235,6 +238,7 @@ def _cmd_annulment(args, raw):
 
 
 def _cmd_snell(args, raw):
+    from pathamp import ray_optics
     n1 = _dimensionless(args.n1, "--n1")
     n2 = _dimensionless(args.n2, "--n2")
     theta_i = _parse(args.theta_i, _ANGLE, "--theta-i")
@@ -254,6 +258,7 @@ def _cmd_snell(args, raw):
 
 
 def _cmd_reflect(args, raw):
+    from pathamp import reflection
     n1 = _dimensionless(args.n1, "--n1") if args.n1 else 1.0
     n2 = _dimensionless(args.n2, "--n2")
     comp = reflection.fresnel_comparison(n1, n2)
@@ -280,6 +285,7 @@ def _cmd_reflect(args, raw):
 
 
 def _cmd_michelson(args, raw):
+    from pathamp import michelson
     lam = _parse(args.wavelength, _LENGTH, "--wavelength")
     spec = michelson.InterferometerSpec(
         _parse(args.arm, _LENGTH, "--arm"),
@@ -293,6 +299,7 @@ def _cmd_michelson(args, raw):
         outputs["visibility"] = michelson.visibility(spec, t_max)
         outputs["detection_probability"] = michelson.detection_probability(spec, t_max)
     if args.curve:
+        import numpy as np
         t0_ns = spec.long_path / CONSTANTS.c * 1e9
         grid = np.linspace(t0_ns + 0.05, t0_ns + 12.0 * spec.tau_s * 1e9, 400)
         _write_csv(args.curve, ["t_max_ns", "visibility"],
@@ -305,6 +312,7 @@ def _cmd_michelson(args, raw):
 
 
 def _cmd_ydse(args, raw):
+    from pathamp import flavour
     geom = flavour.SlitGeometry(
         _parse(args.source_distance, _LENGTH, "--source-distance"),
         _parse(args.screen_distance, _LENGTH, "--screen-distance"),
@@ -330,6 +338,7 @@ def _cmd_ydse(args, raw):
                    "reference_coeffs": list(flavour.ELECTRON_SLIT_REFERENCE_DAMPING)}
         flags += [f.as_dict() for f in res.flags]
     if args.curve:
+        import numpy as np
         y = np.linspace(-5, 5, 801) * res.fringe_spacing
         p = res.probability(y)
         _write_csv(args.curve, ["y_m", "probability"], list(zip(y, p)))
@@ -339,6 +348,7 @@ def _cmd_ydse(args, raw):
 
 
 def _cmd_kaon(args, raw):
+    from pathamp import flavour
     sys_ = flavour.KaonSystem(mean_p=_parse(args.p, _MOMENTUM_MEVC, "--p"))
     outputs = {"oscillation_period_s": flavour.kaon_oscillation_period(sys_)}
     flags: list = []
@@ -356,6 +366,7 @@ def _cmd_kaon(args, raw):
     outputs["dt_production_s"] = rep.dt_production
     flags += [f.as_dict() for f in rep.flags]
     if args.curve:
+        import numpy as np
         grid = np.linspace(0.0, 6.0 * CONSTANTS.tau_ks, 600)
         _write_csv(args.curve, ["tau_ns", "p_plus", "p_minus", "interference"],
                    flavour.kaon_curve(sys_, grid))
@@ -368,6 +379,7 @@ def _cmd_kaon(args, raw):
 
 
 def _cmd_neutrino(args, raw):
+    from pathamp import flavour
     dm2 = _parse(args.dm2, _DM2, "--dm2")
     theta = _parse(args.theta12, _ANGLE, "--theta12") if args.theta12 \
         else math.pi / 4
@@ -389,6 +401,7 @@ def _cmd_neutrino(args, raw):
     d["half_oscillation_distance_m"] = flavour.half_oscillation_distance(exp)
     d["dp_rad_over_p"] = flavour.NEUTRINO_RADIATIVE_SMEARING
     if args.curve:
+        import numpy as np
         grid = np.linspace(baseline / 50.0, 3.0 * baseline, 600)
         _write_csv(args.curve,
                    ["L_m", "p_appear", "p_survive", "interference"],
@@ -405,6 +418,7 @@ def _cmd_neutrino(args, raw):
 
 
 def _cmd_classify(args, raw):
+    from pathamp import flavour
     row = flavour.classify_experiment(args.kind)
     d = row.as_dict()
     return _summary("classify", raw, {"kind": args.kind}, d,
@@ -412,6 +426,7 @@ def _cmd_classify(args, raw):
 
 
 def _cmd_oracle(args, raw):
+    from pathamp import oracle, refraction, wave_optics
     seed = args.seed
     if args.op == "mc-volume":
         n = int(_dimensionless(args.order, "--order"))
@@ -437,8 +452,7 @@ def _cmd_oracle(args, raw):
         dphi = _dimensionless(args.dphi, "--dphi")
         res = oracle.quad_nested(n, 1.0, dphi)
         kern = refraction.scattering_order_kernel(n, dphi)
-        import cmath as _cm
-        closed = _cm.exp(1j * 0.4) * (1j) ** n * kern
+        closed = cmath.exp(1j * 0.4) * (1j) ** n * kern
         outputs = {"quadrature": _complex_out(res.value),
                    "closed_form": _complex_out(closed),
                    "relative_difference": abs(res.value - closed) / abs(closed),
@@ -448,6 +462,7 @@ def _cmd_oracle(args, raw):
 
 
 def _recipe_fig9(csv_path):
+    from pathamp import michelson
     lam = CONSTANTS.lambda_na_d
     kappa = 2.0 * math.pi / lam
     t_grid = [round(7.0 + 0.25 * i, 4) for i in range(170)]
@@ -468,6 +483,7 @@ def _recipe_fig9(csv_path):
 
 
 def _recipe_table1(csv_path):
+    from pathamp import michelson
     table = michelson.visibility_benchmark_table()
     flags = []
     for row in table.values():
@@ -483,6 +499,7 @@ def _recipe_table1(csv_path):
 
 
 def _recipe_table2_ratios(csv_path):
+    from pathamp import flavour
     rows = []
     flags = []
     base = None
@@ -502,6 +519,7 @@ def _recipe_table2_ratios(csv_path):
 
 
 def _recipe_table3(csv_path):
+    from pathamp import flavour
     rows = {k: flavour.classify_experiment(k).as_dict()
             for k in ("photon-ydse", "electron-ydse", "kaon", "neutrino")}
     if csv_path:
@@ -512,6 +530,7 @@ def _recipe_table3(csv_path):
 
 
 def _recipe_eq_reflection(csv_path):
+    from pathamp import reflection
     comp = reflection.fresnel_comparison(1.0, 1.5)
     return {"rho_path": comp.rho_path, "rho_fresnel": comp.rho_fresnel,
             "fresnel_excess": comp.fresnel_excess,
@@ -520,6 +539,7 @@ def _recipe_eq_reflection(csv_path):
 
 
 def _recipe_eq_oscillation_length(csv_path):
+    from pathamp import flavour
     dm2 = 2e-3
     probe = flavour.pion_neutrino_experiment(dm2, math.pi / 4, 1.0)
     l_half = flavour.half_oscillation_distance(probe)
@@ -559,7 +579,40 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgumentError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _env_seed() -> int:
+    value = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(
+            f"{SEED_ENV_VAR}: expected an integer, got {value!r}") from None
+
+
+def _load_replay(path: str) -> tuple[list[str], int | None]:
+    """The argv and the seed (None if absent) of an emitted summary."""
+    try:
+        with open(path) as fh:
+            stored = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"--config: cannot read {path!r}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ConfigError(f"--config: {path!r} is not JSON: {exc}") from None
+    if not isinstance(stored, dict):
+        raise ConfigError(f"--config: {path!r} holds no JSON object")
+    argv = stored.get("argv")
+    if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
+        raise ConfigError(f"--config: {path!r} has no 'argv' list of strings")
+    seed = stored.get("seed")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+        raise ConfigError(f"--config: {path!r} has a non-integer 'seed'")
+    return argv, seed
+
+
+def build_parser(seed: int | None = None) -> argparse.ArgumentParser:
+    """The command-line parser; `seed` is the default of `oracle --seed`
+    (PATHAMP_SEED, else 0, when None)."""
+    if seed is None:
+        seed = _env_seed()
     p = _Parser(
         prog="pathamp",
         description="Path-amplitude optics and flavour-oscillation calculator")
@@ -676,8 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--order", default="3")
     sp.add_argument("--length", default="1m")
     sp.add_argument("--samples", type=int, default=1_000_000)
-    sp.add_argument("--seed", type=int,
-                    default=int(os.environ.get(SEED_ENV_VAR, "0")))
+    sp.add_argument("--seed", type=int, default=seed)
     sp.add_argument("--wavelength", default="589.3nm")
     sp.add_argument("--x1", default="1m")
     sp.add_argument("--rho-over-kappa", default="1e-7")
@@ -694,17 +746,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    try:
+        return _run(argv, _env_seed(), replayed=False)
+    except ConfigError as exc:
+        return _error_exit(type(exc).__name__, str(exc))
+
+
+def _run(argv: list[str], seed: int, replayed: bool) -> int:
+    parser = build_parser(seed)
     try:
         args = parser.parse_args(argv)
     except _ArgumentError as exc:
         return _error_exit("ArgumentError", str(exc))
 
     if args.config:
-        with open(args.config) as fh:
-            stored = json.load(fh)
-        replay = stored["argv"]
-        return main((["--out", args.out] if args.out else []) + replay)
+        if replayed:
+            raise ConfigError("--config: a replayed summary cannot name another --config")
+        replay, stored_seed = _load_replay(args.config)
+        # the stored seed becomes the default, so the summary's argv is
+        # replayed unchanged and PATHAMP_SEED cannot alter the numbers
+        return _run((["--out", args.out] if args.out else []) + replay,
+                    seed if stored_seed is None else stored_seed, replayed=True)
 
     if not getattr(args, "subcommand", None):
         parser.print_help()

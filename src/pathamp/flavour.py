@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from pathamp.core_num import CONSTANTS, DiscrepancyFlag, DomainError
 
 # Stored reference figures (with provenance) that the library cannot derive
@@ -106,6 +104,7 @@ class PhotonSlitResult:
 
     def probability(self, y, include_damping: bool = True):
         """Detection probability (arbitrary scale) at screen position y."""
+        import numpy as np
         y = np.asarray(y, dtype=float)
         dr = 2.0 * self.geometry.effective_separation * y / self.geometry.l
         damp = np.exp(-np.abs(dr) / (2.0 * CONSTANTS.c * self.tau_s)) \
@@ -205,6 +204,7 @@ class ElectronSlitResult:
 
     def probability(self, y, include_damping: bool = True):
         """Detection probability (scale 1/(sqrt(pi) sigma_p)) at position y."""
+        import numpy as np
         y = np.asarray(y, dtype=float)
         dr = 2.0 * self.geometry.effective_separation * y / self.geometry.l
         n = np.abs(dr) / self.beam.de_broglie

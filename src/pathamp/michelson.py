@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from pathamp.core_num import CONSTANTS, DiscrepancyFlag, DomainError
 
 #: Benchmark fringe-visibility rows: transition label -> (wavelength m,
@@ -141,8 +139,9 @@ def visibility_asymptote(spec: InterferometerSpec) -> float:
     return math.exp(-spec.imbalance / (CONSTANTS.c * spec.tau_s))
 
 
-def visibility_curve(spec: InterferometerSpec, t_grid) -> np.ndarray:
-    """Visibility evaluated on an array of gate times (s)."""
+def visibility_curve(spec: InterferometerSpec, t_grid):
+    """Visibility evaluated on an array of gate times (s), as a numpy array."""
+    import numpy as np
     return np.array([visibility(spec, float(t)) for t in np.asarray(t_grid)])
 
 

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from mpmath import mp, mpc, mpf
-from mpmath import exp as mp_exp
 
 from pathamp.core_num import ConvergenceError, DomainError, PreconditionError
 
@@ -239,6 +237,9 @@ def series_sum_highprec(delta_phi: float, beta_l: float,
     precision is chosen from beta_l so that the catastrophic cancellation
     among terms of size ~exp(beta_l) leaves >= 25 significant digits.
     """
+    from mpmath import exp as mp_exp
+    from mpmath import mp, mpc, mpf
+
     if beta_l < 0 or delta_phi < 0:
         raise DomainError("beta_l and delta_phi must be >= 0")
     dps = int(30 + 1.1 * beta_l / math.log(10) + 0.7 * delta_phi / math.log(10))

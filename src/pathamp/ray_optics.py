@@ -198,8 +198,13 @@ def stationary_phase_angle(geom: InterfaceGeometry, kappa: float = 1.0,
     outgoing index by n1, yielding the law of reflection theta_R = theta_i.
     The azimuthal derivative vanishes identically at zero displacement, so
     the residual is the displacement gradient alone; a bracketing root
-    search drives it below ``tol``.
+    search drives it below ``tol``.  mode="analytic" uses the closed-form
+    gradient, mode="fd" central differences of ``path_phase``.
     """
+    if branch not in ("refraction", "reflection"):
+        raise DomainError(f"branch must be 'refraction' or 'reflection', got {branch!r}")
+    if mode not in ("analytic", "fd"):
+        raise DomainError(f"mode must be 'analytic' or 'fd', got {mode!r}")
     n_out = geom.n2 if branch == "refraction" else geom.n1
 
     def residual(theta: float) -> float:

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 from pathamp.core_num import CONSTANTS, DomainError, PreconditionError
-from pathamp.oracle import quad_oscillatory
 from pathamp.propagators import EmitterSpec
 
 
@@ -109,6 +108,8 @@ def damped_radial_integral(kappa: float, x1: float, rho: float) -> complex:
     amplitude by e^{-rho (r1-x1)}.  For rho << kappa this agrees with
     ``huygens_zone_value`` to O(rho/kappa).
     """
+    from pathamp.oracle import quad_oscillatory
+
     if rho <= 0:
         raise DomainError("rho must be positive (declared damping envelope)")
 

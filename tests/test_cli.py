@@ -309,23 +309,6 @@ class TestOtherCommands:
         assert payload["error"] == "DomainError"
         assert "samples" in payload["message"]
 
-    def test_snell_search_runs_without_scipy(self):
-        # a fresh interpreter, so modules imported by the test suite do not
-        # mask what the command line itself pulls in
-        src_dir = os.path.dirname(os.path.dirname(pathamp.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src_dir, env.get("PYTHONPATH")) if p)
-        script = ("import sys\n"
-                  "from pathamp.cli import main\n"
-                  "code = main(['snell', '--n1', '1.5', '--n2', '1.0',"
-                  " '--theta-i', '30deg', '--search'])\n"
-                  "print('exit', code, 'scipy' in sys.modules)\n")
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "exit 0 False"
-
     def test_unknown_flag_yields_error_json(self, capsys):
         code, out, err = run_cli(["reflect", "--n2", "1.5", "--bogus", "1"],
                                  capsys)
@@ -345,3 +328,145 @@ class TestRecipeRoundTrip:
         code, second, _ = run_cli(["--config", str(out_file)], capsys)
         assert code == 0
         assert second == first
+
+
+class TestErrorContract:
+    """Bad run configurations exit 2 with an error object, no traceback."""
+
+    def _assert_config_error(self, code, out, err, needle):
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert set(payload) == {"error", "message"}
+        assert payload["error"] == "ConfigError"
+        assert needle in payload["message"]
+
+    def test_config_missing_file(self, capsys, tmp_path):
+        code, out, err = run_cli(["--config", str(tmp_path / "none.json")],
+                                 capsys)
+        self._assert_config_error(code, out, err, "cannot read")
+
+    @pytest.mark.parametrize("text,needle", [
+        ("not json", "is not JSON"),
+        ('["reflect", "--n2", "1.5"]', "no JSON object"),
+        ("{}", "no 'argv' list"),
+        ('{"argv": ["reflect", 1.5]}', "no 'argv' list"),
+        ('{"argv": ["reflect", "--n2", "1.5"], "seed": "7"}', "non-integer 'seed'"),
+    ], ids=["not-json", "not-object", "no-argv", "argv-not-strings", "seed-not-integer"])
+    def test_config_unusable_summary(self, capsys, tmp_path, text, needle):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run_cli(["--config", str(path)], capsys)
+        self._assert_config_error(code, out, err, needle)
+
+    def test_config_naming_another_config(self, capsys, tmp_path):
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps({"argv": ["--config", str(path)]}))
+        code, out, err = run_cli(["--config", str(path)], capsys)
+        self._assert_config_error(code, out, err, "another --config")
+
+    def test_non_integer_seed_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("PATHAMP_SEED", "abc")
+        code, out, err = run_cli(["reflect", "--n2", "1.5"], capsys)
+        self._assert_config_error(code, out, err, "PATHAMP_SEED")
+
+    def test_replay_honours_stored_seed(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("PATHAMP_SEED", raising=False)
+        out_file = tmp_path / "mc.json"
+        code, first, _ = run_cli(["--out", str(out_file), "oracle", "--op",
+                                  "mc-volume", "--order", "3",
+                                  "--samples", "1000"], capsys)
+        assert code == 0
+        assert json.loads(first)["seed"] == 0
+        monkeypatch.setenv("PATHAMP_SEED", "7")
+        code, second, _ = run_cli(["--config", str(out_file)], capsys)
+        assert code == 0
+        assert second == first
+
+
+def _loaded_modules(argv, tmp_path=None):
+    """Exit code of main(argv) in a fresh interpreter (None when argv is
+    None: import only) and the names in its sys.modules afterwards.  A
+    fresh interpreter, so modules the test suite imported cannot mask what
+    the command line itself pulls in."""
+    if tmp_path is not None:
+        argv = [str(tmp_path / "curve.csv") if a == "{csv}" else a for a in argv]
+    src_dir = os.path.dirname(os.path.dirname(pathamp.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_dir, env.get("PYTHONPATH")) if p)
+    script = ("import contextlib, io, json, sys\n"
+              "from pathamp.cli import main\n"
+              "argv = json.loads(sys.argv[1])\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = None if argv is None else main(argv)\n"
+              "print(json.dumps([code, sorted(sys.modules)]))\n")
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    return code, set(modules)
+
+
+_HEAVY = {"numpy", "mpmath", "scipy"}
+
+_SCALAR_ARGV = [
+    pytest.param(["reflect", "--n2", "1.5"], id="reflect"),
+    pytest.param(["snell", "--n1", "1.5", "--n2", "1.0", "--theta-i", "30deg"],
+                 id="snell"),
+    pytest.param(["snell", "--n1", "1.5", "--n2", "1.0", "--theta-i", "30deg",
+                  "--search"], id="snell-search"),
+    pytest.param(["classify", "--kind", "kaon"], id="classify"),
+    pytest.param(["diffraction", "--wavelength", "589.3nm"], id="diffraction"),
+    pytest.param(["refract-index", "--wavelength", "589.3nm",
+                  "--density", "2.5e27m-3", "--n", "1.5"], id="refract-index"),
+    pytest.param(["refract-series", "--dphi", "2", "--betal", "5"],
+                 id="refract-series"),
+    pytest.param(["annulment", "--radius", "5cm", "--axis-distance", "200cm",
+                  "--wavelength", "590nm", "--block-length", "40cm",
+                  "--n", "1.5", "--tau", "54ns"], id="annulment"),
+    pytest.param(["propagator", "--r", "2m"], id="propagator-covariant"),
+    pytest.param(["propagator", "--mode", "temporal", "--wavelength", "589.3nm",
+                  "--tau", "16.2ns", "--dtau", "32.4ns"], id="propagator-temporal"),
+    pytest.param(["propagator", "--mode", "energy", "--energy", "2eV",
+                  "--energy0", "2eV", "--width", "1e-7eV"], id="propagator-energy"),
+    pytest.param(["michelson", "--L", "50cm", "--d", "25cm", "--tau", "10ns",
+                  "--tmax", "20ns"], id="michelson"),
+    pytest.param(["ydse", "--kind", "photon"], id="ydse-photon"),
+    pytest.param(["ydse", "--kind", "electron"], id="ydse-electron"),
+    pytest.param(["kaon", "--tau", "1ns", "--distance", "1cm"], id="kaon"),
+    pytest.param(["neutrino", "--dm2", "2e-3eV2", "--L", "100m"], id="neutrino"),
+] + [
+    pytest.param(["reproduce", "--recipe", recipe, "--csv", "{csv}"],
+                 id=f"reproduce-{recipe}")
+    for recipe in ("fig9", "table1", "table2-ratios", "table3", "eq7.8", "eq9.65")
+]
+
+
+class TestImportGuard:
+    """A one-shot process imports only what its subcommand runs."""
+
+    def test_cli_import_loads_only_core(self):
+        _, modules = _loaded_modules(None)
+        assert not modules & _HEAVY
+        assert {m for m in modules if m.startswith("pathamp")} \
+            == {"pathamp", "pathamp.cli", "pathamp.core_num"}
+
+    @pytest.mark.parametrize("argv", _SCALAR_ARGV)
+    def test_subcommand_loads_no_numpy_or_mpmath(self, argv, tmp_path):
+        code, modules = _loaded_modules(argv, tmp_path)
+        assert code == 0
+        assert not modules & _HEAVY
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["oracle", "--op", "nested", "--order", "2"],
+                     id="oracle-nested"),
+        pytest.param(["michelson", "--L", "50cm", "--d", "25cm", "--tau", "10ns",
+                      "--curve", "{csv}"], id="michelson-curve"),
+    ])
+    def test_array_work_still_loads_numpy(self, argv, tmp_path):
+        code, modules = _loaded_modules(argv, tmp_path)
+        assert code == 0
+        assert "numpy" in modules
+        # only oracle.series_sum_highprec needs mpmath, and no command calls it
+        assert "mpmath" not in modules

@@ -94,6 +94,17 @@ class TestStationaryPhase:
         with pytest.raises(DomainError):
             stationary_phase_angle(geom, window=(0.9, 1.2))
 
+    def test_unknown_branch_refused(self):
+        # a misspelt branch must not fall back to the reflection angle
+        geom = geometry(1.5, 1.0, math.radians(30.0))
+        with pytest.raises(DomainError, match="branch"):
+            stationary_phase_angle(geom, branch="refracton")
+
+    def test_unknown_mode_refused(self):
+        geom = geometry(1.5, 1.0, math.radians(30.0))
+        with pytest.raises(DomainError, match="mode"):
+            stationary_phase_angle(geom, mode="finite-difference")
+
 
 class TestRootSearch:
     def test_roots_equal_scipy_brentq_at_both_call_sites(self, monkeypatch):
