@@ -48,6 +48,10 @@ class ConfigError(ValueError):
     cannot be read or replayed, or a non-integer PATHAMP_SEED."""
 
 
+class OutputError(ValueError):
+    """An output file (--out, --curve, --csv) that cannot be written."""
+
+
 def _parse(value: str, table: dict, flag: str) -> float:
     m = _QUANTITY_RE.match(value)
     if not m:
@@ -86,21 +90,29 @@ def _json_safe(obj):
 
 
 def _emit(summary: dict, out_path: str | None) -> None:
+    """Print the summary, after writing it to out_path first, so a file that
+    cannot be written leaves nothing on stdout."""
     text = json.dumps(_json_safe(summary), indent=2, sort_keys=True,
                       allow_nan=False)
-    print(text)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise OutputError(f"cannot write {out_path!r}: {exc.strerror}") from None
+    print(text)
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if isinstance(v, float) and math.isnan(v) else v
-                             for v in row])
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow(["" if isinstance(v, float) and math.isnan(v) else v
+                                 for v in row])
+    except OSError as exc:
+        raise OutputError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
 def _error_exit(kind: str, message: str) -> int:
@@ -778,10 +790,9 @@ def _run(argv: list[str], seed: int, replayed: bool) -> int:
            if not (a in ("--out", "--config")
                    or (i > 0 and argv[i - 1] in ("--out", "--config")))]
     try:
-        summary = args.func(args, raw)
+        _emit(args.func(args, raw), args.out)
     except (ValueError, RuntimeError) as exc:
         return _error_exit(type(exc).__name__, str(exc))
-    _emit(summary, args.out)
     return 0
 
 

@@ -331,7 +331,8 @@ class TestRecipeRoundTrip:
 
 
 class TestErrorContract:
-    """Bad run configurations exit 2 with an error object, no traceback."""
+    """Bad run configurations and unwritable output files exit 2 with an
+    error object, no traceback."""
 
     def _assert_config_error(self, code, out, err, needle):
         assert code == 2
@@ -369,6 +370,23 @@ class TestErrorContract:
         monkeypatch.setenv("PATHAMP_SEED", "abc")
         code, out, err = run_cli(["reflect", "--n2", "1.5"], capsys)
         self._assert_config_error(code, out, err, "PATHAMP_SEED")
+
+    @pytest.mark.parametrize("argv", [
+        ["--out", "{path}", "reflect", "--n2", "1.5"],
+        ["michelson", "--L", "50cm", "--d", "25cm", "--tau", "10ns",
+         "--curve", "{path}"],
+        ["reproduce", "--recipe", "fig9", "--csv", "{path}"],
+    ], ids=["out", "curve", "csv"])
+    def test_unwritable_output_file(self, capsys, tmp_path, argv):
+        path = str(tmp_path / "missing-dir" / "x.out")
+        code, out, err = run_cli([path if a == "{path}" else a for a in argv],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert set(payload) == {"error", "message"}
+        assert payload["error"] == "OutputError"
+        assert path in payload["message"]
 
     def test_replay_honours_stored_seed(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("PATHAMP_SEED", raising=False)

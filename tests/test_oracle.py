@@ -1,5 +1,7 @@
 import cmath
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,13 +9,14 @@ import pytest
 from pathamp.core_num import ConvergenceError, DomainError, PreconditionError
 from pathamp.oracle import (
     OracleResult,
+    _leggauss,
     gaussian_ratio_integral,
     mc_ordered_volume,
     quad_nested,
     quad_oscillatory,
     series_sum_highprec,
 )
-from pathamp import refraction
+from pathamp import oracle, refraction
 from pathamp.refraction import scattering_order_kernel
 
 
@@ -90,6 +93,74 @@ class TestQuadNested:
         with pytest.raises(PreconditionError):
             quad_nested(5, 1.0, 1.0)
 
+    @staticmethod
+    def _scalar_reference(order, kappa, delta_s, x, nodes):
+        """The nested quadrature as one Python call per inner level and
+        outer node, with the same floating-point expressions."""
+        def run(n_nodes):
+            glx, glw = np.polynomial.legendre.leggauss(n_nodes)
+            evals = 0
+
+            def level(j, rsum):
+                nonlocal evals
+                if j == order:
+                    lo, hi = x[order - 1], delta_s + x[order - 1]
+                else:
+                    lo = x[j - 1] - x[j]
+                    hi = delta_s - rsum + x[j - 1]
+                half = 0.5 * (hi - lo)
+                r = (lo + half) + half * glx
+                evals += n_nodes
+                if j == 1:
+                    return half * np.sum(glw * np.exp(1j * kappa * r))
+                inner = np.array([level(j - 1, rsum + ri) for ri in r])
+                return half * np.sum(glw * np.exp(1j * kappa * r) * inner)
+
+            return level(order, 0.0), evals
+
+        value, used = run(nodes)
+        check, used2 = run(max(nodes // 2, 8))
+        return OracleResult(value, abs(value - check), used + used2)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_bit_identical_to_scalar_recursion(self, seed):
+        rng = random.Random(seed)
+        order = 1 + seed % 4
+        nodes = rng.randint(8, 32)
+        kappa = rng.uniform(0.1, 5.0)
+        delta_s = rng.uniform(0.0, 50.0 / kappa)
+        x = tuple(sorted((rng.uniform(-1.0, 1.0) for _ in range(order)),
+                         reverse=True))
+        got = quad_nested(order, kappa, delta_s, x=x, nodes=nodes)
+        ref = self._scalar_reference(order, kappa, delta_s, x, nodes)
+        assert got.value == ref.value
+        assert got.error_estimate == ref.error_estimate
+        assert got.evaluations == ref.evaluations
+
+    @pytest.mark.parametrize("cap", [1, 2 ** 6, 2 ** 11])
+    @pytest.mark.parametrize("order,nodes", [(2, 20), (3, 24), (4, 16)])
+    def test_chunk_size_does_not_change_bits(self, monkeypatch, cap, order,
+                                             nodes):
+        x = tuple(0.3 - 0.2 * k for k in range(order))
+        ref = self._scalar_reference(order, 1.3, 4.0, x, nodes)
+        monkeypatch.setattr(oracle, "_NESTED_CAP", cap)
+        got = quad_nested(order, 1.3, 4.0, x=x, nodes=nodes)
+        assert got.value == ref.value
+        assert got.error_estimate == ref.error_estimate
+
+    def test_order4_memory_is_capped(self):
+        # unchunked, order 4 at 64 nodes holds 64**4 complex values at once
+        # (~270 MB with temporaries); the cap keeps each array at 2**18
+        tracemalloc.start()
+        try:
+            res = quad_nested(4, 1.0, 5.0, nodes=64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.evaluations == sum(n ** k for n in (64, 32)
+                                      for k in range(1, 5))
+        assert peak < 64 * 2 ** 20
+
 
 class TestMonteCarlo:
     def test_degenerate_first_order(self):
@@ -138,6 +209,35 @@ class TestGaussianRatio:
             lambda p: a * p, mu - 10, mu + 10)
         expected = cmath.exp(1j * a * mu - a * a / 2.0)
         assert abs(res.value - expected) <= 1e-10 * abs(expected)
+
+
+class TestLegGauss:
+    def test_arrays_are_read_only(self):
+        x, w = _leggauss(10)
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
+    def test_built_once_per_size(self):
+        x, w = _leggauss(20)
+        x2, w2 = _leggauss(20)
+        assert x2 is x and w2 is w
+
+    @pytest.mark.parametrize("n", [10, 20, 48, 64, 2001])
+    def test_equals_numpy_rule(self, n):
+        x, w = _leggauss(n)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+
+    def test_gaussian_ratio_repeatable(self):
+        args = (lambda p: np.exp(-(p - 2.0) ** 2 / 2.0), lambda p: 0.7 * p,
+                -8.0, 12.0)
+        first = gaussian_ratio_integral(*args)
+        second = gaussian_ratio_integral(*args)
+        assert first.value == second.value
+        assert first.error_estimate == second.error_estimate
+        assert first.evaluations == second.evaluations
 
 
 class TestHighPrecisionSeries:
