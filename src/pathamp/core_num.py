@@ -61,7 +61,10 @@ def modulus(z: complex) -> float:
 
 def phase(z: complex) -> float:
     """Argument of z in (-pi, pi]."""
-    return cmath.phase(z)
+    # cmath.phase gives -pi on the negative real axis approached from below
+    # (imaginary part -0.0, or rounded away); the interval excludes it
+    p = cmath.phase(z)
+    return math.pi if p == -math.pi else p
 
 
 def from_polar(mod: float, ph: float) -> complex:

@@ -4,9 +4,11 @@ Everything here is deliberately dumb: period-segmented Gauss-Legendre sums
 for oscillatory integrals, nested Gauss-Legendre quadrature for nested
 integrals (vectorised level by level, with no array holding more than
 2**18 innermost points), Monte Carlo for ordered volumes,
-arbitrary-precision series summation.  These routines know nothing about
-the closed forms they are used to validate, so an agreement is evidence,
-not tautology.
+arbitrary-precision series summation (term by term, in fixed-point Python
+integers scaled by 2**P, with P at least the decimal working precision in
+bits plus 64 guard bits).  These routines know nothing about the closed
+forms they are used to validate, so an agreement is evidence, not
+tautology.
 
 Each Gauss-Legendre rule is built once per node count and kept: it
 depends only on the count, never on the integrand, so no result is cached.
@@ -14,13 +16,15 @@ depends only on the count, never on the integrand, so no result is cached.
 Monte Carlo uses the counter-based Philox generator, so a fixed seed gives
 bit-identical results across platforms.  Samples are drawn in fixed-size
 batches by one sequential loop, and the hit count is an exact integer sum,
-so a fixed seed and sample count always give the same estimate.
+so a fixed seed and sample count always give the same estimate, whatever
+the batch size.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -217,8 +221,14 @@ def mc_ordered_volume(order: int, length: float, samples: int,
     """
     if not 1 <= order <= 8:
         raise PreconditionError("order must be between 1 and 8")
+    if not math.isfinite(length):
+        raise DomainError("length must be finite")
     if length <= 0:
         raise DomainError("length must be positive")
+    try:
+        samples = operator.index(samples)
+    except TypeError:
+        raise DomainError(f"samples must be an integer, not {samples!r}") from None
     if samples < 1:
         raise DomainError("samples must be >= 1")
     if order == 1:
@@ -229,7 +239,9 @@ def mc_ordered_volume(order: int, length: float, samples: int,
     while done < samples:
         n = min(batch, samples - done)
         pts = rng.random((n, order))
-        ordered = np.all(pts[:, :-1] >= pts[:, 1:], axis=1)
+        ordered = pts[:, 0] >= pts[:, 1]
+        for k in range(1, order - 1):
+            ordered &= pts[:, k] >= pts[:, k + 1]
         hits += int(np.count_nonzero(ordered))
         done += n
     p = hits / samples
@@ -265,40 +277,77 @@ def gaussian_ratio_integral(weight: Callable, phase: Callable,
     return OracleResult(fine, abs(fine - coarse), nodes + nodes // 2)
 
 
+def _mantissa(x: float) -> tuple[int, int]:
+    """(m, s) with x == m * 2**-s exactly and m an integer below 2**53."""
+    frac, exp = math.frexp(x)
+    return int(math.ldexp(frac, 53)), 53 - exp
+
+
 def series_sum_highprec(delta_phi: float, beta_l: float,
                         n_max: int | None = None):
     """Arbitrary-precision sum of the time-budgeted multiple-scattering
     series, for regimes where float64 summation is meaningless
-    (beta_l up to a few thousand).
+    (beta_l up to a few thousand):
+
+        S = sum_{n=0}^{n_max} (i beta_l)^n / n!
+                * (1 - e^{i dphi} sum_{k<n} (-i dphi)^k / k!)
 
     Returns an mpmath complex; magnitudes can exceed float range.  Working
     precision is chosen from beta_l so that the catastrophic cancellation
-    among terms of size ~exp(beta_l) leaves >= 25 significant digits.
-    """
-    from mpmath import exp as mp_exp
-    from mpmath import mp, mpc, mpf
+    among terms of size ~exp(beta_l) leaves >= 25 significant digits:
+    dps = 30 + (1.1 beta_l + 0.7 dphi) / ln 10 decimal digits.
 
+    The terms are summed one by one, as written, in fixed-point integers.
+    Split S = S1 - e^{i dphi} S2 with S1 = sum_n i^n t_n and
+    S2 = sum_{n>=1} i^n u_n, where t_n = beta_l^n / n! and
+    u_n = t_n sum_{k<n} (-i dphi)^k / k!.  With v_n = t_n dphi^n / n!,
+
+        i^n t_n = i (beta_l / n) i^{n-1} t_{n-1},
+        i^n u_n = i (beta_l / n) (i^{n-1} u_{n-1} + v_{n-1}),
+        v_n = v_{n-1} beta_l dphi / n^2.
+
+    Each step multiplies by the exact 53-bit integer mantissa of beta_l or
+    dphi (from math.frexp), divides by n or n^2, and turns multiplication
+    by i into a swap of real and imaginary parts, so its cost is linear in
+    the size of the numbers; no two full-size numbers are multiplied.
+    t, u and v are Python integers scaled by 2**P, with
+    P = ceil(dps log2 10) + 64 guard bits: a step rounds by a few units of
+    2**-P, and the accumulated error stays below the 10**-dps of the
+    largest term that a floating-point sum at dps digits makes.  Only
+    (S1 - S2) + (1 - e^{i dphi}) S2 is formed in mpmath, at dps digits.
+    The recurrences come from the series itself, not from any closed form
+    of S, so an agreement with a closed form remains evidence.
+    """
+    from mpmath import expj, mpc, mpf, workdps
+
+    if not (math.isfinite(delta_phi) and math.isfinite(beta_l)):
+        raise DomainError("beta_l and delta_phi must be finite")
     if beta_l < 0 or delta_phi < 0:
         raise DomainError("beta_l and delta_phi must be >= 0")
     dps = int(30 + 1.1 * beta_l / math.log(10) + 0.7 * delta_phi / math.log(10))
     if n_max is None:
         n_max = int(beta_l + delta_phi + 12 * math.sqrt(beta_l + delta_phi) + 40)
-    old = mp.dps
-    try:
-        mp.dps = dps
-        dp = mpf(delta_phi)
-        bl = mpf(beta_l)
-        i = mpc(0, 1)
-        eid = mp_exp(i * dp)
-        term = mpc(1)      # (i beta_l)^n / n!
-        esum = mpc(0)      # sum_{k<n} (-i dp)^k / k!
-        epow = mpc(1)
-        total = mpc(1)
-        for n in range(1, n_max + 1):
-            term *= i * bl / n
-            esum += epow
-            epow *= -i * dp / n
-            total += term * (1 - eid * esum)
-        return total
-    finally:
-        mp.dps = old
+    prec = math.ceil(dps * math.log2(10)) + 64
+    mb, sb = _mantissa(beta_l)
+    md, sd = _mantissa(delta_phi)
+    mbd, sbd = mb * md, sb + sd
+    # i^n t_n and i^n u_n as (real, imaginary) pairs; t and u take the same
+    # steps, so at dphi = 0 (v = 0 after n = 0) they stay equal bit for bit
+    tr, ti = 1 << prec, 0
+    ur, ui = 0, 0
+    v = 1 << prec
+    s1r, s1i, s2r, s2i = tr, 0, 0, 0
+    for n in range(1, n_max + 1):
+        tr, ti = -(((ti * mb) >> sb) // n), ((tr * mb) >> sb) // n
+        ur, ui = -(((ui * mb) >> sb) // n), (((ur + v) * mb) >> sb) // n
+        v = ((v * mbd) >> sbd) // (n * n)
+        s1r += tr
+        s1i += ti
+        s2r += ur
+        s2i += ui
+    with workdps(dps):
+        # S1 - e^{i dphi} S2 = (S1 - S2) + (1 - e^{i dphi}) S2, with S1 - S2
+        # taken exactly, so at dphi = 0 every kernel vanishes and S == 1
+        diff = mpc(mpf((s1r - s2r, -prec)), mpf((s1i - s2i, -prec)))
+        sum2 = mpc(mpf((s2r, -prec)), mpf((s2i, -prec)))
+        return diff + (1 - expj(mpf(delta_phi))) * sum2

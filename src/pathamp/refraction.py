@@ -190,6 +190,8 @@ def unconstrained_block_amplitude(beta_l: float,
     Returns the value and the number of terms needed for the running term
     to drop below 1e-12 of the partial sum.
     """
+    if not math.isfinite(beta_l):
+        raise DomainError("beta_l must be finite")
     if beta_l < 0:
         raise DomainError("beta_l must be >= 0")
     if beta_l > BETA_L_SUMMATION_LIMIT:
@@ -236,7 +238,12 @@ def scattering_order_kernel(order: int, delta_phi: float) -> complex:
 def _factor_kernel_route(delta_phi: float, beta_l: float, cap: int):
     """Sum over orders of (i beta_l)^n/n! times the order kernel, with the
     kernel's partial exponential carried incrementally.  Terms are collected
-    and reduced with exact summation (math.fsum)."""
+    and reduced with exact summation (math.fsum).
+
+    For delta_phi above ~700 the partial exponential overflows float64; the
+    running sum then turns inf or NaN and stays so.  The convergence test is
+    written so that a NaN comparison takes its branch, which refuses a
+    non-finite sum: no extra per-term check is needed."""
     eid = cmath.exp(1j * delta_phi)
     term = 1.0 + 0.0j
     esum = 0.0 + 0.0j
@@ -253,7 +260,12 @@ def _factor_kernel_route(delta_phi: float, beta_l: float, cap: int):
         re.append(t.real)
         im.append(t.imag)
         running += t
-        if n > max(beta_l + delta_phi, 4) and abs(t) < 1e-14 * max(abs(running), 1e-300):
+        if n > max(beta_l + delta_phi, 4) \
+                and not abs(t) >= 1e-14 * max(abs(running), 1e-300):
+            if not cmath.isfinite(running):
+                raise ConvergenceError(
+                    f"kernel-route series overflowed float64 by order {n}"
+                    f" (delta_phi = {delta_phi:g})", partials=last or ())
             return complex(math.fsum(re), math.fsum(im)), n
         last = (running - t, running)
     raise ConvergenceError(
@@ -309,6 +321,8 @@ def time_budget_factor(delta_phi: float, beta_l: float,
     delta_phi = 0 the factor is exactly 1 for any beta_l: refraction is
     annulled outright when the detection time forbids any detour.
     """
+    if not (math.isfinite(delta_phi) and math.isfinite(beta_l)):
+        raise DomainError("delta_phi and beta_l must be finite")
     if delta_phi < 0:
         raise DomainError("delta_phi must be >= 0")
     if beta_l < 0:

@@ -53,6 +53,12 @@ def test_truncated_series_converge(x, order):
     assert abs(truncated_cos(order, x) - math.cos(x)) < 1e-10
 
 
+@pytest.mark.parametrize("z", [complex(-1.0, -0.0), complex(-1.0, -1e-17),
+                               complex(-2.5, -0.0), complex(-1.0, 0.0)])
+def test_phase_on_negative_real_axis_is_plus_pi(z):
+    assert phase(z) == math.pi
+
+
 @given(st.floats(0.1, 10.0), st.floats(-math.pi, math.pi),
        st.floats(0.1, 10.0), st.floats(-math.pi, math.pi))
 def test_phase_of_product_adds(m1, p1, m2, p2):

@@ -193,6 +193,62 @@ class TestMonteCarlo:
         with pytest.raises(DomainError, match="samples"):
             mc_ordered_volume(order, 1.0, samples)
 
+    @pytest.mark.parametrize("order", [1, 3])
+    @pytest.mark.parametrize("samples", [10.5, 1e3, "100", None])
+    def test_refuses_non_integer_sample_count(self, order, samples):
+        with pytest.raises(DomainError, match="samples"):
+            mc_ordered_volume(order, 1.0, samples)
+
+    def test_accepts_numpy_integer_sample_count(self):
+        a = mc_ordered_volume(3, 1.0, np.int64(5000), seed=4)
+        b = mc_ordered_volume(3, 1.0, 5000, seed=4)
+        assert a == b
+
+    @pytest.mark.parametrize("order", [1, 3])
+    @pytest.mark.parametrize("length", [math.nan, math.inf, -math.inf])
+    def test_refuses_non_finite_length(self, order, length):
+        with pytest.raises(DomainError, match="length"):
+            mc_ordered_volume(order, length, 100)
+
+    # hit counts for seeds 0, 1, 2 at the default batch of 262144 samples:
+    # below it, equal to it, and above it but not a multiple of it
+    SEED_HITS = {
+        (2, 100_000): (50077, 50001, 49799),
+        (2, 262_144): (131047, 131241, 130919),
+        (2, 300_000): (149813, 150258, 149997),
+        (3, 100_000): (16442, 16834, 16721),
+        (3, 262_144): (43443, 44064, 43914),
+        (3, 300_000): (49702, 50336, 50193),
+        (4, 100_000): (4087, 4076, 4112),
+        (4, 262_144): (10746, 10732, 10829),
+        (4, 300_000): (12350, 12258, 12404),
+        (5, 100_000): (821, 828, 800),
+        (5, 262_144): (2180, 2199, 2116),
+        (5, 300_000): (2514, 2501, 2437),
+        (6, 100_000): (146, 133, 159),
+        (6, 262_144): (378, 363, 371),
+        (6, 300_000): (428, 422, 417),
+        (7, 100_000): (25, 18, 22),
+        (7, 262_144): (69, 51, 59),
+        (7, 300_000): (74, 62, 63),
+        (8, 100_000): (0, 1, 1),
+        (8, 262_144): (7, 4, 4),
+        (8, 300_000): (8, 5, 4),
+    }
+
+    @pytest.mark.parametrize("order,samples", sorted(SEED_HITS))
+    def test_seed_contract_pins_hit_counts(self, order, samples):
+        # a fixed seed fixes the Philox stream, hence the exact hit count
+        length = 2.0
+        for seed, hits in enumerate(self.SEED_HITS[order, samples]):
+            res = mc_ordered_volume(order, length, samples, seed=seed)
+            p = hits / samples
+            vol = length ** order
+            assert res.value == complex(vol * p)
+            assert res.error_estimate \
+                == vol * math.sqrt(max(p * (1.0 - p), 1.0 / samples) / samples)
+            assert res.evaluations == samples
+
 
 class TestGaussianRatio:
     def test_zero_phase_is_unity(self):
@@ -241,6 +297,77 @@ class TestLegGauss:
 
 
 class TestHighPrecisionSeries:
+    @staticmethod
+    def _mpc_loop(delta_phi, beta_l, n_max=None):
+        """The series summed term by term in mpmath complex arithmetic at
+        the same dps: the reference the fixed-point sum must reproduce."""
+        from mpmath import exp as mp_exp, mpc, mpf, workdps
+        dps = int(30 + 1.1 * beta_l / math.log(10)
+                  + 0.7 * delta_phi / math.log(10))
+        if n_max is None:
+            n_max = int(beta_l + delta_phi
+                        + 12 * math.sqrt(beta_l + delta_phi) + 40)
+        with workdps(dps):
+            dp = mpf(delta_phi)
+            bl = mpf(beta_l)
+            i = mpc(0, 1)
+            eid = mp_exp(i * dp)
+            term = mpc(1)
+            esum = mpc(0)
+            epow = mpc(1)
+            total = mpc(1)
+            for n in range(1, n_max + 1):
+                term *= i * bl / n
+                esum += epow
+                epow *= -i * dp / n
+                total += term * (1 - eid * esum)
+            return total
+
+    @staticmethod
+    def _rel_diff(got, ref):
+        from mpmath import workdps
+        with workdps(40):
+            return float(abs(got - ref) / abs(ref))
+
+    # the (delta_phi, beta_l) pairs at which the suite calls the sum
+    SUITE_POINTS = [(0.5, 1.0), (2.0, 5.0), (10.0, 10.0), (15.0, 30.0),
+                    (10.0, 1000.0), (10.0, 2000.0), (20.0, 2000.0)]
+
+    @pytest.mark.parametrize("dphi,bl,n_max", [
+        *((dphi, bl, None) for dphi, bl in SUITE_POINTS),
+        (0.0, 0.5, None), (0.0, 40.0, None), (0.0, 300.0, None),
+        (3.0, 0.0, None), (250.0, 0.0, None), (0.0, 0.0, None),
+        (2.0, 5.0, 0), (2.0, 5.0, 1), (2.0, 5.0, 7), (40.0, 300.0, 150),
+        (1e-300, 1e-300, None), (5e-324, 7.0, None)])
+    def test_matches_mpc_loop(self, dphi, bl, n_max):
+        got = series_sum_highprec(dphi, bl, n_max=n_max)
+        ref = self._mpc_loop(dphi, bl, n_max=n_max)
+        assert self._rel_diff(got, ref) <= 1e-25
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_mpc_loop_on_seeded_grid(self, seed):
+        rng = random.Random(seed)
+        if seed % 2:
+            dphi, bl = rng.uniform(0.0, 500.0), rng.uniform(0.0, 2000.0)
+        else:
+            dphi = 10 ** rng.uniform(-2.0, math.log10(500.0))
+            bl = 10 ** rng.uniform(-2.0, math.log10(2000.0))
+        got = series_sum_highprec(dphi, bl)
+        assert self._rel_diff(got, self._mpc_loop(dphi, bl)) <= 1e-25
+
+    @pytest.mark.parametrize("dphi,bl", [(0.0, 0.0), (0.0, 7.5), (0.0, 300.0),
+                                         (4.0, 0.0), (250.0, 0.0)])
+    def test_trivial_points_are_exactly_one(self, dphi, bl):
+        # no medium, or no budget: every scattered term vanishes exactly
+        assert series_sum_highprec(dphi, bl) == 1
+
+    @pytest.mark.parametrize("dphi,bl", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
+        (-math.inf, 1.0), (math.nan, math.inf)])
+    def test_refuses_non_finite_input(self, dphi, bl):
+        with pytest.raises(DomainError, match="finite"):
+            series_sum_highprec(dphi, bl)
+
     def test_agrees_with_float_summation_in_easy_regime(self):
         from pathamp.refraction import time_budget_factor
         for dphi, bl in ((0.5, 1.0), (2.0, 5.0), (10.0, 10.0), (15.0, 30.0)):

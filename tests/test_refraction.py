@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import pytest
 from mpmath import arg as mp_arg
@@ -135,6 +136,11 @@ class TestUnconstrainedBlock:
         with pytest.raises(PreconditionError):
             unconstrained_block_amplitude(BETA_L_SUMMATION_LIMIT + 1)
 
+    @pytest.mark.parametrize("beta_l", [math.nan, math.inf])
+    def test_refuses_non_finite_strength(self, beta_l):
+        with pytest.raises(DomainError, match="finite"):
+            unconstrained_block_amplitude(beta_l)
+
 
 class TestTimeBudgetFactor:
     def test_zero_budget_exact_unity(self):
@@ -181,6 +187,25 @@ class TestTimeBudgetFactor:
         with pytest.raises(PreconditionError) as err:
             time_budget_factor(10.0, 1000.0)
         assert "annulment" in str(err.value)
+
+    @pytest.mark.parametrize("dphi,beta_l", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
+        (math.inf, math.nan)])
+    def test_refuses_non_finite_input(self, dphi, beta_l):
+        with pytest.raises(DomainError, match="finite"):
+            time_budget_factor(dphi, beta_l)
+
+    @pytest.mark.parametrize("dphi,beta_l", [(720.0, 0.5), (800.0, 1.0),
+                                             (1000.0, 50.0)])
+    def test_float_overflow_stops_at_first_convergence_test(self, dphi, beta_l):
+        # the partial exponential of the kernel passes float64 range near
+        # dphi = 710; the series must stop as soon as the running sum is
+        # tested, not run on to the 100000-order cap
+        with pytest.raises(ConvergenceError, match="overflow") as err:
+            time_budget_factor(dphi, beta_l)
+        stopped = int(re.search(r"order (\d+)", str(err.value)).group(1))
+        assert stopped <= dphi + beta_l + 2
+        assert not all(cmath.isfinite(p) for p in err.value.partials)
 
 
 class TestAnnulmentRegime:
