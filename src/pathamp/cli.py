@@ -7,13 +7,14 @@ the inputs echoed verbatim, the computed outputs, provenance tags and any
 flagged discrepancies against commonly quoted reference figures. An
 emitted summary can be re-ingested with --config to reproduce the run
 bit for bit.  Curves go to CSV via --csv; nothing is ever plotted.
+
+One table, _COMMANDS, declares every subcommand: its handler and its
+flags with their aliases, argparse options and unit tables.
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
-import csv
 import json
 import math
 import os
@@ -21,8 +22,8 @@ import re
 import sys
 
 # Each handler imports the pathamp modules it calls, and numpy only where
-# it builds a curve, so a one-shot process loads only what it runs.
-from pathamp.core_num import CONSTANTS
+# it builds an array, so a one-shot process loads only what it runs.
+from pathamp.core_num import CONSTANTS, linspace
 
 SEED_ENV_VAR = "PATHAMP_SEED"
 
@@ -37,6 +38,7 @@ _MOMENTUM_MEVC = {"GeV/c": 1e3, "MeV/c": 1.0, "keV/c": 1e-3,
                   "GeV": 1e3, "MeV": 1.0, "keV": 1e-3}
 _DM2 = {"eV2": 1.0, "meV2": 1e-6}
 _DENSITY = {"m-3": 1.0, "cm-3": 1e6}
+_BARE = "dimensionless"     # a bare number, no unit suffix
 
 
 class UnitError(ValueError):
@@ -52,25 +54,60 @@ class OutputError(ValueError):
     """An output file (--out, --curve, --csv) that cannot be written."""
 
 
-def _parse(value: str, table: dict, flag: str) -> float:
-    m = _QUANTITY_RE.match(value)
-    if not m:
-        raise UnitError(f"{flag}: cannot parse quantity {value!r}")
-    number, unit = m.groups()
-    if unit == "":
-        raise UnitError(
-            f"{flag}: missing unit on {value!r}; expected one of {sorted(table)}")
-    if unit not in table:
-        raise UnitError(
-            f"{flag}: unknown unit {unit!r}; expected one of {sorted(table)}")
-    return float(number) * table[unit]
+def _quantity(text: str, table, flag: str) -> float:
+    """The value of a flag: a number with a unit suffix from the table, or
+    a bare number when the table is _BARE.  A value that is not a finite
+    non-zero double once scaled is refused, unless the literal is zero."""
+    m = _QUANTITY_RE.match(text)
+    if table is _BARE:
+        if not m or m.group(2):
+            raise UnitError(f"{flag}: expected a bare dimensionless number, got {text!r}")
+        value = float(m.group(1))
+    else:
+        if not m:
+            raise UnitError(f"{flag}: cannot parse quantity {text!r}")
+        number, unit = m.groups()
+        if unit == "":
+            raise UnitError(
+                f"{flag}: missing unit on {text!r}; expected one of {sorted(table)}")
+        if unit not in table:
+            raise UnitError(
+                f"{flag}: unknown unit {unit!r}; expected one of {sorted(table)}")
+        value = float(number) * table[unit]
+    if not math.isfinite(value) or (
+            value == 0.0 and m.group(1).lower().split("e")[0].strip("+-.0")):
+        raise UnitError(f"{flag}: {text!r} is outside the range of a double")
+    return value
 
 
-def _dimensionless(value: str, flag: str) -> float:
-    m = _QUANTITY_RE.match(value)
-    if not m or m.group(2):
-        raise UnitError(f"{flag}: expected a bare dimensionless number, got {value!r}")
-    return float(m.group(1))
+_REQUIRED = object()
+
+
+def _dest(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_")
+
+
+class _Args(argparse.Namespace):
+    """Parsed flags.  A quantity is converted only when a handler asks for
+    it, so flags a mode ignores stay unparsed, and errors are reported in
+    the order the handler reads its flags."""
+
+    def quantity(self, flag: str, default=_REQUIRED):
+        """The flag's value in the unit its table row names; `default`
+        when the flag is absent or empty, if a default is given."""
+        text = getattr(self, _dest(flag))
+        if default is not _REQUIRED and not text:
+            return default
+        if text is None:
+            raise UnitError(f"{flag} is required for this mode")
+        rows = _COMMANDS[self.subcommand][1]
+        return _quantity(text, next(r[1] for r in rows if r[0].split()[0] == flag), flag)
+
+    def require(self, *flags: str) -> None:
+        """Refuse the first absent flag, before any of them is converted."""
+        for flag in flags:
+            if getattr(self, _dest(flag)) is None:
+                raise UnitError(f"{flag} is required for this mode")
 
 
 def _complex_out(z: complex) -> dict:
@@ -104,6 +141,7 @@ def _emit(summary: dict, out_path: str | None) -> None:
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
+    import csv
     try:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -120,103 +158,68 @@ def _error_exit(kind: str, message: str) -> int:
     return 2
 
 
-def _summary(command: str, raw_args: list[str], inputs: dict, outputs: dict,
-             provenance: dict, flags: list, seed: int | None = None) -> dict:
-    s = {
-        "command": command,
-        "argv": raw_args,
-        "inputs": inputs,
-        "outputs": outputs,
-        "provenance": provenance,
-        "flagged_discrepancies": flags,
-    }
-    if seed is not None:
-        s["seed"] = seed
-    return s
-
-
 # --------------------------------------------------------------------------
-# subcommand handlers: each returns the summary dict
+# subcommand handlers: each returns (inputs, outputs, provenance, flags);
+# provenance None tags every output "computed"
 
 
-def _require(args, names):
-    for name in names:
-        if getattr(args, name.lstrip("-").replace("-", "_"), None) is None:
-            raise UnitError(f"{name} is required for this mode")
-
-
-def _cmd_propagator(args, raw):
+def _propagator(args):
     from pathamp import propagators
     if args.mode == "covariant":
-        _require(args, ["--r"])
-        mass = _parse(args.mass, _ENERGY_MEV, "--mass") if args.mass else 0.0
-        beta = _dimensionless(args.beta, "--beta") if args.beta else 1.0
-        r = _parse(args.r, _LENGTH, "--r")
-        dt = _parse(args.dt, _TIME, "--dt") if args.dt \
-            else r / (beta * CONSTANTS.c)
-        width = _parse(args.width, _ENERGY_MEV, "--width") if args.width else 0.0
+        args.require("--r")
+        mass, beta = args.quantity("--mass", 0.0), args.quantity("--beta", 1.0)
+        r = args.quantity("--r")
+        dt = args.quantity("--dt", None)
+        if dt is None:
+            dt = r / (beta * CONSTANTS.c)
+        width = args.quantity("--width", 0.0)
         particle = propagators.OnShellParticle(mass, beta, width)
         amp = propagators.covariant_propagator(particle, r, dt)
         inputs = {"mass_mev": mass, "beta": beta, "r_m": r, "dt_s": dt,
                   "width_mev": width}
     elif args.mode == "temporal":
-        _require(args, ["--wavelength", "--tau", "--dtau"])
-        lam = _parse(args.wavelength, _LENGTH, "--wavelength")
-        tau = _parse(args.tau, _TIME, "--tau")
-        dtau = _parse(args.dtau, _TIME, "--dtau")
+        args.require("--wavelength", "--tau", "--dtau")
+        lam, tau, dtau = (args.quantity(f) for f in ("--wavelength", "--tau", "--dtau"))
         emitter = propagators.EmitterSpec.from_line(lam, tau)
         amp = propagators.temporal_propagator(emitter, dtau)
         inputs = {"wavelength_m": lam, "tau_s": tau, "dtau_s": dtau}
     else:
-        _require(args, ["--energy", "--energy0", "--width"])
-        e = _parse(args.energy, _ENERGY_MEV, "--energy") * 1e6
-        e0 = _parse(args.energy0, _ENERGY_MEV, "--energy0") * 1e6
-        width = _parse(args.width, _ENERGY_MEV, "--width") * 1e6
+        args.require("--energy", "--energy0", "--width")
+        e, e0, width = (args.quantity(f) * 1e6 for f in ("--energy", "--energy0", "--width"))
         amp = propagators.energy_propagator(e, e0, width)
         inputs = {"energy_ev": e, "energy0_ev": e0, "width_ev": width}
-    return _summary("propagator", raw, inputs,
-                    {"amplitude": _complex_out(amp)},
-                    {"amplitude": "computed"}, [])
+    return inputs, {"amplitude": _complex_out(amp)}, None, []
 
 
-def _cmd_diffraction(args, raw):
+def _diffraction(args):
     from pathamp import wave_optics
-    lam = _parse(args.wavelength, _LENGTH, "--wavelength")
-    a = _parse(args.alpha, _ANGLE, "--alpha")
-    a1 = _parse(args.alpha1, _ANGLE, "--alpha1")
+    lam, alpha, alpha1 = (args.quantity(f) for f in ("--wavelength", "--alpha", "--alpha1"))
     kappa = 2.0 * math.pi / lam
-    amp = wave_optics.diffraction_amplitude(kappa, a, a1)
-    return _summary("diffraction", raw,
-                    {"wavelength_m": lam, "alpha_rad": a, "alpha1_rad": a1},
-                    {"kappa_per_m": kappa, "amplitude_per_m": _complex_out(amp)},
-                    {"amplitude_per_m": "computed"}, [])
+    amp = wave_optics.diffraction_amplitude(kappa, alpha, alpha1)
+    return ({"wavelength_m": lam, "alpha_rad": alpha, "alpha1_rad": alpha1},
+            {"kappa_per_m": kappa, "amplitude_per_m": _complex_out(amp)},
+            {"amplitude_per_m": "computed"}, [])
 
 
-def _cmd_refract_index(args, raw):
+def _refract_index(args):
     from pathamp import refraction
-    lam = _parse(args.wavelength, _LENGTH, "--wavelength")
+    lam = args.quantity("--wavelength")
     if args.n is not None:
-        _require(args, ["--density"])
-        n = _dimensionless(args.n, "--n")
-        density = _parse(args.density, _DENSITY, "--density")
-        a_scat = (n - 1.0) * 2.0 * math.pi / (lam ** 2 * density)
-        outputs = {"scattering_length_m": a_scat,
-                   "n_roundtrip": refraction.refractive_index(density, a_scat, lam)}
-        inputs = {"wavelength_m": lam, "n": n, "density_per_m3": density}
-    else:
-        density = _parse(args.density, _DENSITY, "--density")
-        a_scat = _parse(args.scattering_length, _LENGTH, "--scattering-length")
-        outputs = {"n": refraction.refractive_index(density, a_scat, lam)}
-        inputs = {"wavelength_m": lam, "density_per_m3": density,
-                  "scattering_length_m": a_scat}
-    return _summary("refract-index", raw, inputs, outputs,
-                    {k: "computed" for k in outputs}, [])
+        n, density = args.quantity("--n"), args.quantity("--density")
+        a_scat = refraction.scattering_length_for_index(n, density, lam)
+        return ({"wavelength_m": lam, "n": n, "density_per_m3": density},
+                {"scattering_length_m": a_scat,
+                 "n_roundtrip": refraction.refractive_index(density, a_scat, lam)},
+                None, [])
+    density, a_scat = args.quantity("--density"), args.quantity("--scattering-length")
+    return ({"wavelength_m": lam, "density_per_m3": density,
+             "scattering_length_m": a_scat},
+            {"n": refraction.refractive_index(density, a_scat, lam)}, None, [])
 
 
-def _cmd_refract_series(args, raw):
+def _refract_series(args):
     from pathamp import refraction
-    dphi = _dimensionless(args.dphi, "--dphi")
-    beta_l = _dimensionless(args.betal, "--betal")
+    dphi, beta_l = args.quantity("--dphi"), args.quantity("--betal")
     factor = refraction.time_budget_factor(dphi, beta_l)
     outputs = {
         "factor": _complex_out(factor.value),
@@ -225,177 +228,134 @@ def _cmd_refract_series(args, raw):
         "trig_route": _complex_out(factor.trig_route),
         "regime": refraction.regime_classification(dphi, beta_l),
     }
-    return _summary("refract-series", raw,
-                    {"delta_phi_rad": dphi, "beta_l": beta_l}, outputs,
-                    {"factor": "computed (two independent series routes)"}, [])
+    return ({"delta_phi_rad": dphi, "beta_l": beta_l}, outputs,
+            {"factor": "computed (two independent series routes)"}, [])
 
 
-def _cmd_annulment(args, raw):
+def _annulment(args):
     from pathamp import refraction
-    radius = _parse(args.radius, _LENGTH, "--radius")
-    axis_distance = _parse(args.axis_distance, _LENGTH, "--axis-distance")
-    wavelength = _parse(args.wavelength, _LENGTH, "--wavelength")
-    block_length = _parse(args.block_length, _LENGTH, "--block-length")
-    n = _dimensionless(args.n, "--n")
-    tau = _parse(args.tau, _TIME, "--tau")
-    rep = refraction.annulment_report(radius, axis_distance, wavelength,
-                                      block_length, n, tau)
-    d = rep.as_dict()
+    values = [args.quantity(f) for f in ("--radius", "--axis-distance", "--wavelength",
+                                         "--block-length", "--n", "--tau")]
+    d = refraction.annulment_report(*values).as_dict()
     flags = d.pop("flags")
-    return _summary("annulment", raw,
-                    {"radius_m": radius, "axis_distance_m": axis_distance,
-                     "wavelength_m": wavelength,
-                     "block_length_m": block_length, "n": n, "tau_s": tau},
-                    d, {k: "computed" for k in d}, flags)
+    return (dict(zip(("radius_m", "axis_distance_m", "wavelength_m",
+                      "block_length_m", "n", "tau_s"), values)), d, None, flags)
 
 
-def _cmd_snell(args, raw):
+def _snell(args):
     from pathamp import ray_optics
-    n1 = _dimensionless(args.n1, "--n1")
-    n2 = _dimensionless(args.n2, "--n2")
-    theta_i = _parse(args.theta_i, _ANGLE, "--theta-i")
+    n1, n2, theta_i = args.quantity("--n1"), args.quantity("--n2"), args.quantity("--theta-i")
     theta_o = ray_optics.snell_angle(n1, n2, theta_i)
     outputs = {"theta_o_rad": theta_o, "theta_o_deg": math.degrees(theta_o)}
     provenance = {"theta_o_rad": "closed form"}
     if args.search:
-        geom = ray_optics.InterfaceGeometry(n1, n2, math.pi / 2 - theta_i,
-                                            1.0, 1.0)
+        geom = ray_optics.InterfaceGeometry(n1, n2, math.pi / 2 - theta_i, 1.0, 1.0)
         found = ray_optics.stationary_phase_angle(geom)
         outputs["theta_o_stationary_rad"] = found.theta
         outputs["stationary_residual"] = found.residual
         provenance["theta_o_stationary_rad"] = "numeric stationary-phase search"
-    return _summary("snell", raw,
-                    {"n1": n1, "n2": n2, "theta_i_rad": theta_i},
-                    outputs, provenance, [])
+    return {"n1": n1, "n2": n2, "theta_i_rad": theta_i}, outputs, provenance, []
 
 
-def _cmd_reflect(args, raw):
+def _reflect(args):
     from pathamp import reflection
-    n1 = _dimensionless(args.n1, "--n1") if args.n1 else 1.0
-    n2 = _dimensionless(args.n2, "--n2")
+    n1, n2 = args.quantity("--n1", 1.0), args.quantity("--n2")
     comp = reflection.fresnel_comparison(n1, n2)
-    outputs = {
-        "rho_path": comp.rho_path,
-        "rho_fresnel": comp.rho_fresnel,
-        "fresnel_excess": comp.fresnel_excess,
-        "path_deficit": comp.path_deficit,
-    }
+    outputs = {"rho_path": comp.rho_path, "rho_fresnel": comp.rho_fresnel,
+               "fresnel_excess": comp.fresnel_excess,
+               "path_deficit": comp.path_deficit}
     if n1 != n2:
         phase = reflection.reflection_phase_path(n1, n2)
         outputs["phase"] = "pi" if phase == math.pi else "0"
     if args.thsm:
-        setup = reflection.ReflectionSetup(n1, n2,
-                                           t_hsm=_dimensionless(args.thsm, "--thsm"))
+        setup = reflection.ReflectionSetup(n1, n2, t_hsm=args.quantity("--thsm"))
         outputs["rate_ratio"] = reflection.rate_ratio(setup)
     if args.film_thickness:
-        _require(args, ["--wavelength"])
-        lam = _parse(args.wavelength, _LENGTH, "--wavelength")
-        t = _parse(args.film_thickness, _LENGTH, "--film-thickness")
+        lam, t = args.quantity("--wavelength"), args.quantity("--film-thickness")
         outputs["rho_film"] = reflection.thin_film_coeff(n2, lam, t)
-    return _summary("reflect", raw, {"n1": n1, "n2": n2},
-                    outputs, {k: "computed" for k in outputs}, [])
+    return {"n1": n1, "n2": n2}, outputs, None, []
 
 
-def _cmd_michelson(args, raw):
+def _michelson(args):
     from pathamp import michelson
-    lam = _parse(args.wavelength, _LENGTH, "--wavelength")
+    lam = args.quantity("--wavelength")
     spec = michelson.InterferometerSpec(
-        _parse(args.arm, _LENGTH, "--arm"),
-        _parse(args.d, _LENGTH, "--d"),
-        _parse(args.tau, _TIME, "--tau"),
-        2.0 * math.pi / lam)
+        *(args.quantity(f) for f in ("--arm", "--d", "--tau")), 2.0 * math.pi / lam)
     outputs = {"visibility_asymptote": michelson.visibility_asymptote(spec),
                "long_path_m": spec.long_path, "short_path_m": spec.short_path}
     if args.tmax:
-        t_max = _parse(args.tmax, _TIME, "--tmax")
+        t_max = args.quantity("--tmax")
         outputs["visibility"] = michelson.visibility(spec, t_max)
         outputs["detection_probability"] = michelson.detection_probability(spec, t_max)
     if args.curve:
-        import numpy as np
         t0_ns = spec.long_path / CONSTANTS.c * 1e9
-        grid = np.linspace(t0_ns + 0.05, t0_ns + 12.0 * spec.tau_s * 1e9, 400)
+        grid = linspace(t0_ns + 0.05, t0_ns + 12.0 * spec.tau_s * 1e9, 400)
         _write_csv(args.curve, ["t_max_ns", "visibility"],
-                   zip(grid, michelson.visibility_curve(spec, grid * 1e-9)))
+                   zip(grid, michelson.visibility_curve(spec, [t * 1e-9 for t in grid])))
         outputs["curve_csv"] = args.curve
-    return _summary("michelson", raw,
-                    {"arm_m": spec.arm_length, "d_m": spec.imbalance,
-                     "tau_s": spec.tau_s, "wavelength_m": lam},
-                    outputs, {k: "computed" for k in outputs}, [])
+    return ({"arm_m": spec.arm_length, "d_m": spec.imbalance,
+             "tau_s": spec.tau_s, "wavelength_m": lam}, outputs, None, [])
 
 
-def _cmd_ydse(args, raw):
+def _ydse(args):
     from pathamp import flavour
-    geom = flavour.SlitGeometry(
-        _parse(args.source_distance, _LENGTH, "--source-distance"),
-        _parse(args.screen_distance, _LENGTH, "--screen-distance"),
-        _parse(args.half_separation, _LENGTH, "--half-separation"),
-        _parse(args.slit_height, _LENGTH, "--slit-height"),
-        _parse(args.slit_width, _LENGTH, "--slit-width"))
-    flags: list = []
+    geom = flavour.SlitGeometry(*(args.quantity(f) for f in (
+        "--source-distance", "--screen-distance", "--half-separation",
+        "--slit-height", "--slit-width")))
     if args.kind == "photon":
-        lam = _parse(args.wavelength, _LENGTH, "--wavelength")
-        tau = _parse(args.tau, _TIME, "--tau")
+        lam, tau = args.quantity("--wavelength"), args.quantity("--tau")
         res = flavour.photon_double_slit(geom, 2.0 * math.pi / lam, tau)
         outputs = {"fringe_spacing_m": res.fringe_spacing,
                    "damping_per_fringe": res.damping_per_fringe}
-        flags += [f.as_dict() for f in res.flags]
     else:
-        beam = flavour.ElectronBeam(
-            _parse(args.p, _MOMENTUM_MEVC, "--p"),
-            _parse(args.sigma_p, _MOMENTUM_MEVC, "--sigma-p"))
-        res = flavour.electron_double_slit(geom, beam)
+        res = flavour.electron_double_slit(
+            geom, flavour.ElectronBeam(args.quantity("--p"), args.quantity("--sigma-p")))
         outputs = {"fringe_spacing_m": res.fringe_spacing,
                    "equal_time_coeff": res.equal_time_coeff,
                    "spread_coeff": res.spread_coeff,
                    "reference_coeffs": list(flavour.ELECTRON_SLIT_REFERENCE_DAMPING)}
-        flags += [f.as_dict() for f in res.flags]
     if args.curve:
+        # numpy's exp differs from math.exp in the last bit on some doubles
         import numpy as np
         y = np.linspace(-5, 5, 801) * res.fringe_spacing
-        p = res.probability(y)
-        _write_csv(args.curve, ["y_m", "probability"], list(zip(y, p)))
+        _write_csv(args.curve, ["y_m", "probability"], list(zip(y, res.probability(y))))
         outputs["curve_csv"] = args.curve
-    return _summary("ydse", raw, {"kind": args.kind}, outputs,
-                    {"fringe_spacing_m": "computed"}, flags)
+    return ({"kind": args.kind}, outputs, {"fringe_spacing_m": "computed"},
+            [f.as_dict() for f in res.flags])
 
 
-def _cmd_kaon(args, raw):
+def _kaon(args):
     from pathamp import flavour
-    sys_ = flavour.KaonSystem(mean_p=_parse(args.p, _MOMENTUM_MEVC, "--p"))
-    outputs = {"oscillation_period_s": flavour.kaon_oscillation_period(sys_)}
-    flags: list = []
+    kaon = flavour.KaonSystem(mean_p=args.quantity("--p"))
+    outputs = {"oscillation_period_s": flavour.kaon_oscillation_period(kaon)}
     if args.tau:
-        tau = _parse(args.tau, _TIME, "--tau")
-        outputs["p_plus"] = flavour.kaon_detection_probability(sys_, "e+", tau=tau)
-        outputs["p_minus"] = flavour.kaon_detection_probability(sys_, "e-", tau=tau)
+        tau = args.quantity("--tau")
+        outputs["p_plus"] = flavour.kaon_detection_probability(kaon, "e+", tau=tau)
+        outputs["p_minus"] = flavour.kaon_detection_probability(kaon, "e-", tau=tau)
     if args.distance:
-        dist = _parse(args.distance, _LENGTH, "--distance")
-        outputs["proper_time_s"] = sys_.proper_time(dist)
-        outputs["lab_phase_rad"] = flavour.kaon_oscillation_phase_lab(sys_, dist)
-    rep = flavour.kaon_equal_velocity_report(sys_)
+        dist = args.quantity("--distance")
+        outputs["proper_time_s"] = kaon.proper_time(dist)
+        outputs["lab_phase_rad"] = flavour.kaon_oscillation_phase_lab(kaon, dist)
+    rep = flavour.kaon_equal_velocity_report(kaon)
     outputs["dp_over_p_equal_velocity"] = rep.dp_over_p
     outputs["dp_rad_over_p"] = rep.dp_rad_over_p
     outputs["dt_production_s"] = rep.dt_production
-    flags += [f.as_dict() for f in rep.flags]
     if args.curve:
-        import numpy as np
-        grid = np.linspace(0.0, 6.0 * CONSTANTS.tau_ks, 600)
         _write_csv(args.curve, ["tau_ns", "p_plus", "p_minus", "interference"],
-                   flavour.kaon_curve(sys_, grid))
+                   flavour.kaon_curve(kaon, linspace(0.0, 6.0 * CONSTANTS.tau_ks, 600)))
         outputs["curve_csv"] = args.curve
     prov = {"dp_rad_over_p": "stored reference figure",
             "dp_over_p_equal_velocity": "computed",
             "dt_production_s": "computed"}
-    return _summary("kaon", raw, {"p_mev_c": sys_.mean_p},
-                    outputs, prov, flags)
+    return ({"p_mev_c": kaon.mean_p}, outputs, prov,
+            [f.as_dict() for f in rep.flags])
 
 
-def _cmd_neutrino(args, raw):
+def _neutrino(args):
     from pathamp import flavour
-    dm2 = _parse(args.dm2, _DM2, "--dm2")
-    theta = _parse(args.theta12, _ANGLE, "--theta12") if args.theta12 \
-        else math.pi / 4
-    baseline = _parse(args.baseline, _LENGTH, "--baseline")
+    dm2 = args.quantity("--dm2")
+    theta = args.quantity("--theta12", math.pi / 4)
+    baseline = args.quantity("--baseline")
     if args.source == "pion":
         exp = flavour.pion_neutrino_experiment(dm2, theta, baseline)
     elif args.source == "kaon":
@@ -404,90 +364,72 @@ def _cmd_neutrino(args, raw):
         exp = flavour.NeutrinoExperiment(
             CONSTANTS.m_pi, CONSTANTS.hbar_mev_s / CONSTANTS.tau_pi,
             CONSTANTS.m_mu, dm2, theta, baseline, mode="beta",
-            beta_energy_mev=_parse(args.beta_energy, _ENERGY_MEV, "--beta-energy"),
-            neutrino_p_mev=_parse(args.p_nu, _MOMENTUM_MEVC, "--p-nu"))
-    res = flavour.neutrino_oscillation(exp)
-    d = res.as_dict()
+            beta_energy_mev=args.quantity("--beta-energy"),
+            neutrino_p_mev=args.quantity("--p-nu"))
+    d = flavour.neutrino_oscillation(exp).as_dict()
     flags = d.pop("flags")
     d["p0_mev_c"] = exp.p0
     d["half_oscillation_distance_m"] = flavour.half_oscillation_distance(exp)
     d["dp_rad_over_p"] = flavour.NEUTRINO_RADIATIVE_SMEARING
     if args.curve:
-        import numpy as np
-        grid = np.linspace(baseline / 50.0, 3.0 * baseline, 600)
-        _write_csv(args.curve,
-                   ["L_m", "p_appear", "p_survive", "interference"],
-                   flavour.neutrino_curve(exp, grid))
+        _write_csv(args.curve, ["L_m", "p_appear", "p_survive", "interference"],
+                   flavour.neutrino_curve(exp, linspace(baseline / 50.0, 3.0 * baseline, 600)))
         d["curve_csv"] = args.curve
     prov = {k: "computed" for k in d}
     prov["dp_rad_over_p"] = "stored reference figure"
     prov["phi_path"] = "computed (full source+propagator phase chain)"
     prov["phi_standard"] = "computed (kinematic comparison value)"
-    return _summary("neutrino", raw,
-                    {"source": args.source, "dm2_ev2": dm2,
-                     "theta12_rad": theta, "baseline_m": baseline},
-                    d, prov, flags)
+    return ({"source": args.source, "dm2_ev2": dm2, "theta12_rad": theta,
+             "baseline_m": baseline}, d, prov, flags)
 
 
-def _cmd_classify(args, raw):
+def _classify(args):
     from pathamp import flavour
-    row = flavour.classify_experiment(args.kind)
-    d = row.as_dict()
-    return _summary("classify", raw, {"kind": args.kind}, d,
-                    {k: "fixed classification table" for k in d}, [])
+    d = flavour.classify_experiment(args.kind).as_dict()
+    return {"kind": args.kind}, d, {k: "fixed classification table" for k in d}, []
 
 
-def _cmd_oracle(args, raw):
+def _oracle(args):
     from pathamp import oracle, refraction, wave_optics
-    seed = args.seed
     if args.op == "mc-volume":
-        n = int(_dimensionless(args.order, "--order"))
-        length_val = _parse(args.length, _LENGTH, "--length")
-        res = oracle.mc_ordered_volume(n, length_val, args.samples, seed=seed)
-        target = refraction.nested_volume_integral(n, length_val)
+        n, length = int(args.quantity("--order")), args.quantity("--length")
+        res = oracle.mc_ordered_volume(n, length, args.samples, seed=args.seed)
+        target = refraction.nested_volume_integral(n, length)
         outputs = {"estimate": res.value.real, "error": res.error_estimate,
                    "evaluations": res.evaluations, "closed_form": target,
                    "sigmas_off": abs(res.value.real - target)
                    / res.error_estimate if res.error_estimate else 0.0}
     elif args.op == "half-zone":
-        lam = _parse(args.wavelength, _LENGTH, "--wavelength")
-        kappa = 2.0 * math.pi / lam
-        x1 = _parse(args.x1, _LENGTH, "--x1")
-        rho = kappa * _dimensionless(args.rho_over_kappa, "--rho-over-kappa")
+        kappa = 2.0 * math.pi / args.quantity("--wavelength")
+        x1 = args.quantity("--x1")
+        rho = kappa * args.quantity("--rho-over-kappa")
         analytic = wave_optics.huygens_zone_value(kappa, x1)
         damped = wave_optics.damped_radial_integral(kappa, x1, rho)
         outputs = {"analytic": _complex_out(analytic),
                    "damped": _complex_out(damped),
                    "relative_difference": abs(analytic - damped) / abs(damped)}
     else:  # nested
-        n = int(_dimensionless(args.order, "--order"))
-        dphi = _dimensionless(args.dphi, "--dphi")
+        n, dphi = int(args.quantity("--order")), args.quantity("--dphi")
         res = oracle.quad_nested(n, 1.0, dphi)
-        kern = refraction.scattering_order_kernel(n, dphi)
-        closed = cmath.exp(1j * 0.4) * (1j) ** n * kern
+        closed = refraction.nested_phase_integral(n, 1.0, dphi, oracle.NESTED_X_START)
         outputs = {"quadrature": _complex_out(res.value),
                    "closed_form": _complex_out(closed),
                    "relative_difference": abs(res.value - closed) / abs(closed),
                    "evaluations": res.evaluations}
-    return _summary("oracle", raw, {"op": args.op}, outputs,
-                    {k: "computed" for k in outputs}, [], seed=seed)
+    return {"op": args.op}, outputs, None, []
 
 
 def _recipe_fig9(csv_path):
     from pathamp import michelson
-    lam = CONSTANTS.lambda_na_d
-    kappa = 2.0 * math.pi / lam
+    kappa = 2.0 * math.pi / CONSTANTS.lambda_na_d
     t_grid = [round(7.0 + 0.25 * i, 4) for i in range(170)]
     imbalances = {"d=12.5cm": 0.125, "d=25cm": 0.25, "d=50cm": 0.50}
     rows = michelson.gated_visibility_table(0.5, imbalances.values(),
                                             1e-8, kappa, t_grid)
-    outputs = {
-        "asymptotes": {
-            label: michelson.visibility_asymptote(
-                michelson.InterferometerSpec(0.5, d, 1e-8, kappa))
-            for label, d in imbalances.items()
-        }
-    }
+    outputs = {"asymptotes": {
+        label: michelson.visibility_asymptote(
+            michelson.InterferometerSpec(0.5, d, 1e-8, kappa))
+        for label, d in imbalances.items()}}
     if csv_path:
         _write_csv(csv_path, ["t_max_ns", "V_A", "V_B", "V_C"], rows)
         outputs["curve_csv"] = csv_path
@@ -501,27 +443,22 @@ def _recipe_table1(csv_path):
     for row in table.values():
         flags += row.pop("flags")
     if csv_path:
-        rows = [(label, *[row[k] for k in
-                          ("wavelength_m", "delta_exp_m", "tau_s_nat_s",
-                           "tau_s_s", "tau_p_s")])
-                for label, row in table.items()]
-        _write_csv(csv_path, ["transition", "wavelength_m", "delta_exp_m",
-                              "tau_s_nat_s", "tau_s_s", "tau_p_s"], rows)
+        header = ["wavelength_m", "delta_exp_m", "tau_s_nat_s", "tau_s_s", "tau_p_s"]
+        _write_csv(csv_path, ["transition", *header],
+                   [(label, *[row[k] for k in header]) for label, row in table.items()])
     return {"rows": table}, flags
 
 
 def _recipe_table2_ratios(csv_path):
     from pathamp import flavour
     rows = []
-    flags = []
-    base = None
     for p_gev in (0.01, 0.1, 1.0, 10.0, 100.0):
-        sys_ = flavour.KaonSystem(mean_p=p_gev * 1e3)
-        rep = flavour.kaon_equal_velocity_report(sys_)
-        if base is None:
+        kaon = flavour.KaonSystem(mean_p=p_gev * 1e3)
+        rep = flavour.kaon_equal_velocity_report(kaon)
+        if not rows:
             base = rep.dt_production
             flags = [f.as_dict() for f in rep.flags]
-        rows.append((p_gev, sys_.mean_energy / 1e3, rep.dt_production,
+        rows.append((p_gev, kaon.mean_energy / 1e3, rep.dt_production,
                      base / rep.dt_production))
     if csv_path:
         _write_csv(csv_path, ["p_gev", "energy_gev", "dt_production_s",
@@ -535,9 +472,8 @@ def _recipe_table3(csv_path):
     rows = {k: flavour.classify_experiment(k).as_dict()
             for k in ("photon-ydse", "electron-ydse", "kaon", "neutrino")}
     if csv_path:
-        header = list(next(iter(rows.values())).keys())
-        _write_csv(csv_path, header,
-                   [[row[h] for h in header] for row in rows.values()])
+        header = list(rows["photon-ydse"])
+        _write_csv(csv_path, header, [[row[h] for h in header] for row in rows.values()])
     return {"rows": rows}, []
 
 
@@ -546,8 +482,7 @@ def _recipe_eq_reflection(csv_path):
     comp = reflection.fresnel_comparison(1.0, 1.5)
     return {"rho_path": comp.rho_path, "rho_fresnel": comp.rho_fresnel,
             "fresnel_excess": comp.fresnel_excess,
-            "path_deficit": comp.path_deficit,
-            "phase": "pi"}, []
+            "path_deficit": comp.path_deficit, "phase": "pi"}, []
 
 
 def _recipe_eq_oscillation_length(csv_path):
@@ -555,8 +490,8 @@ def _recipe_eq_oscillation_length(csv_path):
     dm2 = 2e-3
     probe = flavour.pion_neutrino_experiment(dm2, math.pi / 4, 1.0)
     l_half = flavour.half_oscillation_distance(probe)
-    at_half = flavour.pion_neutrino_experiment(dm2, math.pi / 4, l_half)
-    res = flavour.neutrino_oscillation(at_half)
+    res = flavour.neutrino_oscillation(
+        flavour.pion_neutrino_experiment(dm2, math.pi / 4, l_half))
     return {"p0_mev_c": probe.p0,
             "half_oscillation_distance_times_dm2_m_ev2": l_half * dm2,
             "cos_argument_at_that_distance_rad": abs(res.phi_path)}, []
@@ -572,10 +507,89 @@ _RECIPES = {
 }
 
 
-def _cmd_reproduce(args, raw):
+def _reproduce(args):
     outputs, flags = _RECIPES[args.recipe](args.csv)
-    return _summary("reproduce", raw, {"recipe": args.recipe}, outputs,
-                    {"recipe": "named reproduction recipe"}, flags)
+    return ({"recipe": args.recipe}, outputs,
+            {"recipe": "named reproduction recipe"}, flags)
+
+
+# --------------------------------------------------------------------------
+# the command table: subcommand -> (handler, flag rows).  A row is
+# (names, unit, argparse options): names are the flag and its aliases; the
+# unit is a unit table, _BARE, or None for a value used as parsed.
+
+_REQ = {"required": True}
+_CURVE = ("--curve", None, {"metavar": "CSV"})
+
+_COMMANDS = {
+    "propagator": (_propagator, (
+        ("--mode", None, {"choices": ("covariant", "temporal", "energy"),
+                          "default": "covariant"}),
+        ("--mass", _ENERGY_MEV, {}), ("--beta", _BARE, {}),
+        ("--width", _ENERGY_MEV, {}), ("--r", _LENGTH, {}), ("--dt", _TIME, {}),
+        ("--wavelength", _LENGTH, {}), ("--tau", _TIME, {}), ("--dtau", _TIME, {}),
+        ("--energy", _ENERGY_MEV, {}), ("--energy0", _ENERGY_MEV, {}))),
+    "diffraction": (_diffraction, (
+        ("--wavelength", _LENGTH, _REQ),
+        ("--alpha", _ANGLE, {"default": "0rad"}),
+        ("--alpha1", _ANGLE, {"default": "0rad"}))),
+    "refract-index": (_refract_index, (
+        ("--wavelength", _LENGTH, _REQ), ("--density", _DENSITY, _REQ),
+        ("--scattering-length", _LENGTH, {}), ("--n", _BARE, {}))),
+    "refract-series": (_refract_series, (
+        ("--dphi", _BARE, _REQ), ("--betal", _BARE, _REQ))),
+    "annulment": (_annulment, (
+        ("--radius", _LENGTH, _REQ), ("--axis-distance", _LENGTH, _REQ),
+        ("--wavelength", _LENGTH, _REQ), ("--block-length", _LENGTH, _REQ),
+        ("--n", _BARE, _REQ), ("--tau", _TIME, _REQ))),
+    "snell": (_snell, (
+        ("--n1", _BARE, _REQ), ("--n2", _BARE, _REQ), ("--theta-i", _ANGLE, _REQ),
+        ("--search", None, {"action": "store_true"}))),
+    "reflect": (_reflect, (
+        ("--n1", _BARE, {}), ("--n2", _BARE, _REQ), ("--thsm", _BARE, {}),
+        ("--film-thickness", _LENGTH, {}), ("--wavelength", _LENGTH, {}))),
+    "michelson": (_michelson, (
+        ("--arm --L", _LENGTH, _REQ), ("--d", _LENGTH, _REQ), ("--tau", _TIME, _REQ),
+        ("--wavelength", _LENGTH, {"default": "589.3nm"}), ("--tmax", _TIME, {}),
+        _CURVE)),
+    "ydse": (_ydse, (
+        ("--kind", None, {"choices": ("photon", "electron"), "default": "photon"}),
+        ("--source-distance", _LENGTH, {"default": "10cm"}),
+        ("--screen-distance", _LENGTH, {"default": "1m"}),
+        ("--half-separation", _LENGTH, {"default": "0.95mm"}),
+        ("--slit-height", _LENGTH, {"default": "0.1mm"}),
+        ("--slit-width", _LENGTH, {"default": "1mm"}),
+        ("--wavelength", _LENGTH, {"default": "589.3nm"}),
+        ("--tau", _TIME, {"default": "5.4ns"}),
+        ("--p", _MOMENTUM_MEVC, {"default": "229MeV/c"}),
+        ("--sigma-p", _MOMENTUM_MEVC, {"default": "1.374e-4MeV/c"}),
+        _CURVE)),
+    "kaon": (_kaon, (
+        ("--p", _MOMENTUM_MEVC, {"default": "194MeV/c"}), ("--tau", _TIME, {}),
+        ("--distance", _LENGTH, {}), _CURVE)),
+    "neutrino": (_neutrino, (
+        ("--source", None, {"choices": ("pion", "kaon", "beta"), "default": "pion"}),
+        ("--dm2", _DM2, _REQ), ("--baseline --L", _LENGTH, _REQ),
+        ("--theta12", _ANGLE, {}), ("--beta-energy", _ENERGY_MEV, {}),
+        ("--p-nu", _MOMENTUM_MEVC, {}), _CURVE)),
+    "classify": (_classify, (
+        ("--kind", None, {"required": True, "choices": (
+            "photon-ydse", "electron-ydse", "kaon", "neutrino")}),)),
+    # the default of --seed is the run's seed (see build_parser)
+    "oracle": (_oracle, (
+        ("--op", None, {"choices": ("mc-volume", "half-zone", "nested"),
+                        "required": True}),
+        ("--order", _BARE, {"default": "3"}), ("--length", _LENGTH, {"default": "1m"}),
+        ("--samples", None, {"type": int, "default": 1_000_000}),
+        ("--seed", None, {"type": int}),
+        ("--wavelength", _LENGTH, {"default": "589.3nm"}),
+        ("--x1", _LENGTH, {"default": "1m"}),
+        ("--rho-over-kappa", _BARE, {"default": "1e-7"}),
+        ("--dphi", _BARE, {"default": "2.0"}))),
+    "reproduce": (_reproduce, (
+        ("--recipe", None, {"choices": sorted(_RECIPES), "required": True}),
+        ("--csv", None, {"metavar": "CSV"}))),
+}
 
 
 # --------------------------------------------------------------------------
@@ -589,6 +603,24 @@ class _ArgumentError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _ArgumentError(message)
+
+
+class _LazyParser:
+    """A subcommand's parser as the subparsers action holds it (its
+    parser_class).  The real parser is built from the subcommand's table
+    rows only when it parses, so a run builds just the one it runs."""
+
+    def __init__(self, **kwargs):
+        self.kwargs = kwargs      # prog, from add_parser
+        self.rows = ()
+        self.defaults = {}
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = _Parser(**self.kwargs)
+        parser.set_defaults(**self.defaults)
+        for names, _unit, options in self.rows:
+            parser.add_argument(*names.split(), **options)
+        return parser.parse_known_args(args, namespace)
 
 
 def _env_seed() -> int:
@@ -621,8 +653,8 @@ def _load_replay(path: str) -> tuple[list[str], int | None]:
 
 
 def build_parser(seed: int | None = None) -> argparse.ArgumentParser:
-    """The command-line parser; `seed` is the default of `oracle --seed`
-    (PATHAMP_SEED, else 0, when None)."""
+    """The command-line parser, one subparser per _COMMANDS entry; `seed`
+    is the default of `oracle --seed` (PATHAMP_SEED, else 0, when None)."""
     if seed is None:
         seed = _env_seed()
     p = _Parser(
@@ -630,129 +662,10 @@ def build_parser(seed: int | None = None) -> argparse.ArgumentParser:
         description="Path-amplitude optics and flavour-oscillation calculator")
     p.add_argument("--config", help="re-run from an emitted JSON summary")
     p.add_argument("--out", help="also write the JSON summary to this file")
-    sub = p.add_subparsers(dest="subcommand")
-
-    sp = sub.add_parser("propagator")
-    sp.add_argument("--mode", choices=("covariant", "temporal", "energy"),
-                    default="covariant")
-    sp.add_argument("--mass")
-    sp.add_argument("--beta")
-    sp.add_argument("--width")
-    sp.add_argument("--r")
-    sp.add_argument("--dt")
-    sp.add_argument("--wavelength")
-    sp.add_argument("--tau")
-    sp.add_argument("--dtau")
-    sp.add_argument("--energy")
-    sp.add_argument("--energy0")
-    sp.set_defaults(func=_cmd_propagator)
-
-    sp = sub.add_parser("diffraction")
-    sp.add_argument("--wavelength", required=True)
-    sp.add_argument("--alpha", default="0rad")
-    sp.add_argument("--alpha1", default="0rad")
-    sp.set_defaults(func=_cmd_diffraction)
-
-    sp = sub.add_parser("refract-index")
-    sp.add_argument("--wavelength", required=True)
-    sp.add_argument("--density", required=True)
-    sp.add_argument("--scattering-length")
-    sp.add_argument("--n")
-    sp.set_defaults(func=_cmd_refract_index)
-
-    sp = sub.add_parser("refract-series")
-    sp.add_argument("--dphi", required=True)
-    sp.add_argument("--betal", required=True)
-    sp.set_defaults(func=_cmd_refract_series)
-
-    sp = sub.add_parser("annulment")
-    sp.add_argument("--radius", required=True)
-    sp.add_argument("--axis-distance", required=True)
-    sp.add_argument("--wavelength", required=True)
-    sp.add_argument("--block-length", required=True)
-    sp.add_argument("--n", required=True)
-    sp.add_argument("--tau", required=True)
-    sp.set_defaults(func=_cmd_annulment)
-
-    sp = sub.add_parser("snell")
-    sp.add_argument("--n1", required=True)
-    sp.add_argument("--n2", required=True)
-    sp.add_argument("--theta-i", required=True)
-    sp.add_argument("--search", action="store_true")
-    sp.set_defaults(func=_cmd_snell)
-
-    sp = sub.add_parser("reflect")
-    sp.add_argument("--n1")
-    sp.add_argument("--n2", required=True)
-    sp.add_argument("--thsm")
-    sp.add_argument("--film-thickness")
-    sp.add_argument("--wavelength")
-    sp.set_defaults(func=_cmd_reflect)
-
-    sp = sub.add_parser("michelson")
-    sp.add_argument("--arm", "--L", required=True)
-    sp.add_argument("--d", required=True)
-    sp.add_argument("--tau", required=True)
-    sp.add_argument("--wavelength", default="589.3nm")
-    sp.add_argument("--tmax")
-    sp.add_argument("--curve", metavar="CSV")
-    sp.set_defaults(func=_cmd_michelson)
-
-    sp = sub.add_parser("ydse")
-    sp.add_argument("--kind", choices=("photon", "electron"), default="photon")
-    sp.add_argument("--source-distance", default="10cm")
-    sp.add_argument("--screen-distance", default="1m")
-    sp.add_argument("--half-separation", default="0.95mm")
-    sp.add_argument("--slit-height", default="0.1mm")
-    sp.add_argument("--slit-width", default="1mm")
-    sp.add_argument("--wavelength", default="589.3nm")
-    sp.add_argument("--tau", default="5.4ns")
-    sp.add_argument("--p", default="229MeV/c")
-    sp.add_argument("--sigma-p", default="1.374e-4MeV/c")
-    sp.add_argument("--curve", metavar="CSV")
-    sp.set_defaults(func=_cmd_ydse)
-
-    sp = sub.add_parser("kaon")
-    sp.add_argument("--p", default="194MeV/c")
-    sp.add_argument("--tau")
-    sp.add_argument("--distance")
-    sp.add_argument("--curve", metavar="CSV")
-    sp.set_defaults(func=_cmd_kaon)
-
-    sp = sub.add_parser("neutrino")
-    sp.add_argument("--source", choices=("pion", "kaon", "beta"),
-                    default="pion")
-    sp.add_argument("--dm2", required=True)
-    sp.add_argument("--baseline", "--L", required=True)
-    sp.add_argument("--theta12")
-    sp.add_argument("--beta-energy")
-    sp.add_argument("--p-nu")
-    sp.add_argument("--curve", metavar="CSV")
-    sp.set_defaults(func=_cmd_neutrino)
-
-    sp = sub.add_parser("classify")
-    sp.add_argument("--kind", required=True,
-                    choices=("photon-ydse", "electron-ydse", "kaon", "neutrino"))
-    sp.set_defaults(func=_cmd_classify)
-
-    sp = sub.add_parser("oracle")
-    sp.add_argument("--op", choices=("mc-volume", "half-zone", "nested"),
-                    required=True)
-    sp.add_argument("--order", default="3")
-    sp.add_argument("--length", default="1m")
-    sp.add_argument("--samples", type=int, default=1_000_000)
-    sp.add_argument("--seed", type=int, default=seed)
-    sp.add_argument("--wavelength", default="589.3nm")
-    sp.add_argument("--x1", default="1m")
-    sp.add_argument("--rho-over-kappa", default="1e-7")
-    sp.add_argument("--dphi", default="2.0")
-    sp.set_defaults(func=_cmd_oracle)
-
-    sp = sub.add_parser("reproduce")
-    sp.add_argument("--recipe", choices=sorted(_RECIPES), required=True)
-    sp.add_argument("--csv", metavar="CSV")
-    sp.set_defaults(func=_cmd_reproduce)
-
+    sub = p.add_subparsers(dest="subcommand", parser_class=_LazyParser)
+    for name, (_handler, rows) in _COMMANDS.items():
+        sub.add_parser(name).rows = rows
+    sub.choices["oracle"].defaults["seed"] = seed
     return p
 
 
@@ -767,7 +680,7 @@ def main(argv: list[str] | None = None) -> int:
 def _run(argv: list[str], seed: int, replayed: bool) -> int:
     parser = build_parser(seed)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv, _Args())
     except _ArgumentError as exc:
         return _error_exit("ArgumentError", str(exc))
 
@@ -780,7 +693,7 @@ def _run(argv: list[str], seed: int, replayed: bool) -> int:
         return _run((["--out", args.out] if args.out else []) + replay,
                     seed if stored_seed is None else stored_seed, replayed=True)
 
-    if not getattr(args, "subcommand", None):
+    if not args.subcommand:
         parser.print_help()
         return 1
 
@@ -790,7 +703,19 @@ def _run(argv: list[str], seed: int, replayed: bool) -> int:
            if not (a in ("--out", "--config")
                    or (i > 0 and argv[i - 1] in ("--out", "--config")))]
     try:
-        _emit(args.func(args, raw), args.out)
+        inputs, outputs, provenance, flags = _COMMANDS[args.subcommand][0](args)
+        summary = {
+            "command": args.subcommand,
+            "argv": raw,
+            "inputs": inputs,
+            "outputs": outputs,
+            "provenance": ({k: "computed" for k in outputs}
+                           if provenance is None else provenance),
+            "flagged_discrepancies": flags,
+        }
+        if getattr(args, "seed", None) is not None:
+            summary["seed"] = args.seed
+        _emit(summary, args.out)
     except (ValueError, RuntimeError) as exc:
         return _error_exit(type(exc).__name__, str(exc))
     return 0

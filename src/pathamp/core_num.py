@@ -1,5 +1,6 @@
-"""Complex-amplitude helpers, frozen physical constants and truncated
-trigonometric series.
+"""Complex-amplitude helpers, frozen physical constants, truncated
+trigonometric series, and ``Record``, the base of the package's immutable
+value classes.
 
 Amplitudes are plain Python ``complex`` numbers throughout the package;
 ``modulus`` and ``phase`` give the polar pieces with phase in (-pi, pi].
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, fields
+
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
@@ -32,18 +33,85 @@ class ApproximationWarning(UserWarning):
     """A result was produced outside the validity window of its approximation."""
 
 
-@dataclass(frozen=True)
-class DiscrepancyFlag:
+class Record:
+    """Base of the package's immutable value classes.
+
+    A subclass lists its fields in ``__slots__``, in constructor order, and
+    the defaults of trailing fields in ``_defaults`` (or, for a fresh object
+    per instance, a zero-argument callable in ``_factories``).  Fields are
+    accepted by position or keyword; ``__post_init__`` then checks them.
+    Assigning or deleting a field raises AttributeError.  Equality, hashing
+    and repr go field by field, in order.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+    _factories: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        cls = type(self).__name__
+        if len(args) > len(names):
+            raise TypeError(f"{cls}() takes {len(names)} positional arguments"
+                            f" but {len(args)} were given")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        for name in names[len(args):]:
+            if name in kwargs:
+                value = kwargs.pop(name)
+            elif name in self._defaults:
+                value = self._defaults[name]
+            elif name in self._factories:
+                value = self._factories[name]()
+            else:
+                raise TypeError(f"{cls}() missing required argument {name!r}")
+            object.__setattr__(self, name, value)
+        for name in kwargs:
+            if name in names:
+                raise TypeError(f"{cls}() got multiple values for argument {name!r}")
+            raise TypeError(f"{cls}() got an unexpected keyword argument {name!r}")
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable"
+                             f" {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable"
+                             f" {type(self).__name__}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so copies and pickles are checked
+        return type(self), self._values()
+
+
+class DiscrepancyFlag(Record):
     """A computed value that disagrees with a commonly quoted reference figure.
 
     The library never silently substitutes the reference figure for the
     computed one; both are carried so reports can show the disagreement.
     """
 
-    quantity: str
-    computed: float
-    reference: float
-    note: str = ""
+    __slots__ = ("quantity", "computed", "reference", "note")
+    _defaults = {"note": ""}
 
     def as_dict(self) -> dict:
         return {
@@ -72,8 +140,7 @@ def from_polar(mod: float, ph: float) -> complex:
     return mod * cmath.exp(1j * ph)
 
 
-@dataclass(frozen=True)
-class ConstantsTable:
+class ConstantsTable(Record):
     """Physical constants frozen to the values used by the reproduced
     benchmark tables (PDG-2004-era particle data, exact SI definitions).
 
@@ -81,32 +148,34 @@ class ConstantsTable:
     this package reproduces were computed with these inputs.
     """
 
-    c: float = 2.99792458e8                 # m/s, exact
-    hbar_mev_s: float = 6.582119569e-22     # MeV s
-    hbar_ev_s: float = 6.582119569e-16      # eV s
-    h_ev_s: float = 4.135667696e-15         # eV s
-    k_boltzmann: float = 1.380649e-23       # J/K, exact
-    ev_joule: float = 1.602176634e-19       # J per eV, exact
+    _defaults = {
+        "c": 2.99792458e8,                  # m/s, exact
+        "hbar_mev_s": 6.582119569e-22,      # MeV s
+        "hbar_ev_s": 6.582119569e-16,       # eV s
+        "h_ev_s": 4.135667696e-15,          # eV s
+        "k_boltzmann": 1.380649e-23,        # J/K, exact
+        "ev_joule": 1.602176634e-19,        # J per eV, exact
 
-    m_electron: float = 0.51099895          # MeV/c^2
-    m_pi: float = 139.57018                 # MeV/c^2, charged pion
-    m_mu: float = 105.658369                # MeV/c^2
-    m_k_charged: float = 493.677            # MeV/c^2
-    m_k0_mean: float = 497.7                # MeV/c^2, (m_L + m_S)/2
-    dm_ls: float = 3.49e-12                 # MeV/c^2, m_L - m_S
-    tau_ks: float = 0.8954e-10              # s
-    tau_kl: float = 5.116e-8                # s
-    tau_pi: float = 2.6033e-8               # s
+        "m_electron": 0.51099895,           # MeV/c^2
+        "m_pi": 139.57018,                  # MeV/c^2, charged pion
+        "m_mu": 105.658369,                 # MeV/c^2
+        "m_k_charged": 493.677,             # MeV/c^2
+        "m_k0_mean": 497.7,                 # MeV/c^2, (m_L + m_S)/2
+        "dm_ls": 3.49e-12,                  # MeV/c^2, m_L - m_S
+        "tau_ks": 0.8954e-10,               # s
+        "tau_kl": 5.116e-8,                 # s
+        "tau_pi": 2.6033e-8,                # s
 
-    lambda_na_d: float = 589.3e-9           # m, sodium D doublet centre
-    tau_na_annulment: float = 5.4e-8        # s, lifetime used in the annulment benchmark
-    tau_na_fringe: float = 5.4e-9           # s, lifetime used in the double-slit damping benchmark
+        "lambda_na_d": 589.3e-9,            # m, sodium D doublet centre
+        "tau_na_annulment": 5.4e-8,         # s, lifetime used in the annulment benchmark
+        "tau_na_fringe": 5.4e-9,            # s, lifetime used in the double-slit damping benchmark
 
-    atomic_mass_unit: float = 1.66053906660e-27  # kg
-    mass_na_u: float = 22.98976928          # u
-    mass_h_u: float = 1.008                 # u
-
-    notes: dict = field(default_factory=lambda: {
+        "atomic_mass_unit": 1.66053906660e-27,  # kg
+        "mass_na_u": 22.98976928,           # u
+        "mass_h_u": 1.008,                  # u
+    }
+    __slots__ = (*_defaults, "notes")
+    _factories = {"notes": lambda: {
         "c": "exact SI definition",
         "hbar_mev_s": "CODATA, exact since 2019 SI",
         "k_boltzmann": "exact SI definition",
@@ -122,15 +191,13 @@ class ConstantsTable:
         "tau_na_annulment": "frozen benchmark input; differs from tau_na_fringe, both kept",
         "tau_na_fringe": "frozen benchmark input; differs from tau_na_annulment, both kept",
         "atomic_mass_unit": "CODATA 2018",
-    })
+    }}
 
     def validate(self) -> None:
         """Raise if any constant is non-positive or h != 2*pi*hbar."""
-        for f in fields(self):
-            if f.name == "notes":
-                continue
-            if getattr(self, f.name) <= 0:
-                raise DomainError(f"constant {f.name} must be positive")
+        for name in self.__slots__:
+            if name != "notes" and getattr(self, name) <= 0:
+                raise DomainError(f"constant {name} must be positive")
         rel = abs(self.h_ev_s - 2.0 * math.pi * self.hbar_ev_s) / self.h_ev_s
         if rel > 1e-9:
             raise DomainError(f"h and hbar inconsistent: relative error {rel:.2e}")
@@ -156,6 +223,17 @@ class ConstantsTable:
 
 CONSTANTS = ConstantsTable()
 CONSTANTS.validate()
+
+
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """num >= 2 evenly spaced floats from start to stop, both included, as
+    numpy.linspace gives them bit for bit: point i is i*step + start with
+    step = (stop - start)/(num - 1), and the last point is stop.  (numpy
+    takes another route only when the step underflows to zero.)"""
+    step = (stop - start) / (num - 1)
+    points = [i * step + start for i in range(num)]
+    points[-1] = stop
+    return points
 
 
 def _check_finite(x: float, name: str) -> None:

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from pathamp.core_num import CONSTANTS, DiscrepancyFlag, DomainError
+from pathamp.core_num import CONSTANTS, DiscrepancyFlag, DomainError, Record
 
 # Stored reference figures (with provenance) that the library cannot derive
 # from its own formulas; each is reported next to the computed value.
@@ -44,14 +43,15 @@ def combine_two_amplitudes(a: complex, b: complex) -> InterferenceBreakdown:
     return InterferenceBreakdown(abs(a + b) ** 2, pa, pb, inter)
 
 
-@dataclass(frozen=True)
-class TwoAmplitudeExperiment:
+class TwoAmplitudeExperiment(Record):
     """A generic experiment whose probability amplitude is the sum of two
     histories, together with its space-time classification."""
 
-    amplitude_a: complex
-    amplitude_b: complex
-    kind: str     # photon-ydse | electron-ydse | kaon | neutrino
+    __slots__ = (
+        "amplitude_a",
+        "amplitude_b",
+        "kind",                     # photon-ydse | electron-ydse | kaon | neutrino
+    )
 
     def probability(self) -> InterferenceBreakdown:
         return combine_two_amplitudes(self.amplitude_a, self.amplitude_b)
@@ -64,18 +64,13 @@ class TwoAmplitudeExperiment:
 # Young double slit
 
 
-@dataclass(frozen=True)
-class SlitGeometry:
+class SlitGeometry(Record):
     """Double-slit layout: source-to-slits distance ``l``, slits-to-screen
     distance ``r_prime``, half separation ``d`` between inner slit edges,
     slit height ``h`` and width ``w``; fringes run along the screen
     coordinate y."""
 
-    l: float
-    r_prime: float
-    d: float
-    h: float
-    w: float
+    __slots__ = ("l", "r_prime", "d", "h", "w")
 
     def __post_init__(self):
         if min(self.l, self.r_prime, self.d, self.h, self.w) <= 0:
@@ -91,16 +86,11 @@ class SlitGeometry:
         return 2.0 * self.effective_separation * y / self.l
 
 
-@dataclass(frozen=True)
-class PhotonSlitResult:
+class PhotonSlitResult(Record):
     """Photon double-slit pattern with source-lifetime damping."""
 
-    geometry: SlitGeometry
-    kappa: float
-    tau_s: float
-    fringe_spacing: float
-    damping_per_fringe: float
-    flags: tuple
+    __slots__ = ("geometry", "kappa", "tau_s", "fringe_spacing",
+                 "damping_per_fringe", "flags")
 
     def probability(self, y, include_damping: bool = True):
         """Detection probability (arbitrary scale) at screen position y."""
@@ -136,13 +126,11 @@ def photon_double_slit(geom: SlitGeometry, kappa: float,
     return PhotonSlitResult(geom, kappa, tau_s, spacing, per_fringe, flags)
 
 
-@dataclass(frozen=True)
-class ElectronBeam:
+class ElectronBeam(Record):
     """Electron beam with Gaussian momentum profile (MeV/c)."""
 
-    mean_p: float
-    sigma_p: float
-    mass: float = CONSTANTS.m_electron
+    __slots__ = ("mean_p", "sigma_p", "mass")
+    _defaults = {"mass": CONSTANTS.m_electron}
 
     def __post_init__(self):
         if self.mean_p <= 0 or self.mass <= 0:
@@ -189,18 +177,19 @@ def electron_phase_difference(beam: ElectronBeam, r_prime: float,
     raise DomainError(f"unknown mode {mode!r}")
 
 
-@dataclass(frozen=True)
-class ElectronSlitResult:
+class ElectronSlitResult(Record):
     """Electron double-slit pattern with the two damping exponents of the
     Gaussian-beam calculation."""
 
-    geometry: SlitGeometry
-    beam: ElectronBeam
-    r_bar: float
-    fringe_spacing: float
-    equal_time_coeff: float   # Delta p/(2 sigma_p) per fringe order
-    spread_coeff: float       # sigma_p dr/(2 hbar) per fringe order
-    flags: tuple
+    __slots__ = (
+        "geometry",
+        "beam",
+        "r_bar",
+        "fringe_spacing",
+        "equal_time_coeff",         # Delta p/(2 sigma_p) per fringe order
+        "spread_coeff",             # sigma_p dr/(2 hbar) per fringe order
+        "flags",
+    )
 
     def probability(self, y, include_damping: bool = True):
         """Detection probability (scale 1/(sqrt(pi) sigma_p)) at position y."""
@@ -274,16 +263,18 @@ def gaussian_interference_integral(sigma_p: float, mean_p: float,
 # Neutral kaons
 
 
-@dataclass(frozen=True)
-class KaonSystem:
+class KaonSystem(Record):
     """Neutral-kaon mass eigenstates: mean pole mass (MeV/c^2), splitting
     dm = m_L - m_S, widths (MeV) and mean laboratory momentum (MeV/c)."""
 
-    mean_mass: float = CONSTANTS.m_k0_mean
-    dm: float = CONSTANTS.dm_ls
-    gamma_s: float = CONSTANTS.hbar_mev_s / CONSTANTS.tau_ks
-    gamma_l: float = CONSTANTS.hbar_mev_s / CONSTANTS.tau_kl
-    mean_p: float = 194.0
+    __slots__ = ("mean_mass", "dm", "gamma_s", "gamma_l", "mean_p")
+    _defaults = {
+        "mean_mass": CONSTANTS.m_k0_mean,
+        "dm": CONSTANTS.dm_ls,
+        "gamma_s": CONSTANTS.hbar_mev_s / CONSTANTS.tau_ks,
+        "gamma_l": CONSTANTS.hbar_mev_s / CONSTANTS.tau_kl,
+        "mean_p": 194.0,
+    }
 
     def __post_init__(self):
         if self.dm <= 0:
@@ -386,8 +377,7 @@ def kaon_curve(sys: KaonSystem, tau_grid) -> list[tuple]:
 # Neutrinos
 
 
-@dataclass(frozen=True)
-class NeutrinoExperiment:
+class NeutrinoExperiment(Record):
     """Two-flavour oscillation experiment with a stationary decaying source.
 
     source_mass/source_width in MeV; recoil_mass is the effective mass of
@@ -398,15 +388,14 @@ class NeutrinoExperiment:
     explicitly.
     """
 
-    source_mass: float
-    source_width: float
-    recoil_mass: float
-    dm2_ev2: float
-    theta_12: float
-    baseline: float
-    mode: str = "two-body"
-    beta_energy_mev: float | None = None
-    neutrino_p_mev: float | None = None
+    __slots__ = ("source_mass", "source_width", "recoil_mass", "dm2_ev2",
+                 "theta_12", "baseline", "mode", "beta_energy_mev",
+                 "neutrino_p_mev")
+    _defaults = {
+        "mode": "two-body",
+        "beta_energy_mev": None,
+        "neutrino_p_mev": None,
+    }
 
     def __post_init__(self):
         if self.dm2_ev2 <= 0:
@@ -455,18 +444,19 @@ def kaon_neutrino_experiment(dm2_ev2: float, theta_12: float,
                               CONSTANTS.m_mu, dm2_ev2, theta_12, baseline)
 
 
-@dataclass(frozen=True)
-class NeutrinoOscillationResult:
-    probability: float          # P_e-mu up to the overall rate scale
-    phi_path: float             # rad, from the source+propagator phase chain
-    phi_standard: float         # rad, kinematic dm^2 c^2 L/(2 p hbar)
-    phi_compact: float          # rad, compact (R_m/(1-R_m^2))^2 form
-    losc_path: float            # m, oscillation length of the compact form
-    losc_standard: float        # m
-    dt_21: float                # s, emission-time offset for joint arrival
-    damping_factor: float       # source-lifetime damping of the interference
-    damping_exponent_unit_phase: float  # exponent at dm^2 c^2 L/(p0 hbar) = 1
-    flags: tuple
+class NeutrinoOscillationResult(Record):
+    __slots__ = (
+        "probability",              # P_e-mu up to the overall rate scale
+        "phi_path",                 # rad, from the source+propagator phase chain
+        "phi_standard",             # rad, kinematic dm^2 c^2 L/(2 p hbar)
+        "phi_compact",              # rad, compact (R_m/(1-R_m^2))^2 form
+        "losc_path",                # m, oscillation length of the compact form
+        "losc_standard",            # m
+        "dt_21",                    # s, emission-time offset for joint arrival
+        "damping_factor",           # source-lifetime damping of the interference
+        "damping_exponent_unit_phase",  # exponent at dm^2 c^2 L/(p0 hbar) = 1
+        "flags",
+    )
 
     def as_dict(self) -> dict:
         d = {k: getattr(self, k) for k in (
@@ -497,13 +487,7 @@ def neutrino_oscillation(exp: NeutrinoExperiment) -> NeutrinoOscillationResult:
     hbarc = CONSTANTS.hbarc_ev_m
     l = exp.baseline
     dm2 = exp.dm2_ev2
-
-    if exp.mode == "beta":
-        e_beta_ev = exp.beta_energy_mev * 1e6
-        phi_path = (dm2 / p0_ev) * (e_beta_ev / (2.0 * p0_ev) - 1.0) * l / hbarc
-    else:
-        ms_ev = exp.source_mass * 1e6
-        phi_path = (dm2 / p0_ev) * (ms_ev / (2.0 * p0_ev) - 1.0) * l / hbarc
+    phi_path, damping, prob = _path_oscillation(exp, l)
     phi_standard = dm2 * l / (2.0 * p0_ev * hbarc)
     if exp.mode == "two-body":
         rm = exp.mass_ratio
@@ -519,13 +503,7 @@ def neutrino_oscillation(exp: NeutrinoExperiment) -> NeutrinoOscillationResult:
     losc_standard = 4.0 * math.pi * hbarc * p0_ev / dm2
 
     gamma_ev = exp.source_width * 1e6
-    damping_exponent = gamma_ev * dm2 * l / (4.0 * hbarc * p0_ev ** 2)
-    damping = math.exp(-damping_exponent)
     dt21 = (l / CONSTANTS.c) * dm2 / (2.0 * p0_ev ** 2)
-
-    # normalised so that zero damping gives sin^2(2 theta) sin^2(phi/2)
-    s2, c2 = math.sin(exp.theta_12) ** 2, math.cos(exp.theta_12) ** 2
-    prob = 2.0 * s2 * c2 * (1.0 - damping * math.cos(phi_path))
 
     unit_phase_exponent = gamma_ev / (4.0 * p0_ev)
     flags = (
@@ -542,6 +520,26 @@ def neutrino_oscillation(exp: NeutrinoExperiment) -> NeutrinoOscillationResult:
     return NeutrinoOscillationResult(prob, phi_path, phi_standard,
                                      phi_compact, losc_path, losc_standard,
                                      dt21, damping, unit_phase_exponent, flags)
+
+
+def _path_oscillation(exp: NeutrinoExperiment, l: float) -> tuple[float, float, float]:
+    """Path-chain phase phi_path (rad), source-lifetime damping of the
+    interference term and appearance probability at baseline l (m)."""
+    p0_ev = exp.p0 * 1e6
+    hbarc = CONSTANTS.hbarc_ev_m
+    dm2 = exp.dm2_ev2
+    if exp.mode == "beta":
+        e_beta_ev = exp.beta_energy_mev * 1e6
+        phi_path = (dm2 / p0_ev) * (e_beta_ev / (2.0 * p0_ev) - 1.0) * l / hbarc
+    else:
+        ms_ev = exp.source_mass * 1e6
+        phi_path = (dm2 / p0_ev) * (ms_ev / (2.0 * p0_ev) - 1.0) * l / hbarc
+    gamma_ev = exp.source_width * 1e6
+    damping_exponent = gamma_ev * dm2 * l / (4.0 * hbarc * p0_ev ** 2)
+    damping = math.exp(-damping_exponent)
+    # normalised so that zero damping gives sin^2(2 theta) sin^2(phi/2)
+    s2, c2 = math.sin(exp.theta_12) ** 2, math.cos(exp.theta_12) ** 2
+    return phi_path, damping, 2.0 * s2 * c2 * (1.0 - damping * math.cos(phi_path))
 
 
 def half_oscillation_distance(exp: NeutrinoExperiment) -> float:
@@ -583,17 +581,17 @@ def oscillation_length_ratio(exp_a: NeutrinoExperiment,
 
 
 def neutrino_curve(exp: NeutrinoExperiment, baselines) -> list[tuple]:
-    """Rows (L_m, P_appear, P_survive, interference_term) over baselines (m)."""
+    """Rows (L_m, P_appear, P_survive, interference_term) over baselines (m),
+    each as ``neutrino_oscillation`` gives it for exp at that baseline."""
+    s2c2 = math.sin(exp.theta_12) ** 2 * math.cos(exp.theta_12) ** 2
     rows = []
     for l in baselines:
-        e = NeutrinoExperiment(exp.source_mass, exp.source_width,
-                               exp.recoil_mass, exp.dm2_ev2, exp.theta_12,
-                               float(l), exp.mode, exp.beta_energy_mev,
-                               exp.neutrino_p_mev)
-        res = neutrino_oscillation(e)
-        s2c2 = math.sin(e.theta_12) ** 2 * math.cos(e.theta_12) ** 2
-        inter = -2.0 * s2c2 * res.damping_factor * math.cos(res.phi_path)
-        rows.append((float(l), res.probability, 1.0 - res.probability, inter))
+        l = float(l)
+        if l <= 0:
+            raise DomainError("baseline must be positive")
+        phi_path, damping, prob = _path_oscillation(exp, l)
+        inter = -2.0 * s2c2 * damping * math.cos(phi_path)
+        rows.append((l, prob, 1.0 - prob, inter))
     return rows
 
 
@@ -601,24 +599,25 @@ def neutrino_curve(exp: NeutrinoExperiment, baselines) -> list[tuple]:
 # Classification
 
 
-@dataclass(frozen=True)
-class ClassificationRow:
+class ClassificationRow(Record):
     """Space-time classification of a two-amplitude experiment: which of
     the path length, flight time, velocity, source phase and particle phase
     differ between the two interfering histories, the interference phase,
     and the effective wavelength 2 pi L/|dphi| relative to de Broglie."""
 
-    experiment: str
-    path_difference: bool        # delta r != 0
-    time_difference: bool        # delta t != 0
-    velocity_difference: bool    # delta v != 0
-    source_phase_difference: bool
-    particle_phase_difference: bool
-    phase_formula: str
-    wavelength_ratio: str
+    __slots__ = (
+        "experiment",
+        "path_difference",          # delta r != 0
+        "time_difference",          # delta t != 0
+        "velocity_difference",      # delta v != 0
+        "source_phase_difference",
+        "particle_phase_difference",
+        "phase_formula",
+        "wavelength_ratio",
+    )
 
     def as_dict(self) -> dict:
-        return self.__dict__.copy()
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 _TABLE = {

@@ -13,10 +13,9 @@ exp(-d/(c tau_S)) with the arm imbalance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from pathamp.core_num import CONSTANTS, DiscrepancyFlag, DomainError
+from pathamp.core_num import CONSTANTS, DiscrepancyFlag, DomainError, Record
 
 #: Benchmark fringe-visibility rows: transition label -> (wavelength m,
 #: measured half-visibility path difference m, quoted natural lifetime s).
@@ -34,19 +33,15 @@ _REFERENCE_ROW_VALUES = {
 }
 
 
-@dataclass(frozen=True)
-class InterferometerSpec:
+class InterferometerSpec(Record):
     """Equal-arm scale L (source-splitter = splitter-mirror2 = splitter-
     detector), arm imbalance d (mirror1 arm is L + d), source lifetime
     tau_s, photon wavenumber kappa, residual instrumental phase phi_12 and
     amplitude scale K (compensated arms: amp_i / L_i equal)."""
 
-    arm_length: float
-    imbalance: float
-    tau_s: float
-    kappa: float
-    phi_12: float = 0.0
-    scale: float = 1.0
+    __slots__ = ("arm_length", "imbalance", "tau_s", "kappa", "phi_12",
+                 "scale")
+    _defaults = {"phi_12": 0.0, "scale": 1.0}
 
     def __post_init__(self):
         if min(self.arm_length, self.imbalance, self.tau_s, self.kappa) <= 0:
@@ -62,19 +57,20 @@ class InterferometerSpec:
         return 4.0 * self.arm_length
 
 
-@dataclass(frozen=True)
-class AtomLine:
+class AtomLine(Record):
     """A spectral line with natural lifetime and collisional shortening.
 
     The observed lifetime combines the natural one and the pressure
     parameter as parallel decay channels: 1/tau_s = 1/tau_nat + 1/tau_p.
     """
 
-    wavelength: float
-    tau_s_nat: float
-    tau_p: float = math.inf
-    atomic_mass: float = CONSTANTS.mass_h_kg
-    temperature: float = 300.0
+    __slots__ = ("wavelength", "tau_s_nat", "tau_p", "atomic_mass",
+                 "temperature")
+    _defaults = {
+        "tau_p": math.inf,
+        "atomic_mass": CONSTANTS.mass_h_kg,
+        "temperature": 300.0,
+    }
 
     def __post_init__(self):
         if self.wavelength <= 0 or self.tau_s_nat <= 0 or self.tau_p <= 0:
@@ -139,10 +135,9 @@ def visibility_asymptote(spec: InterferometerSpec) -> float:
     return math.exp(-spec.imbalance / (CONSTANTS.c * spec.tau_s))
 
 
-def visibility_curve(spec: InterferometerSpec, t_grid):
-    """Visibility evaluated on an array of gate times (s), as a numpy array."""
-    import numpy as np
-    return np.array([visibility(spec, float(t)) for t in np.asarray(t_grid)])
+def visibility_curve(spec: InterferometerSpec, t_grid) -> list[float]:
+    """Visibility at each gate time (s) of an iterable, as a list of floats."""
+    return [visibility(spec, float(t)) for t in t_grid]
 
 
 def gated_visibility_table(arm_length: float, imbalances, tau_s: float,

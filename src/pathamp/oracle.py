@@ -25,24 +25,23 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from pathamp.core_num import ConvergenceError, DomainError, PreconditionError
+from pathamp.core_num import ConvergenceError, DomainError, PreconditionError, Record
 
 # most innermost points one quad_nested array holds (4 MB of complex128)
 _NESTED_CAP = 2 ** 18
 
+# first point of quad_nested's default x
+NESTED_X_START = 0.4
 
-@dataclass(frozen=True)
-class OracleResult:
+
+class OracleResult(Record):
     """A numerical estimate with its own error estimate and evaluation count."""
 
-    value: complex
-    error_estimate: float
-    evaluations: int
+    __slots__ = ("value", "error_estimate", "evaluations")
 
     @property
     def real(self) -> float:
@@ -157,9 +156,9 @@ def quad_nested(order: int, kappa: float, delta_s: float,
 
     with limits  r_n in [x_n, delta_s + x_n]  and, for j < n,
     r_j in [x_j - x_{j+1}, delta_s - (r_{j+1}+...+r_n) + x_j]: each extra
-    leg eats into the shared path-length budget delta_s.  x defaults to an
-    arbitrary decreasing sequence; the result depends on it only through an
-    overall factor exp(i kappa x_1).
+    leg eats into the shared path-length budget delta_s.  x defaults to the
+    arbitrary decreasing sequence x_k = NESTED_X_START - 0.1 (k - 1); the
+    result depends on it only through an overall factor exp(i kappa x_1).
 
     Each inner level is evaluated for all of its outer partial sums at
     once.  The outer nodes are taken in chunks so that no array holds more
@@ -170,7 +169,7 @@ def quad_nested(order: int, kappa: float, delta_s: float,
     if kappa * delta_s > 50:
         raise PreconditionError("kappa*delta_s above cost bound 50")
     if x is None:
-        x = tuple(0.4 - 0.1 * k for k in range(order))
+        x = tuple(NESTED_X_START - 0.1 * k for k in range(order))
     if len(x) != order:
         raise DomainError("need one x per integration level")
 

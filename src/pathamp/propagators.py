@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
-from pathamp.core_num import CONSTANTS, DomainError, PreconditionError
+from pathamp.core_num import CONSTANTS, DomainError, PreconditionError, Record
 
 _BETA_CONSISTENCY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class OnShellParticle:
+class OnShellParticle(Record):
     """A free particle on its mass shell.
 
     mass_mev is the pole mass in MeV/c^2 (the parameter of the propagator
@@ -28,9 +26,8 @@ class OnShellParticle:
     width in MeV (0 for a stable particle), beta = v/c.
     """
 
-    mass_mev: float
-    beta: float
-    width_mev: float = 0.0
+    __slots__ = ("mass_mev", "beta", "width_mev")
+    _defaults = {"width_mev": 0.0}
 
     def __post_init__(self):
         if self.mass_mev < 0:
@@ -47,8 +44,7 @@ class OnShellParticle:
         return 1.0 / math.sqrt(1.0 - self.beta * self.beta)
 
 
-@dataclass(frozen=True)
-class EmitterSpec:
+class EmitterSpec(Record):
     """An excited source state decaying by photon emission.
 
     Level energies are pole energies in eV; width_ev is the natural width
@@ -56,10 +52,8 @@ class EmitterSpec:
     excited state was prepared.
     """
 
-    e_upper_ev: float
-    e_lower_ev: float
-    width_ev: float
-    t_production: float = 0.0
+    __slots__ = ("e_upper_ev", "e_lower_ev", "width_ev", "t_production")
+    _defaults = {"t_production": 0.0}
 
     def __post_init__(self):
         if self.e_upper_ev <= self.e_lower_ev:

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from pathamp.core_num import CONSTANTS, ConvergenceError, DiscrepancyFlag, DomainError
+from pathamp.core_num import (CONSTANTS, ConvergenceError, DiscrepancyFlag, DomainError,
+                              Record)
 
 _THETA_EPS = 1e-12
 
@@ -37,8 +37,7 @@ class TotalInternalReflection(DomainError):
             f"{math.degrees(self.critical_angle):.3f} deg for n1={n1}, n2={n2}")
 
 
-@dataclass(frozen=True)
-class InterfaceGeometry:
+class InterfaceGeometry(Record):
     """Plane interface between media of indices n1 (incidence side,
     in-medium segment of length ``segment``) and n2 (detector side).
 
@@ -48,11 +47,7 @@ class InterfaceGeometry:
     position is parametrised by the polar angle theta (r = d/cos(theta)).
     """
 
-    n1: float
-    n2: float
-    alpha: float
-    d: float
-    segment: float
+    __slots__ = ("n1", "n2", "alpha", "d", "segment")
 
     def __post_init__(self):
         if self.n1 < 1.0 or self.n2 < 1.0:

@@ -13,14 +13,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from pathamp.core_num import DomainError
+from pathamp.core_num import DomainError, Record
 
 
-@dataclass(frozen=True)
-class ReflectionSetup:
+class ReflectionSetup(Record):
     """Normal-incidence reflection measurement.
 
     n1: index on the incidence side (1 for vacuum); n2: index of the
@@ -29,10 +27,8 @@ class ReflectionSetup:
     mirror used to compare the reflected and reference rates.
     """
 
-    n1: float
-    n2: float
-    film_thickness: float | None = None
-    t_hsm: float = 1.0
+    __slots__ = ("n1", "n2", "film_thickness", "t_hsm")
+    _defaults = {"film_thickness": None, "t_hsm": 1.0}
 
     def __post_init__(self):
         if self.n1 < 1.0 or self.n2 < 1.0:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from pathamp.core_num import (
@@ -28,6 +27,7 @@ from pathamp.core_num import (
     DiscrepancyFlag,
     DomainError,
     PreconditionError,
+    Record,
     truncated_cos,
     truncated_sin,
 )
@@ -45,15 +45,12 @@ class SeriesDisagreement(RuntimeError):
     """The two independent series evaluations failed to agree."""
 
 
-@dataclass(frozen=True)
-class RectangularBoundary:
+class RectangularBoundary(Record):
     """Rectangular transverse boundary of sides (l_y, l_z); the beam axis
     pierces the plane at (y, z) relative to the centre."""
 
-    l_y: float
-    l_z: float
-    y: float = 0.0
-    z: float = 0.0
+    __slots__ = ("l_y", "l_z", "y", "z")
+    _defaults = {"y": 0.0, "z": 0.0}
 
     def __post_init__(self):
         if self.l_y <= 0 or self.l_z <= 0:
@@ -62,13 +59,12 @@ class RectangularBoundary:
             raise DomainError("axis must pierce the interior of the rectangle")
 
 
-@dataclass(frozen=True)
-class CircularBoundary:
+class CircularBoundary(Record):
     """Circular transverse boundary of radius ``radius``; the beam axis is
     displaced ``y`` from its centre."""
 
-    radius: float
-    y: float = 0.0
+    __slots__ = ("radius", "y")
+    _defaults = {"y": 0.0}
 
     def __post_init__(self):
         if self.radius <= 0:
@@ -81,8 +77,7 @@ class InfiniteBoundary:
     """Transversely unbounded medium."""
 
 
-@dataclass(frozen=True)
-class MediumSpec:
+class MediumSpec(Record):
     """A uniform transparent medium.
 
     density: scatterer number density (1/m^3); scattering_length: real
@@ -90,10 +85,8 @@ class MediumSpec:
     boundary: transverse boundary geometry.
     """
 
-    density: float
-    scattering_length: float
-    thickness: float
-    boundary: object = field(default_factory=InfiniteBoundary)
+    __slots__ = ("density", "scattering_length", "thickness", "boundary")
+    _factories = {"boundary": InfiniteBoundary}
 
     def __post_init__(self):
         if self.density <= 0 or self.thickness <= 0:
@@ -137,6 +130,14 @@ def refractive_index(density: float, scattering_length: float,
     if density <= 0 or wavelength <= 0:
         raise DomainError("density and wavelength must be positive")
     return 1.0 + wavelength ** 2 * density * scattering_length / (2.0 * math.pi)
+
+
+def scattering_length_for_index(n: float, density: float, wavelength: float) -> float:
+    """The forward scattering length a = (n - 1) 2 pi / (lambda^2 N) that
+    gives index n: the inverse of ``refractive_index``."""
+    if density <= 0 or wavelength <= 0:
+        raise DomainError("density and wavelength must be positive")
+    return (n - 1.0) * 2.0 * math.pi / (wavelength ** 2 * density)
 
 
 class EffectiveVelocity(NamedTuple):
@@ -233,6 +234,20 @@ def scattering_order_kernel(order: int, delta_phi: float) -> complex:
         esum += epow
         epow *= -1j * delta_phi / (k + 1)
     return 1.0 - cmath.exp(1j * delta_phi) * esum
+
+
+def nested_phase_integral(order: int, kappa: float, delta_s: float,
+                          x1: float) -> complex:
+    """Closed form of the nested radial integral that ``oracle.quad_nested``
+    evaluates by quadrature (outermost leg starting at x1):
+
+        e^{i kappa x1} (i/kappa)^n K_n(kappa delta_s)
+
+    with K_n the ``scattering_order_kernel`` of order n."""
+    if kappa <= 0:
+        raise DomainError("kappa must be positive")
+    return cmath.exp(1j * kappa * x1) * (1j / kappa) ** order \
+        * scattering_order_kernel(order, kappa * delta_s)
 
 
 def _factor_kernel_route(delta_phi: float, beta_l: float, cap: int):
@@ -363,16 +378,17 @@ def boundary_averaged_factor(beta_l: float) -> complex:
     return cmath.exp(1j * beta_l)
 
 
-@dataclass(frozen=True)
-class AnnulmentReport:
+class AnnulmentReport(Record):
     """Quantitative annulment estimate for an oblique-cut cylinder geometry."""
 
-    delta_s_max: float        # m, largest budget still free of the boundary
-    delta_phi_max: float      # rad
-    beta_l: float             # dimensionless scattering strength
-    prompt_time: float        # s, decay window for unrefracted transit
-    prompt_fraction: float    # fraction of decays inside that window
-    flags: tuple
+    __slots__ = (
+        "delta_s_max",              # m, largest budget still free of the boundary
+        "delta_phi_max",            # rad
+        "beta_l",                   # dimensionless scattering strength
+        "prompt_time",              # s, decay window for unrefracted transit
+        "prompt_fraction",          # fraction of decays inside that window
+        "flags",
+    )
 
     def as_dict(self) -> dict:
         return {

@@ -14,14 +14,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
-from pathamp.core_num import CONSTANTS, DomainError, PreconditionError
+from pathamp.core_num import CONSTANTS, DomainError, PreconditionError, Record
 from pathamp.propagators import EmitterSpec
 
 
-@dataclass(frozen=True)
-class DiffractionGeometry:
+class DiffractionGeometry(Record):
     """Source -> hole -> detector geometry.
 
     r: source-to-hole distance (m), r1: hole-to-detector distance (m),
@@ -29,11 +27,8 @@ class DiffractionGeometry:
     hole_area: area of the hole (m^2), used as the path-counting weight.
     """
 
-    r: float
-    r1: float
-    alpha: float = 0.0
-    alpha1: float = 0.0
-    hole_area: float = 1e-12
+    __slots__ = ("r", "r1", "alpha", "alpha1", "hole_area")
+    _defaults = {"alpha": 0.0, "alpha1": 0.0, "hole_area": 1e-12}
 
     def __post_init__(self):
         if min(self.r, self.r1, self.hole_area) <= 0:

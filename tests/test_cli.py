@@ -319,6 +319,75 @@ class TestOtherCommands:
         assert "--bogus" in payload["message"]
 
 
+class TestFloatRange:
+    """A quantity that is not a finite double once parsed and scaled to its
+    unit is refused with UnitError, exit 2; a literal zero is accepted."""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["reflect", "--n2", "1e400"], "--n2"),
+        (["snell", "--n1", "1.5", "--n2", "1e400", "--theta-i", "10deg"], "--n2"),
+        (["refract-series", "--dphi=-1e309", "--betal", "5"], "--dphi"),
+        (["kaon", "--p", "2e305GeV"], "--p"),
+        (["diffraction", "--wavelength", "1e-320A"], "--wavelength"),
+        (["michelson", "--L", "1e400cm", "--d", "25cm", "--tau", "10ns"], "--arm"),
+        (["reflect", "--n2", "1e-400"], "--n2"),
+        (["propagator", "--mode", "temporal", "--wavelength", "589.3nm",
+          "--tau", "16ns", "--dtau", "0.5e-330ns"], "--dtau"),
+    ], ids=["bare-overflow", "snell-bare-overflow", "negative-overflow",
+            "unit-overflow", "unit-underflow", "alias-overflow", "bare-underflow",
+            "mantissa-underflow"])
+    def test_out_of_range_value_refused(self, capsys, argv, flag):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "UnitError"
+        assert payload["message"].startswith(f"{flag}: ")
+        assert "outside the range of a double" in payload["message"]
+
+    @pytest.mark.parametrize("dtau", ["0ns", "0.0ns", "-0s", "0e5ps", "00.000us"])
+    def test_literal_zero_accepted(self, capsys, dtau):
+        code, out, _ = run_cli(["propagator", "--mode", "temporal",
+                                "--wavelength", "589.3nm", "--tau", "16ns",
+                                f"--dtau={dtau}"], capsys)
+        assert code == 0
+        summary = json.loads(out)
+        assert summary["inputs"]["dtau_s"] == 0.0
+        assert summary["outputs"]["amplitude"]["modulus"] == 1.0
+
+    def test_subnormal_after_scaling_accepted(self, capsys):
+        # 1e-313 m is subnormal but not zero: kept as given
+        code, out, _ = run_cli(["reflect", "--n2", "1.5", "--film-thickness",
+                                "1e-304nm", "--wavelength", "500nm"], capsys)
+        assert code == 0
+        assert json.loads(out)["outputs"]["rho_film"] >= 0.0
+
+
+class TestModeFlags:
+    """Flags a handler needs but argparse cannot require give UnitError."""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["refract-index", "--wavelength", "500nm", "--density", "1e25m-3"],
+         "--scattering-length"),
+        (["neutrino", "--source", "beta", "--dm2", "1eV2", "--L", "1m"],
+         "--beta-energy"),
+        (["neutrino", "--source", "beta", "--dm2", "1eV2", "--L", "1m",
+          "--beta-energy", "1MeV"], "--p-nu"),
+    ])
+    def test_missing_mode_flag(self, capsys, argv, flag):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": "UnitError",
+                                   "message": f"{flag} is required for this mode"}
+
+    def test_zero_density_inverse_refused(self, capsys):
+        code, out, err = run_cli(["refract-index", "--wavelength", "500nm",
+                                  "--density", "0m-3", "--n", "1.5"], capsys)
+        assert code == 2
+        assert json.loads(err)["error"] == "DomainError"
+
+
 class TestRecipeRoundTrip:
     def test_recipe_summary_replays_identically(self, capsys, tmp_path):
         out_file = tmp_path / "recipe.json"
@@ -427,6 +496,9 @@ def _loaded_modules(argv, tmp_path=None):
 
 
 _HEAVY = {"numpy", "mpmath", "scipy"}
+# the package defines its value classes without dataclasses, whose import
+# pulls in inspect (numpy imports inspect itself)
+_INTROSPECTION = {"dataclasses", "inspect"}
 
 _SCALAR_ARGV = [
     pytest.param(["reflect", "--n2", "1.5"], id="reflect"),
@@ -450,10 +522,15 @@ _SCALAR_ARGV = [
                   "--energy0", "2eV", "--width", "1e-7eV"], id="propagator-energy"),
     pytest.param(["michelson", "--L", "50cm", "--d", "25cm", "--tau", "10ns",
                   "--tmax", "20ns"], id="michelson"),
+    pytest.param(["michelson", "--L", "50cm", "--d", "25cm", "--tau", "10ns",
+                  "--curve", "{csv}"], id="michelson-curve"),
     pytest.param(["ydse", "--kind", "photon"], id="ydse-photon"),
     pytest.param(["ydse", "--kind", "electron"], id="ydse-electron"),
     pytest.param(["kaon", "--tau", "1ns", "--distance", "1cm"], id="kaon"),
+    pytest.param(["kaon", "--curve", "{csv}"], id="kaon-curve"),
     pytest.param(["neutrino", "--dm2", "2e-3eV2", "--L", "100m"], id="neutrino"),
+    pytest.param(["neutrino", "--dm2", "2e-3eV2", "--L", "100m", "--curve", "{csv}"],
+                 id="neutrino-curve"),
 ] + [
     pytest.param(["reproduce", "--recipe", recipe, "--csv", "{csv}"],
                  id=f"reproduce-{recipe}")
@@ -467,6 +544,7 @@ class TestImportGuard:
     def test_cli_import_loads_only_core(self):
         _, modules = _loaded_modules(None)
         assert not modules & _HEAVY
+        assert not modules & _INTROSPECTION
         assert {m for m in modules if m.startswith("pathamp")} \
             == {"pathamp", "pathamp.cli", "pathamp.core_num"}
 
@@ -475,16 +553,17 @@ class TestImportGuard:
         code, modules = _loaded_modules(argv, tmp_path)
         assert code == 0
         assert not modules & _HEAVY
+        assert not modules & _INTROSPECTION
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["oracle", "--op", "nested", "--order", "2"],
                      id="oracle-nested"),
-        pytest.param(["michelson", "--L", "50cm", "--d", "25cm", "--tau", "10ns",
-                      "--curve", "{csv}"], id="michelson-curve"),
+        pytest.param(["ydse", "--kind", "photon", "--curve", "{csv}"], id="ydse-curve"),
     ])
     def test_array_work_still_loads_numpy(self, argv, tmp_path):
         code, modules = _loaded_modules(argv, tmp_path)
         assert code == 0
         assert "numpy" in modules
+        assert "dataclasses" not in modules
         # only oracle.series_sum_highprec needs mpmath, and no command calls it
         assert "mpmath" not in modules

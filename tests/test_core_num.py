@@ -2,12 +2,13 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from pathamp.core_num import (
     CONSTANTS,
     DomainError,
     from_polar,
+    linspace,
     modulus,
     phase,
     truncated_cos,
@@ -69,3 +70,22 @@ def test_phase_of_product_adds(m1, p1, m2, p2):
     assert diff < 1e-12
     assert -math.pi < total <= math.pi
     assert modulus(z1 * z2) == pytest.approx(m1 * m2, rel=1e-12)
+
+
+@pytest.mark.parametrize("start,stop,num", [
+    (0.0, 6.0 * 0.8954e-10, 600), (6879.0 / 50.0, 3.0 * 6879.0, 600),
+    (8.389102379953801 - 0.05, 128.339102379953801, 400), (-5.0, 5.0, 801),
+    (1.0, 1.0, 5), (3.0, -2.0, 2), (1e-300, 1e300, 17)])
+def test_linspace_is_numpy_linspace(start, stop, num):
+    np = pytest.importorskip("numpy")
+    got = linspace(start, stop, num)
+    assert got == np.linspace(start, stop, num).tolist()
+    assert all(type(x) is float for x in got)
+
+
+@given(st.floats(-1e12, 1e12), st.floats(-1e12, 1e12), st.integers(2, 2000))
+def test_linspace_matches_numpy_everywhere(start, stop, num):
+    np = pytest.importorskip("numpy")
+    # numpy takes another route when a non-zero step underflows to zero
+    assume(start == stop or (stop - start) / (num - 1) != 0.0)
+    assert linspace(start, stop, num) == np.linspace(start, stop, num).tolist()

@@ -373,6 +373,41 @@ class TestNeutrinos:
         rows = neutrino_curve(self.exp(), [10.0, 100.0])
         assert len(rows) == 2 and len(rows[0]) == 4
 
+    @staticmethod
+    def _rows_one_experiment_per_point(exp, baselines):
+        """The curve as it was first written: a new experiment per point."""
+        rows = []
+        for l in baselines:
+            e = NeutrinoExperiment(exp.source_mass, exp.source_width,
+                                   exp.recoil_mass, exp.dm2_ev2, exp.theta_12,
+                                   float(l), exp.mode, exp.beta_energy_mev,
+                                   exp.neutrino_p_mev)
+            res = neutrino_oscillation(e)
+            s2c2 = math.sin(e.theta_12) ** 2 * math.cos(e.theta_12) ** 2
+            inter = -2.0 * s2c2 * res.damping_factor * math.cos(res.phi_path)
+            rows.append((float(l), res.probability, 1.0 - res.probability, inter))
+        return rows
+
+    @pytest.mark.parametrize("source", ["pion", "kaon", "beta"])
+    @pytest.mark.parametrize("grid", [
+        [10.0, 100.0], list(np.linspace(1.0, 4e4, 200)),
+        list(np.linspace(6879.0 / 50.0, 3.0 * 6879.0, 600))], ids=["two", "200", "cli"])
+    def test_curve_equals_one_experiment_per_point(self, source, grid):
+        if source == "beta":
+            exp = NeutrinoExperiment(CONSTANTS.m_pi, CONSTANTS.hbar_mev_s / CONSTANTS.tau_pi,
+                                     CONSTANTS.m_mu, self.DM2, 0.3, 100.0, mode="beta",
+                                     beta_energy_mev=3.0, neutrino_p_mev=2.0)
+        elif source == "kaon":
+            exp = kaon_neutrino_experiment(self.DM2, 0.6, 100.0)
+        else:
+            exp = self.exp()
+        assert neutrino_curve(exp, grid) == self._rows_one_experiment_per_point(exp, grid)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_curve_refuses_non_positive_baseline(self, bad):
+        with pytest.raises(DomainError, match="baseline must be positive"):
+            neutrino_curve(self.exp(), [10.0, bad])
+
 
 class TestClassification:
     def test_photon_row(self):

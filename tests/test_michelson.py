@@ -216,8 +216,11 @@ class TestCurveHelpers:
         t0 = s.long_path / C
         grid = np.linspace(t0 * 1.01, t0 + 5 * s.tau_s, 7)
         curve = visibility_curve(s, grid)
+        assert type(curve) is list
         for t, v in zip(grid, curve):
+            assert type(v) is float
             assert v == visibility(s, float(t))
+        assert visibility_curve(s, list(grid)) == curve
 
     def test_kappa_must_be_positive(self):
         with pytest.raises(DomainError):

@@ -87,6 +87,28 @@ class TestQuadNested:
             * scattering_order_kernel(order, dphi)
         assert abs(res.value - closed) <= 1e-6 * abs(closed)
 
+    @pytest.mark.parametrize("order,kappa,delta_s", [(1, 2.0, 1.5), (2, 0.5, 6.0),
+                                                     (3, 1.7, 2.5), (4, 1.0, 5.0)])
+    def test_nested_phase_integral_closed_form(self, order, kappa, delta_s):
+        # the default x starts at NESTED_X_START, the closed form's x1
+        res = quad_nested(order, kappa, delta_s)
+        closed = refraction.nested_phase_integral(order, kappa, delta_s,
+                                                  oracle.NESTED_X_START)
+        assert abs(res.value - closed) <= 1e-6 * abs(closed)
+        x = tuple(oracle.NESTED_X_START - 0.1 * k for k in range(order))
+        assert quad_nested(order, kappa, delta_s, x=x).value == res.value
+
+    def test_nested_phase_integral_at_unit_kappa_is_the_cli_form(self):
+        for order in (1, 2, 3, 4):
+            for dphi in (0.1, 2.0, 7.5):
+                assert refraction.nested_phase_integral(order, 1.0, dphi, 0.4) \
+                    == cmath.exp(1j * 0.4) * (1j) ** order \
+                    * scattering_order_kernel(order, dphi)
+
+    def test_nested_phase_integral_refuses_non_positive_kappa(self):
+        with pytest.raises(DomainError):
+            refraction.nested_phase_integral(2, 0.0, 1.0, 0.4)
+
     def test_cost_bound_enforced(self):
         with pytest.raises(PreconditionError):
             quad_nested(3, 1.0, 51.0)

@@ -1,0 +1,208 @@
+"""Contract of the package's immutable value classes (core_num.Record).
+
+For each class: construction by position, by keyword and with defaults;
+refusal of assignment and deletion; each domain check in __post_init__;
+and field-wise equality, hashing, repr and copying.
+"""
+
+import copy
+import math
+import pickle
+
+import pytest
+
+from pathamp import flavour, michelson, oracle, propagators, ray_optics, reflection, \
+    refraction, wave_optics
+from pathamp.core_num import CONSTANTS, ConstantsTable, DiscrepancyFlag, DomainError, Record
+
+_GEOM = flavour.SlitGeometry(0.1, 1.0, 0.95e-3, 0.1e-3, 1e-3)
+_BEAM = flavour.ElectronBeam(229.0, 1.374e-4)
+_FLAG = DiscrepancyFlag("q", 1.0, 2.0, "note")
+
+# class -> (valid positional arguments, {field: default} of the omitted fields)
+CASES = {
+    DiscrepancyFlag: (("q", 1.0, 2.0), {"note": ""}),
+    flavour.TwoAmplitudeExperiment: ((0.3 + 0.1j, 0.2 - 0.4j, "kaon"), {}),
+    flavour.SlitGeometry: ((0.1, 1.0, 0.95e-3, 0.1e-3, 1e-3), {}),
+    flavour.PhotonSlitResult: ((_GEOM, 1.07e7, 5.4e-9, 2.9e-5, 1.8e-7, (_FLAG,)), {}),
+    flavour.ElectronBeam: ((229.0, 1.374e-4), {"mass": CONSTANTS.m_electron}),
+    flavour.ElectronSlitResult: ((_GEOM, _BEAM, 1.0, 1e-5, 0.1, 0.2, ()), {}),
+    flavour.KaonSystem: ((497.0, 3.5e-12, 7e-12, 1.3e-14), {"mean_p": 194.0}),
+    flavour.NeutrinoExperiment: (
+        (CONSTANTS.m_pi, 2.5e-14, CONSTANTS.m_mu, 2e-3, math.pi / 4, 100.0),
+        {"mode": "two-body", "beta_energy_mev": None, "neutrino_p_mev": None}),
+    flavour.NeutrinoOscillationResult: (tuple(float(i) for i in range(9)) + ((),), {}),
+    flavour.ClassificationRow: (("kaon", False, False, False, False, True, "f", "1"), {}),
+    michelson.InterferometerSpec: ((0.5, 0.25, 1e-8, 1.07e7),
+                                   {"phi_12": 0.0, "scale": 1.0}),
+    michelson.AtomLine: ((656.3e-9, 5.4e-9), {"tau_p": math.inf,
+                                               "atomic_mass": CONSTANTS.mass_h_kg,
+                                               "temperature": 300.0}),
+    propagators.OnShellParticle: ((0.511, 0.5), {"width_mev": 0.0}),
+    propagators.EmitterSpec: ((2.1, 0.0, 1e-7), {"t_production": 0.0}),
+    ray_optics.InterfaceGeometry: ((1.0, 1.5, 1.0, 1.0, 1.0), {}),
+    reflection.ReflectionSetup: ((1.0, 1.5), {"film_thickness": None, "t_hsm": 1.0}),
+    wave_optics.DiffractionGeometry: ((1.0, 2.0), {"alpha": 0.0, "alpha1": 0.0,
+                                                   "hole_area": 1e-12}),
+    oracle.OracleResult: ((1.0 + 2.0j, 0.1, 5), {}),
+    refraction.RectangularBoundary: ((2.0, 3.0), {"y": 0.0, "z": 0.0}),
+    refraction.CircularBoundary: ((1.0,), {"y": 0.0}),
+    refraction.MediumSpec: ((1e25, 1e-10, 0.01, refraction.CircularBoundary(1.0)), {}),
+    refraction.AnnulmentReport: ((6e-4, 6.6e3, 2.1e6, 2e-12, 4e-5, (_FLAG,)), {}),
+    ConstantsTable: ((), {}),
+}
+
+# the refusals of __post_init__: (class, positional arguments, keyword arguments)
+REFUSED = [
+    (flavour.SlitGeometry, (0.1, 1.0, 0.95e-3, 0.1e-3, 0.0), {}),
+    (flavour.SlitGeometry, (-0.1, 1.0, 0.95e-3, 0.1e-3, 1e-3), {}),
+    (flavour.ElectronBeam, (0.0, 1e-4), {}),
+    (flavour.ElectronBeam, (229.0, 1e-4), {"mass": 0.0}),
+    (flavour.ElectronBeam, (229.0, 0.0), {}),
+    (flavour.KaonSystem, (), {"dm": 0.0}),
+    (flavour.KaonSystem, (), {"gamma_s": 1e-15}),
+    (flavour.KaonSystem, (), {"gamma_l": 0.0}),
+    (flavour.NeutrinoExperiment, (139.6, 2.5e-14, 105.7, 0.0, 0.5, 100.0), {}),
+    (flavour.NeutrinoExperiment, (139.6, 2.5e-14, 105.7, 2e-3, 0.5, 0.0), {}),
+    (flavour.NeutrinoExperiment, (100.0, 2.5e-14, 120.0, 2e-3, 0.5, 10.0), {}),
+    (flavour.NeutrinoExperiment, (139.6, 2.5e-14, 105.7, 2e-3, 0.5, 10.0),
+     {"mode": "beta", "beta_energy_mev": 1.0}),
+    (flavour.NeutrinoExperiment, (139.6, 2.5e-14, 105.7, 2e-3, 0.5, 10.0),
+     {"mode": "three-body"}),
+    (michelson.InterferometerSpec, (0.5, 0.0, 1e-8, 1e7), {}),
+    (michelson.InterferometerSpec, (0.5, 0.25, 1e-8, -1e7), {}),
+    (michelson.AtomLine, (0.0, 5.4e-9), {}),
+    (michelson.AtomLine, (656e-9, 5.4e-9), {"tau_p": 0.0}),
+    (propagators.OnShellParticle, (-1.0, 0.5), {}),
+    (propagators.OnShellParticle, (1.0, 0.5), {"width_mev": -1.0}),
+    (propagators.OnShellParticle, (1.0, 1.5), {}),
+    (propagators.OnShellParticle, (1.0, 1.0), {}),
+    (propagators.EmitterSpec, (1.0, 2.0, 1e-7), {}),
+    (propagators.EmitterSpec, (2.0, 1.0, -1e-7), {}),
+    (ray_optics.InterfaceGeometry, (0.9, 1.5, 1.0, 1.0, 1.0), {}),
+    (ray_optics.InterfaceGeometry, (1.0, 1.5, 1.0, 0.0, 1.0), {}),
+    (ray_optics.InterfaceGeometry, (1.0, 1.5, 0.0, 1.0, 1.0), {}),
+    (reflection.ReflectionSetup, (1.0, 0.5), {}),
+    (reflection.ReflectionSetup, (1.0, 1.5), {"film_thickness": 0.0}),
+    (reflection.ReflectionSetup, (1.0, 1.5), {"t_hsm": 1.5}),
+    (wave_optics.DiffractionGeometry, (0.0, 2.0), {}),
+    (wave_optics.DiffractionGeometry, (1.0, 2.0), {"alpha1": math.pi / 2}),
+    (refraction.RectangularBoundary, (0.0, 3.0), {}),
+    (refraction.RectangularBoundary, (2.0, 3.0), {"z": 1.5}),
+    (refraction.CircularBoundary, (0.0,), {}),
+    (refraction.CircularBoundary, (1.0,), {"y": -1.0}),
+    (refraction.MediumSpec, (0.0, 1e-10, 0.01), {}),
+    (refraction.MediumSpec, (1e25, 1e-10, -0.01), {}),
+]
+
+
+@pytest.mark.parametrize("cls", list(CASES), ids=[cls.__name__ for cls in CASES])
+class TestEveryRecord:
+    def test_is_a_slotted_record(self, cls):
+        assert issubclass(cls, Record)
+        obj = cls(*CASES[cls][0])
+        assert not hasattr(obj, "__dict__")
+        assert not hasattr(cls, "__dataclass_fields__")
+
+    def test_positional_keyword_and_default_construction(self, cls):
+        args, defaults = CASES[cls]
+        by_position = cls(*args)
+        names = cls.__slots__
+        assert len(names) == len(args) + len(defaults) or cls is ConstantsTable
+        for name, value in zip(names, args):
+            assert getattr(by_position, name) is value
+        for name, value in defaults.items():
+            assert getattr(by_position, name) == value
+        by_keyword = cls(**dict(zip(names, args)))
+        assert by_keyword == by_position
+        explicit = cls(*args, *defaults.values())
+        assert explicit == by_position
+
+    def test_refuses_assignment_and_deletion(self, cls):
+        obj = cls(*CASES[cls][0])
+        name = cls.__slots__[0]
+        before = getattr(obj, name)
+        with pytest.raises(AttributeError):
+            setattr(obj, name, before)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+        with pytest.raises(AttributeError):
+            obj.not_a_field = 1
+        assert getattr(obj, name) is before
+
+    def test_refuses_bad_argument_lists(self, cls):
+        args, defaults = CASES[cls]
+        names = cls.__slots__
+        with pytest.raises(TypeError):
+            cls(*args, *defaults.values(), *[0.0] * (len(names) + 1))
+        with pytest.raises(TypeError):
+            cls(*args, not_a_field=1.0)
+        if args:
+            with pytest.raises(TypeError):
+                cls(*args, **{names[0]: args[0]})
+        required = len(names) - len(cls._defaults) - len(cls._factories)
+        if required:
+            with pytest.raises(TypeError, match="missing required argument"):
+                cls(*args[:required - 1])
+
+    def test_equality_hash_repr_and_copies(self, cls):
+        args, _ = CASES[cls]
+        a, b = cls(*args), cls(*args)
+        assert a == b and not a != b
+        assert a != object()
+        if cls is not ConstantsTable:   # its notes dict is unhashable
+            assert hash(a) == hash(b)
+        text = repr(a)
+        assert text.startswith(f"{cls.__name__}({cls.__slots__[0]}=")
+        assert copy.copy(a) == a
+        assert copy.deepcopy(a) == a
+        assert pickle.loads(pickle.dumps(a)) == a
+
+
+@pytest.mark.parametrize("cls,args,kwargs", REFUSED,
+                         ids=[f"{c.__name__}-{i}" for i, (c, _a, _k) in enumerate(REFUSED)])
+def test_post_init_refusals_raise_domain_error(cls, args, kwargs):
+    with pytest.raises(DomainError):
+        cls(*args, **kwargs)
+
+
+def test_unequal_fields_compare_unequal():
+    assert DiscrepancyFlag("q", 1.0, 2.0) != DiscrepancyFlag("q", 1.0, 2.5)
+    assert DiscrepancyFlag("q", 1.0, 2.0) != oracle.OracleResult("q", 1.0, 2.0)
+
+
+def test_factory_defaults_are_fresh_per_instance():
+    a, b = ConstantsTable(), ConstantsTable()
+    assert a.notes == b.notes and a.notes is not b.notes
+    m1 = refraction.MediumSpec(1e25, 1e-10, 0.01)
+    m2 = refraction.MediumSpec(1e25, 1e-10, 0.01)
+    assert isinstance(m1.boundary, refraction.InfiniteBoundary)
+    assert m1.boundary is not m2.boundary
+
+
+@pytest.mark.parametrize("name", ["c", "hbar_ev_s", "m_pi", "tau_ks", "mass_h_u"])
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_validate_catches_non_positive_constant(name, value):
+    table = ConstantsTable(**{name: value})
+    with pytest.raises(DomainError, match=f"constant {name} must be positive"):
+        table.validate()
+
+
+def test_validate_catches_inconsistent_planck_constants():
+    with pytest.raises(DomainError, match="h and hbar inconsistent"):
+        ConstantsTable(h_ev_s=4.2e-15).validate()
+
+
+def test_constants_table_field_order_and_values():
+    assert ConstantsTable.__slots__ == (
+        "c", "hbar_mev_s", "hbar_ev_s", "h_ev_s", "k_boltzmann", "ev_joule",
+        "m_electron", "m_pi", "m_mu", "m_k_charged", "m_k0_mean", "dm_ls",
+        "tau_ks", "tau_kl", "tau_pi", "lambda_na_d", "tau_na_annulment",
+        "tau_na_fringe", "atomic_mass_unit", "mass_na_u", "mass_h_u", "notes")
+    CONSTANTS.validate()
+    assert CONSTANTS == ConstantsTable()
+
+
+def test_classification_row_as_dict_keeps_field_order():
+    row = flavour.classify_experiment("kaon")
+    assert list(row.as_dict()) == list(flavour.ClassificationRow.__slots__)

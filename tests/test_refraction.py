@@ -26,6 +26,7 @@ from pathamp.refraction import (
     effective_velocity,
     nested_volume_integral,
     refractive_index,
+    scattering_length_for_index,
     regime_classification,
     scattering_order_kernel,
     thin_sheet_phase_shift,
@@ -78,6 +79,22 @@ class TestRefractiveIndex:
     def test_round_trip_inversion(self):
         a = (1.5 - 1.0) * 2 * math.pi / (LAMBDA ** 2 * 2.5e27)
         assert refractive_index(2.5e27, a, LAMBDA) == pytest.approx(1.5, rel=1e-14)
+
+    @pytest.mark.parametrize("n,density,lam", [
+        (1.5, 2.5e27, 589.3e-9), (1.0003, 1e25, 5e-7), (1.0, 1e20, 1e-6),
+        (0.9, 3e26, 4e-7)])
+    def test_scattering_length_for_index_inverts_index(self, n, density, lam):
+        a = scattering_length_for_index(n, density, lam)
+        assert a == (n - 1.0) * 2.0 * math.pi / (lam ** 2 * density)
+        assert refractive_index(density, a, lam) == pytest.approx(n, rel=1e-14)
+
+    @pytest.mark.parametrize("density,lam", [(0.0, 5e-7), (-1e25, 5e-7),
+                                             (1e25, 0.0), (1e25, -5e-7)])
+    def test_scattering_length_for_index_refuses_like_index(self, density, lam):
+        with pytest.raises(DomainError, match="density and wavelength must be positive"):
+            scattering_length_for_index(1.5, density, lam)
+        with pytest.raises(DomainError, match="density and wavelength must be positive"):
+            refractive_index(density, 1e-10, lam)
 
 
 class TestEffectiveVelocity:
