@@ -1,0 +1,34 @@
+"""michelson: time-gated fringe visibility of a single decaying atom."""
+
+from pathamp.core_num import CONSTANTS, linspace, wavenumber
+
+
+def _michelson(args):
+    from pathamp import michelson
+    lam = args.quantity("--wavelength")
+    spec = michelson.InterferometerSpec(
+        *(args.quantity(f) for f in ("--arm", "--d", "--tau")), wavenumber(lam))
+    outputs = {"visibility_asymptote": michelson.visibility_asymptote(spec),
+               "long_path_m": spec.long_path, "short_path_m": spec.short_path}
+    if args.tmax:
+        t_max = args.quantity("--tmax")
+        outputs["visibility"] = michelson.visibility(spec, t_max)
+        outputs["detection_probability"] = michelson.detection_probability(spec, t_max)
+    if args.curve:
+        t0_ns = spec.long_path / CONSTANTS.c * 1e9
+        grid = linspace(t0_ns + 0.05, t0_ns + 12.0 * spec.tau_s * 1e9, 400)
+        args.write_csv(args.curve, ["t_max_ns", "visibility"],
+                       zip(grid, michelson.visibility_curve(spec, [t * 1e-9 for t in grid])))
+        outputs["curve_csv"] = args.curve
+    return ({"arm_m": spec.arm_length, "d_m": spec.imbalance,
+             "tau_s": spec.tau_s, "wavelength_m": lam}, outputs, None, [])
+
+
+_REQ = {"required": True}
+
+COMMANDS = {
+    "michelson": (_michelson, (
+        ("--arm --L", "length", _REQ), ("--d", "length", _REQ), ("--tau", "time", _REQ),
+        ("--wavelength", "length", {"default": "589.3nm"}), ("--tmax", "time", {}),
+        ("--curve", None, {"metavar": "CSV"}))),
+}

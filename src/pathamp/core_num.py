@@ -140,6 +140,22 @@ def from_polar(mod: float, ph: float) -> complex:
     return mod * cmath.exp(1j * ph)
 
 
+def complex_out(z: complex) -> dict:
+    """z as the command line's JSON summaries give an amplitude: re, im,
+    modulus and phase_rad, the last from atan2, so in [-pi, pi]."""
+    return {"re": z.real, "im": z.imag, "modulus": abs(z),
+            "phase_rad": math.atan2(z.imag, z.real)}
+
+
+def wavenumber(wavelength: float) -> float:
+    """2 pi / wavelength; DomainError when that is not a finite double, as
+    for a zero or subnormal wavelength."""
+    kappa = 2.0 * math.pi / wavelength if wavelength else math.inf
+    if math.isinf(kappa):
+        raise DomainError(f"wavelength {wavelength!r} gives no finite wavenumber")
+    return kappa
+
+
 class ConstantsTable(Record):
     """Physical constants frozen to the values used by the reproduced
     benchmark tables (PDG-2004-era particle data, exact SI definitions).

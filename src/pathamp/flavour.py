@@ -117,6 +117,8 @@ def photon_double_slit(geom: SlitGeometry, kappa: float,
     lam = 2.0 * math.pi / kappa
     spacing = lam * geom.l / (2.0 * geom.effective_separation)
     per_fringe = lam / (2.0 * CONSTANTS.c * tau_s)
+    if math.isinf(spacing) or math.isinf(per_fringe):
+        raise DomainError("the fringe spacing or damping overflows a double")
     flags = ()
     if abs(lam - CONSTANTS.lambda_na_d) / CONSTANTS.lambda_na_d < 0.01 \
             and abs(tau_s - CONSTANTS.tau_na_fringe) / CONSTANTS.tau_na_fringe < 0.2:
@@ -232,6 +234,9 @@ def electron_double_slit(geom: SlitGeometry, beam: ElectronBeam,
     equal_time = beam.gamma_sq * h_mev_m \
         / (2.0 * beam.sigma_p * (geom.r_prime + rb))
     spread = math.pi * beam.sigma_p / beam.mean_p
+    # probability() scales the pattern by 1/(sqrt(pi) sigma_p)
+    if math.isinf(equal_time) or math.isinf(1.0 / (math.sqrt(math.pi) * beam.sigma_p)):
+        raise DomainError("the damping or the probability scale overflows a double")
     flags = (DiscrepancyFlag(
         "equal_time_coeff", equal_time, ELECTRON_SLIT_REFERENCE_DAMPING[0],
         "quoted benchmark coefficient is not reproducible from its stated"
@@ -277,6 +282,14 @@ class KaonSystem(Record):
     }
 
     def __post_init__(self):
+        if not (self.mean_mass > 0 and self.mean_p > 0):
+            raise DomainError("mean mass and momentum must be positive")
+        # proper_time and kaon_oscillation_phase_lab divide by these, which
+        # a subnormal momentum sends to 0
+        if not (self.mean_p / self.mean_mass * CONSTANTS.c > 0
+                and CONSTANTS.hbar_mev_s * self.mean_p * CONSTANTS.c > 0):
+            raise DomainError(
+                f"mean momentum {self.mean_p!r} MeV/c is too small for lab-frame times")
         if self.dm <= 0:
             raise DomainError("m_L must exceed m_S")
         if not self.gamma_s > self.gamma_l > 0:
@@ -409,6 +422,11 @@ class NeutrinoExperiment(Record):
         elif self.mode == "beta":
             if self.beta_energy_mev is None or self.neutrino_p_mev is None:
                 raise DomainError("beta mode needs beta_energy_mev and neutrino_p_mev")
+            # the phase and the damping divide by the momentum in eV, squared
+            p_ev = self.neutrino_p_mev * 1e6
+            if not (p_ev > 0 and p_ev * p_ev > 0):
+                raise DomainError("neutrino momentum must be positive and not"
+                                  " vanishingly small")
         else:
             raise DomainError(f"unknown mode {self.mode!r}")
 
@@ -499,6 +517,9 @@ def neutrino_oscillation(exp: NeutrinoExperiment) -> NeutrinoOscillationResult:
         # the compact two-body coefficient has no beta-decay analogue;
         # the oscillation length then follows the full phase chain
         phi_compact = math.nan
+        if phi_path == 0:
+            raise DomainError("the path phase is 0 at this baseline, so it"
+                              " gives no oscillation length")
         losc_path = 2.0 * math.pi * l / abs(phi_path)
     losc_standard = 4.0 * math.pi * hbarc * p0_ev / dm2
 
@@ -545,6 +566,9 @@ def _path_oscillation(exp: NeutrinoExperiment, l: float) -> tuple[float, float, 
 def half_oscillation_distance(exp: NeutrinoExperiment) -> float:
     """Baseline at which the path-chain interference phase reaches pi (m)."""
     res = neutrino_oscillation(exp)
+    if res.phi_path == 0:
+        raise DomainError("the path phase is 0 at this baseline, so it gives"
+                          " no half-oscillation distance")
     return math.pi * exp.baseline / abs(res.phi_path)
 
 

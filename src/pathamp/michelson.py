@@ -127,6 +127,9 @@ def visibility(spec: InterferometerSpec, t_max: float) -> float:
     x = d / (c * tau)
     num = 2.0 * (math.exp(-x) - f * math.exp(x))
     den = 2.0 - f * (1.0 + math.exp(2.0 * x))
+    if den == 0:
+        raise DomainError("visibility is 0/0 in double precision at this gate"
+                          " (tau_s too long)")
     return num / den
 
 

@@ -110,7 +110,19 @@ def quad_oscillatory(f: Callable, a: float, b: float, kappa: float,
     partial sums then form a nearly geometric sequence which is accelerated
     with iterated Aitken extrapolation, so slowly damped integrands
     (damping_scale >> 1/kappa) are still cheap.
+
+    A numpy float64 overflow or invalid operation in the integrand or the
+    sums raises ConvergenceError.
     """
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _quad_oscillatory(f, a, b, kappa, tol, damping_scale, nodes,
+                                     max_segments)
+    except FloatingPointError as exc:
+        raise ConvergenceError(f"oscillatory quadrature left float64: {exc}") from None
+
+
+def _quad_oscillatory(f, a, b, kappa, tol, damping_scale, nodes, max_segments):
     if kappa <= 0:
         raise DomainError("kappa must be positive")
     seg_len = math.pi / kappa

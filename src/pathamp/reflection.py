@@ -74,7 +74,10 @@ def rate_ratio(setup: ReflectionSetup) -> float:
     """Counting-rate ratio reflected/reference in the half-silvered-mirror
     comparison: rho_path / t_hsm^2 (the two detectors subtend equal solid
     angles by construction of the layout)."""
-    return reflection_coeff_path(setup.n1, setup.n2) / setup.t_hsm ** 2
+    t2 = setup.t_hsm ** 2
+    if t2 == 0:
+        raise DomainError("t_hsm^2 underflows a double")
+    return reflection_coeff_path(setup.n1, setup.n2) / t2
 
 
 def thin_film_coeff(n: float, wavelength: float, thickness: float) -> float:

@@ -137,7 +137,10 @@ def scattering_length_for_index(n: float, density: float, wavelength: float) -> 
     gives index n: the inverse of ``refractive_index``."""
     if density <= 0 or wavelength <= 0:
         raise DomainError("density and wavelength must be positive")
-    return (n - 1.0) * 2.0 * math.pi / (wavelength ** 2 * density)
+    column = wavelength ** 2 * density
+    if column == 0:
+        raise DomainError("wavelength^2 * density underflows a double")
+    return (n - 1.0) * 2.0 * math.pi / column
 
 
 class EffectiveVelocity(NamedTuple):

@@ -3,10 +3,12 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 import pathamp
+from pathamp import cli
 from pathamp.cli import main
 
 
@@ -388,6 +390,90 @@ class TestModeFlags:
         assert json.loads(err)["error"] == "DomainError"
 
 
+class TestTypedRefusals:
+    """A value that would reach a division by zero, or a result that leaves
+    float64, is a typed refusal with exit 2, not a traceback."""
+
+    @pytest.mark.parametrize("argv,kind", [
+        (["diffraction", "--wavelength", "0nm"], "DomainError"),
+        (["michelson", "--L", "50cm", "--d", "25cm", "--tau", "10ns",
+          "--wavelength", "0nm"], "DomainError"),
+        (["ydse", "--wavelength", "0nm"], "DomainError"),
+        (["oracle", "--op", "half-zone", "--wavelength", "0nm"], "DomainError"),
+        (["propagator", "--r", "1m", "--beta", "0"], "DomainError"),
+        (["kaon", "--p", "0MeV/c"], "DomainError"),
+        (["neutrino", "--source", "beta", "--dm2", "2e-3eV2", "--L", "100m",
+          "--beta-energy", "1MeV", "--p-nu", "0MeV/c"], "DomainError"),
+        (["diffraction", "--wavelength", "1e-300A"], "DomainError"),
+        (["kaon", "--p", "2.2250738585072014e-308MeV/c", "--distance", "1m"],
+         "DomainError"),
+        (["oracle", "--op", "half-zone", "--x1", "1e150mm"], "DomainError"),
+        (["oracle", "--op", "half-zone", "--wavelength", "1e300cm"], "ConvergenceError"),
+        (["reflect", "--n1", "1e300", "--n2", "1"], "OverflowError"),
+        (["neutrino", "--source", "beta", "--dm2", "2e-3eV2", "--L", "100m",
+          "--beta-energy", "2MeV", "--p-nu", "1MeV"], "DomainError"),
+        (["neutrino", "--dm2", "1e-150eV2", "--L", "1e-300cm"], "DomainError"),
+        (["refract-index", "--wavelength", "1e-300um", "--density", "1m-3",
+          "--n", "1.5"], "DomainError"),
+        (["michelson", "--L", "50cm", "--d", "25cm", "--tau", "1e20s",
+          "--tmax", "700ns"], "DomainError"),
+        (["reflect", "--n2", "1.5", "--thsm", "5e-324"], "DomainError"),
+        (["ydse", "--tau", "5e-324s"], "DomainError"),
+        (["ydse", "--source-distance", "1e300um", "--wavelength", "1e300um"],
+         "DomainError"),
+        (["ydse", "--kind", "electron", "--sigma-p", "1e-310MeV/c"], "DomainError"),
+        (["neutrino", "--source", "beta", "--dm2", "2e-3eV2", "--L", "100m",
+          "--beta-energy", "1MeV", "--p-nu", "1e-300MeV/c"], "DomainError"),
+        (["oracle", "--op", "mc-volume", "--order", "2.9", "--samples", "1000"],
+         "DomainError"),
+        (["oracle", "--op", "nested", "--order", "1.5"], "DomainError"),
+    ], ids=["diffraction", "michelson", "ydse", "half-zone", "propagator-beta", "kaon",
+            "neutrino-beta-p", "subnormal-wavelength", "subnormal-kaon-p",
+            "half-zone-far", "half-zone-overflow", "reflect-overflow",
+            "neutrino-beta-no-phase", "neutrino-phase-underflow",
+            "refract-index-underflow", "michelson-zero-over-zero",
+            "reflect-thsm-underflow", "ydse-damping-overflow", "ydse-spacing-overflow",
+            "ydse-electron-scale-overflow", "neutrino-beta-tiny-p",
+            "mc-volume-fractional-order", "nested-fractional-order"])
+    def test_refused(self, capsys, argv, kind):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert set(payload) == {"error", "message"}
+        assert payload["error"] == kind
+
+    @pytest.mark.parametrize("dphi", ["0", "-0", "0.0"])
+    def test_nested_oracle_at_zero_budget_refused(self, capsys, dphi):
+        # the closed form is exactly 0 there, so a relative difference has
+        # no value; no numpy 0/0 warning is raised on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["oracle", "--op", "nested", "--order", "2",
+                                      f"--dphi={dphi}"], capsys)
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "DomainError"
+        assert "relative difference is undefined" in payload["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["michelson", "--L", "50cm", "--d", "25cm", "--tau=--"],
+        ["classify", "--kind=--"],
+        ["oracle", "--op", "mc-volume", "--samples=--"],
+    ])
+    def test_double_dash_value_refused(self, capsys, argv):
+        # argparse hands "--flag=--" over as [] without its type or choices check
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        flag = argv[-1][:-3]
+        assert json.loads(err) == {"error": "ArgumentError",
+                                   "message": f"argument {flag}: expected one argument"}
+
+
 class TestRecipeRoundTrip:
     def test_recipe_summary_replays_identically(self, capsys, tmp_path):
         out_file = tmp_path / "recipe.json"
@@ -471,6 +557,15 @@ class TestErrorContract:
         assert second == first
 
 
+def _child_env():
+    """The environment of a fresh interpreter that imports this package."""
+    src_dir = os.path.dirname(os.path.dirname(pathamp.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_dir, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def _loaded_modules(argv, tmp_path=None):
     """Exit code of main(argv) in a fresh interpreter (None when argv is
     None: import only) and the names in its sys.modules afterwards.  A
@@ -478,10 +573,6 @@ def _loaded_modules(argv, tmp_path=None):
     the command line itself pulls in."""
     if tmp_path is not None:
         argv = [str(tmp_path / "curve.csv") if a == "{csv}" else a for a in argv]
-    src_dir = os.path.dirname(os.path.dirname(pathamp.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src_dir, env.get("PYTHONPATH")) if p)
     script = ("import contextlib, io, json, sys\n"
               "from pathamp.cli import main\n"
               "argv = json.loads(sys.argv[1])\n"
@@ -489,7 +580,7 @@ def _loaded_modules(argv, tmp_path=None):
               "    code = None if argv is None else main(argv)\n"
               "print(json.dumps([code, sorted(sys.modules)]))\n")
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     code, modules = json.loads(proc.stdout.splitlines()[-1])
     return code, set(modules)
@@ -538,8 +629,50 @@ _SCALAR_ARGV = [
 ]
 
 
+# one argv per subcommand, for the cold-process guards below
+_ONE_PER_SUBCOMMAND = {
+    "propagator": ["propagator", "--r", "2m"],
+    "diffraction": ["diffraction", "--wavelength", "589.3nm"],
+    "refract-index": ["refract-index", "--wavelength", "589.3nm",
+                      "--density", "2.5e27m-3", "--n", "1.5"],
+    "refract-series": ["refract-series", "--dphi", "2", "--betal", "5"],
+    "annulment": ["annulment", "--radius", "5cm", "--axis-distance", "200cm",
+                  "--wavelength", "590nm", "--block-length", "40cm",
+                  "--n", "1.5", "--tau", "54ns"],
+    "snell": ["snell", "--n1", "1.5", "--n2", "1.0", "--theta-i", "30deg"],
+    "reflect": ["reflect", "--n2", "1.5"],
+    "michelson": ["michelson", "--L", "50cm", "--d", "25cm", "--tau", "10ns"],
+    "ydse": ["ydse", "--kind", "electron"],
+    "kaon": ["kaon", "--tau", "1ns"],
+    "neutrino": ["neutrino", "--dm2", "2e-3eV2", "--L", "100m"],
+    "classify": ["classify", "--kind", "kaon"],
+    "oracle": ["oracle", "--op", "nested", "--order", "1"],
+    "reproduce": ["reproduce", "--recipe", "eq7.8"],
+}
+
+
+def _importtime_modules(argv):
+    """Exit code of a fresh `python -X importtime -m pathamp.cli argv`, and
+    the modules its import-time report lists."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "pathamp.cli", *argv],
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
+    modules = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+               if line.startswith("import time:") and "|" in line}
+    return proc.returncode, modules
+
+
 class TestImportGuard:
     """A one-shot process imports only what its subcommand runs."""
+
+    @pytest.mark.parametrize("name", list(cli._COMMANDS))
+    def test_cold_call_compiles_cli_once_and_one_command_module(self, name):
+        # under -m, cli runs as __main__: an import of pathamp.cli by a
+        # command module would compile it a second time
+        code, modules = _importtime_modules(_ONE_PER_SUBCOMMAND[name])
+        assert code == 0
+        assert "pathamp.cli" not in modules
+        assert {m for m in modules if m.startswith("pathamp.commands.")} \
+            == {f"pathamp.commands.{cli._COMMANDS[name]}"}
 
     def test_cli_import_loads_only_core(self):
         _, modules = _loaded_modules(None)
@@ -567,3 +700,11 @@ class TestImportGuard:
         assert "dataclasses" not in modules
         # only oracle.series_sum_highprec needs mpmath, and no command calls it
         assert "mpmath" not in modules
+
+
+class TestPackaging:
+    def test_command_modules_are_packaged(self):
+        # the installed `pathamp` script dispatches to pathamp.commands
+        setuptools = pytest.importorskip("setuptools")
+        src_dir = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        assert "pathamp.commands" in setuptools.find_packages(src_dir)

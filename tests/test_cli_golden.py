@@ -106,6 +106,15 @@ GOLDEN_ARGV = {
     "oracle-nested-3": ["oracle", "--op", "nested", "--order", "3", "--dphi", "5.5"],
     "oracle-nested-5": ["oracle", "--op", "nested", "--order", "5"],
     "oracle-samples-zero": ["oracle", "--op", "mc-volume", "--samples", "0"],
+    # literal zeros that would reach a division
+    "zero-diffraction-wavelength": ["diffraction", "--wavelength", "0nm"],
+    "zero-michelson-wavelength": ["michelson", "--L", "50cm", "--d", "25cm", "--tau", "10ns",
+                                  "--wavelength", "0nm"],
+    "zero-ydse-wavelength": ["ydse", "--wavelength", "0nm"],
+    "zero-oracle-half-zone-wavelength": ["oracle", "--op", "half-zone", "--wavelength", "0nm"],
+    "zero-oracle-nested-dphi": ["oracle", "--op", "nested", "--order", "2", "--dphi", "0"],
+    "zero-propagator-beta": ["propagator", "--r", "1m", "--beta", "0"],
+    "zero-kaon-p": ["kaon", "--p", "0MeV/c"],
     # recipes
     **{f"reproduce-{r}": ["reproduce", "--recipe", r, "--csv", CSV]
        for r in ("fig9", "table1", "table2-ratios", "table3", "eq7.8", "eq9.65")},
