@@ -12,9 +12,11 @@ def _order(args) -> int:
 
 
 def _oracle(args):
-    """A run whose reference value is exactly 0 is refused with DomainError,
-    because its relative difference has no value: a nested run at --dphi 0
-    (an empty path-length budget), or a half-zone run whose damped integral
+    """A run whose reference value is 0, or lost in the oracle's own error,
+    is refused with DomainError, because its relative difference has no
+    value: a nested run whose closed form is no larger in modulus than the
+    quadrature's error estimate (--dphi 0, an empty path-length budget, or
+    an order-1 run at --dphi 2*pi), or a half-zone run whose damped integral
     is 0."""
     from pathamp import oracle, refraction, wave_optics
     if args.op == "mc-volume":
@@ -44,6 +46,11 @@ def _oracle(args):
         if closed == 0:
             raise DomainError(f"--dphi {dphi!r}: the closed form is 0, so the "
                               "relative difference is undefined")
+        if abs(closed) <= res.error_estimate:
+            raise DomainError(f"--dphi {dphi!r}: the closed form ({abs(closed):.3g} "
+                              "in modulus) is no larger than the quadrature's "
+                              f"error estimate ({res.error_estimate:.3g}), so the "
+                              "relative difference is meaningless")
         outputs = {"quadrature": complex_out(res.value),
                    "closed_form": complex_out(closed),
                    "relative_difference": abs(res.value - closed) / abs(closed),

@@ -3,7 +3,9 @@
 Everything here is deliberately dumb: period-segmented Gauss-Legendre sums
 for oscillatory integrals, nested Gauss-Legendre quadrature for nested
 integrals (vectorised level by level, with no array holding more than
-2**18 innermost points), Monte Carlo for ordered volumes,
+2**18 innermost points, and the phase factor e^{i kappa r} written as
+cos/sin in place, which gives exactly the bits of the complex exp at a
+fraction of its cost), Monte Carlo for ordered volumes,
 arbitrary-precision series summation (term by term, in fixed-point Python
 integers scaled by 2**P, with P at least the decimal working precision in
 bits plus 64 guard bits).  These routines know nothing about the closed
@@ -112,7 +114,8 @@ def quad_oscillatory(f: Callable, a: float, b: float, kappa: float,
     (damping_scale >> 1/kappa) are still cheap.
 
     A numpy float64 overflow or invalid operation in the integrand or the
-    sums raises ConvergenceError.
+    sums raises ConvergenceError.  A non-finite kappa or a, a NaN b, or
+    b <= a (b = -inf included) raises DomainError.
     """
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -123,11 +126,14 @@ def quad_oscillatory(f: Callable, a: float, b: float, kappa: float,
 
 
 def _quad_oscillatory(f, a, b, kappa, tol, damping_scale, nodes, max_segments):
+    if not (math.isfinite(kappa) and math.isfinite(a)) or math.isnan(b):
+        raise DomainError(f"kappa and a must be finite and b not NaN, got "
+                          f"{kappa!r}, {a!r}, {b!r}")
     if kappa <= 0:
         raise DomainError("kappa must be positive")
     seg_len = math.pi / kappa
 
-    if math.isinf(b):
+    if b == math.inf:
         if damping_scale is None:
             raise PreconditionError(
                 "infinite upper limit requires a declared damping envelope")
@@ -175,9 +181,25 @@ def quad_nested(order: int, kappa: float, delta_s: float,
     Each inner level is evaluated for all of its outer partial sums at
     once.  The outer nodes are taken in chunks so that no array holds more
     than max(2**18, nodes) innermost points.
+
+    The phase factor exp(i kappa r) is computed as cos(kappa r) and
+    sin(kappa r), written in place into the real and imaginary parts of
+    one complex buffer.  This gives the same bits as exp(1j*kappa*r): the
+    real part of that argument is always +-0, and the complex exp of
+    +-0 + iy is exp(+-0) = 1 times cos(y) + i sin(y) (glibc's cexp is
+    sincos scaled by exp of the real part).  Every other operation keeps
+    its operands and their order, so the result is the one the complex
+    exp gives.
+
+    A non-finite kappa or delta_s, or a negative delta_s, raises
+    DomainError before any quadrature.
     """
     if not 1 <= order <= 4:
         raise PreconditionError("order must be between 1 and 4")
+    if not (math.isfinite(kappa) and math.isfinite(delta_s)):
+        raise DomainError(f"kappa and delta_s must be finite, got {kappa!r}, {delta_s!r}")
+    if delta_s < 0:
+        raise DomainError(f"delta_s must be >= 0, got {delta_s!r}")
     if kappa * delta_s > 50:
         raise PreconditionError("kappa*delta_s above cost bound 50")
     if x is None:
@@ -188,6 +210,19 @@ def quad_nested(order: int, kappa: float, delta_s: float,
     def run(n_nodes: int) -> complex:
         glx, glw = _leggauss(n_nodes)
 
+        def terms(r: np.ndarray, inner: np.ndarray | None) -> np.ndarray:
+            # glw * exp(1j*kappa*r) * inner, scaling r by kappa in place.
+            # The argument's real part is +-0 and exp(+-0) = 1, so cos/sin
+            # give the complex exp's bits (tests/test_oracle.py checks it).
+            r *= kappa
+            out = np.empty(r.shape, complex)
+            np.cos(r, out=out.real)
+            np.sin(r, out=out.imag)
+            out *= glw
+            if inner is not None:
+                out *= inner
+            return out
+
         def level(j: int, rsum: np.ndarray) -> np.ndarray:
             # level j < order for each outer partial sum r_{j+1}+...+r_n
             step = max(1, _NESTED_CAP // n_nodes ** j)
@@ -197,20 +232,19 @@ def quad_nested(order: int, kappa: float, delta_s: float,
             lo = x[j - 1] - x[j]
             hi = delta_s - rsum + x[j - 1]
             half = 0.5 * (hi - lo)
-            r = (lo + half)[:, None] + half[:, None] * glx
-            terms = glw * np.exp(1j * kappa * r)
+            r = np.multiply.outer(half, glx)
+            r += (lo + half)[:, None]
+            inner = None
             if j > 1:
-                inner = level(j - 1, (rsum[:, None] + r).ravel())
-                terms = terms * inner.reshape(r.shape)
-            return half * np.sum(terms, axis=-1)
+                inner = level(j - 1, (rsum[:, None] + r).ravel()).reshape(r.shape)
+            return half * np.sum(terms(r, inner), axis=-1)
 
         lo, hi = x[order - 1], delta_s + x[order - 1]
         half = 0.5 * (hi - lo)
-        r = (lo + half) + half * glx
-        terms = glw * np.exp(1j * kappa * r)
-        if order > 1:
-            terms = terms * level(order - 1, r)
-        return half * np.sum(terms)
+        r = half * glx
+        r += lo + half
+        inner = level(order - 1, r) if order > 1 else None
+        return half * np.sum(terms(r, inner))
 
     def evaluations(n_nodes: int) -> int:
         # n nodes at the outer level, n at each of its n inner levels, ...

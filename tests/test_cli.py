@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -458,6 +459,25 @@ class TestTypedRefusals:
         payload = json.loads(err)
         assert payload["error"] == "DomainError"
         assert "relative difference is undefined" in payload["message"]
+
+    def test_nested_oracle_near_zero_closed_form_refused(self, capsys):
+        # order 1 at dphi = 2*pi: the closed form is ~2e-16, below the
+        # quadrature's own error estimate of ~2e-14
+        code, out, err = run_cli(["oracle", "--op", "nested", "--order", "1",
+                                  "--dphi", repr(2 * math.pi)], capsys)
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "DomainError"
+        assert "error estimate" in payload["message"]
+        closed, estimate = (float(v) for v in
+                            re.findall(r"\(([0-9.e+-]+)", payload["message"]))
+        assert 0 < closed <= estimate < 1e-12
+        # a closed form of 4.7e-6 near the zero is still compared
+        code, out, _ = run_cli(["oracle", "--op", "nested", "--order", "1",
+                                "--dphi", "6.28319"], capsys)
+        assert code == 0
+        assert json.loads(out)["outputs"]["relative_difference"] < 1e-6
 
     @pytest.mark.parametrize("argv", [
         ["michelson", "--L", "50cm", "--d", "25cm", "--tau=--"],

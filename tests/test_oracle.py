@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,20 @@ class TestQuadOscillatory:
         assert abs(res.value - exact) <= 1e-8 * abs(exact)
         assert abs(res.value - exact) <= 5 * max(res.error_estimate, 1e-16 * abs(exact))
 
+    @pytest.mark.parametrize("a,b,kappa", [
+        (0.0, 1.0, math.nan), (0.0, 1.0, math.inf), (math.nan, 1.0, 1.0),
+        (-math.inf, 1.0, 1.0), (math.inf, math.inf, 1.0), (0.0, math.nan, 1.0)])
+    def test_refuses_non_finite_input(self, a, b, kappa):
+        with pytest.raises(DomainError):
+            quad_oscillatory(lambda x: np.exp(1j * x), a, b, kappa,
+                             damping_scale=1.0)
+
+    def test_negative_infinite_upper_limit_refused(self):
+        # b = -inf lies below a; it is not the damped tail to +inf
+        with pytest.raises(DomainError, match="b > a"):
+            quad_oscillatory(lambda x: np.exp(1j * x - x), 0.0, -math.inf, 1.0,
+                             damping_scale=1.0)
+
     def test_error_estimate_validated_by_refinement(self):
         kappa = 2000.0
         f = lambda x: np.exp(1j * kappa * x) / (1.0 + x)
@@ -72,6 +87,15 @@ class TestQuadNested:
         expected = (cmath.exp(1j * kappa * ds) - 1) \
             * cmath.exp(1j * kappa * x3) / (1j * kappa)
         assert abs(res.value - expected) <= 1e-12 * abs(expected)
+
+    @pytest.mark.parametrize("kappa,delta_s", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 0.0), (-math.inf, 1.0),
+        (1.0, math.inf), (1.0, -3.0), (1.0, -1e-300)])
+    def test_refuses_non_finite_or_negative_input(self, kappa, delta_s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                quad_nested(2, kappa, delta_s)
 
     def test_zero_budget_vanishes(self):
         res = quad_nested(3, 1.0, 0.0)
@@ -169,6 +193,69 @@ class TestQuadNested:
         got = quad_nested(order, 1.3, 4.0, x=x, nodes=nodes)
         assert got.value == ref.value
         assert got.error_estimate == ref.error_estimate
+
+    @staticmethod
+    def _exp_reference(order, kappa, delta_s, x, nodes):
+        """The vectorised kernel with its phase factor from complex exp,
+        exp(1j * kappa * r), chunked under the same cap."""
+        def run(n_nodes):
+            glx, glw = np.polynomial.legendre.leggauss(n_nodes)
+
+            def level(j, rsum):
+                step = max(1, oracle._NESTED_CAP // n_nodes ** j)
+                if len(rsum) > step:
+                    return np.concatenate([level(j, rsum[i:i + step])
+                                           for i in range(0, len(rsum), step)])
+                lo = x[j - 1] - x[j]
+                hi = delta_s - rsum + x[j - 1]
+                half = 0.5 * (hi - lo)
+                r = (lo + half)[:, None] + half[:, None] * glx
+                terms = glw * np.exp(1j * kappa * r)
+                if j > 1:
+                    inner = level(j - 1, (rsum[:, None] + r).ravel())
+                    terms = terms * inner.reshape(r.shape)
+                return half * np.sum(terms, axis=-1)
+
+            lo, hi = x[order - 1], delta_s + x[order - 1]
+            half = 0.5 * (hi - lo)
+            r = (lo + half) + half * glx
+            terms = glw * np.exp(1j * kappa * r)
+            if order > 1:
+                terms = terms * level(order - 1, r)
+            return half * np.sum(terms)
+
+        check_nodes = max(nodes // 2, 8)
+        value, check = run(nodes), run(check_nodes)
+        return OracleResult(value, abs(value - check),
+                            sum(n ** k for n in (nodes, check_nodes)
+                                for k in range(1, order + 1)))
+
+    @pytest.mark.parametrize("order,kappa,delta_s,x,nodes", [
+        (4, 1.0, 5.0, None, 64),
+        (4, 2.7, 1.9, (0.3, -0.1, -0.4, -0.9), 48),
+        (3, 2.7, 7.3, (0.2, -0.3, -0.5), 64),
+    ])
+    def test_bit_identical_to_complex_exp_at_benchmark_sizes(
+            self, order, kappa, delta_s, x, nodes):
+        got = quad_nested(order, kappa, delta_s, x=x, nodes=nodes)
+        if x is None:
+            x = tuple(oracle.NESTED_X_START - 0.1 * k for k in range(order))
+        ref = self._exp_reference(order, kappa, delta_s, x, nodes)
+        assert got.value == ref.value
+        assert got.error_estimate == ref.error_estimate
+        assert got.evaluations == ref.evaluations
+
+    def test_platform_cos_sin_equal_complex_exp(self):
+        # quad_nested writes cos/sin of kappa*r where it once took
+        # exp(1j*kappa*r); a libm or numpy that breaks this identity
+        # breaks the kernel's bits, and fails here first
+        y = np.random.default_rng(8).uniform(-60.0, 60.0, 200_000)
+        ref = np.exp(1j * y)
+        out = np.empty(y.shape, complex)
+        np.cos(y, out=out.real)
+        np.sin(y, out=out.imag)
+        assert np.array_equal(out.real, ref.real)
+        assert np.array_equal(out.imag, ref.imag)
 
     def test_order4_memory_is_capped(self):
         # unchunked, order 4 at 64 nodes holds 64**4 complex values at once
