@@ -6,10 +6,7 @@ import math
 def _reflect(args):
     from pathamp import reflection
     n1, n2 = args.quantity("--n1", 1.0), args.quantity("--n2")
-    comp = reflection.fresnel_comparison(n1, n2)
-    outputs = {"rho_path": comp.rho_path, "rho_fresnel": comp.rho_fresnel,
-               "fresnel_excess": comp.fresnel_excess,
-               "path_deficit": comp.path_deficit}
+    outputs = reflection.fresnel_comparison(n1, n2).as_dict()
     if n1 != n2:
         phase = reflection.reflection_phase_path(n1, n2)
         outputs["phase"] = "pi" if phase == math.pi else "0"

@@ -66,10 +66,7 @@ def _recipe_table3(args):
 
 def _recipe_eq_reflection(args):
     from pathamp import reflection
-    comp = reflection.fresnel_comparison(1.0, 1.5)
-    return {"rho_path": comp.rho_path, "rho_fresnel": comp.rho_fresnel,
-            "fresnel_excess": comp.fresnel_excess,
-            "path_deficit": comp.path_deficit, "phase": "pi"}, []
+    return {**reflection.fresnel_comparison(1.0, 1.5).as_dict(), "phase": "pi"}, []
 
 
 def _recipe_eq_oscillation_length(args):

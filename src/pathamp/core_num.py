@@ -33,6 +33,10 @@ class ApproximationWarning(UserWarning):
     """A result was produced outside the validity window of its approximation."""
 
 
+# bypasses Record.__setattr__, which refuses every assignment
+_set_field = object.__setattr__
+
+
 class Record:
     """Base of the package's immutable value classes.
 
@@ -40,8 +44,9 @@ class Record:
     the defaults of trailing fields in ``_defaults`` (or, for a fresh object
     per instance, a zero-argument callable in ``_factories``).  Fields are
     accepted by position or keyword; ``__post_init__`` then checks them.
-    Assigning or deleting a field raises AttributeError.  Equality, hashing
-    and repr go field by field, in order.
+    Assigning or deleting a field raises AttributeError.  Equality, hashing,
+    repr and ``as_dict`` go field by field, in order.  A result is read by
+    attribute; it does not unpack as a tuple.
     """
 
     __slots__ = ()
@@ -50,12 +55,11 @@ class Record:
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
-        cls = type(self).__name__
         if len(args) > len(names):
-            raise TypeError(f"{cls}() takes {len(names)} positional arguments"
-                            f" but {len(args)} were given")
+            raise TypeError(f"{type(self).__name__}() takes {len(names)} positional"
+                            f" arguments but {len(args)} were given")
         for name, value in zip(names, args):
-            object.__setattr__(self, name, value)
+            _set_field(self, name, value)
         for name in names[len(args):]:
             if name in kwargs:
                 value = kwargs.pop(name)
@@ -64,9 +68,11 @@ class Record:
             elif name in self._factories:
                 value = self._factories[name]()
             else:
-                raise TypeError(f"{cls}() missing required argument {name!r}")
-            object.__setattr__(self, name, value)
+                raise TypeError(f"{type(self).__name__}() missing required argument"
+                                f" {name!r}")
+            _set_field(self, name, value)
         for name in kwargs:
+            cls = type(self).__name__
             if name in names:
                 raise TypeError(f"{cls}() got multiple values for argument {name!r}")
             raise TypeError(f"{cls}() got an unexpected keyword argument {name!r}")
@@ -102,6 +108,19 @@ class Record:
         # rebuilt through the constructor, so copies and pickles are checked
         return type(self), self._values()
 
+    def as_dict(self) -> dict:
+        """The fields in slot order, with a Record value as its dict and a
+        tuple as a list, each Record in it as its dict."""
+        return {name: _plain(getattr(self, name)) for name in self.__slots__}
+
+
+def _plain(value):
+    if isinstance(value, Record):
+        return value.as_dict()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
 
 class DiscrepancyFlag(Record):
     """A computed value that disagrees with a commonly quoted reference figure.
@@ -112,14 +131,6 @@ class DiscrepancyFlag(Record):
 
     __slots__ = ("quantity", "computed", "reference", "note")
     _defaults = {"note": ""}
-
-    def as_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "computed": self.computed,
-            "reference": self.reference,
-            "note": self.note,
-        }
 
 
 def modulus(z: complex) -> float:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
 
 from pathamp.core_num import CONSTANTS, DiscrepancyFlag, DomainError, Record
 
@@ -29,11 +28,8 @@ NEUTRINO_REFERENCE_DAMPING_EXP = 4.0e-16  # quoted lifetime damping at unit phas
 PHOTON_SLIT_REFERENCE_DAMPING = 1.8e-11   # quoted per-fringe damping coefficient
 
 
-class InterferenceBreakdown(NamedTuple):
-    probability: float
-    direct_a: float
-    direct_b: float
-    interference: float
+class InterferenceBreakdown(Record):
+    __slots__ = ("probability", "direct_a", "direct_b", "interference")
 
 
 def combine_two_amplitudes(a: complex, b: complex) -> InterferenceBreakdown:
@@ -41,23 +37,6 @@ def combine_two_amplitudes(a: complex, b: complex) -> InterferenceBreakdown:
     pa, pb = abs(a) ** 2, abs(b) ** 2
     inter = 2.0 * (a.conjugate() * b).real
     return InterferenceBreakdown(abs(a + b) ** 2, pa, pb, inter)
-
-
-class TwoAmplitudeExperiment(Record):
-    """A generic experiment whose probability amplitude is the sum of two
-    histories, together with its space-time classification."""
-
-    __slots__ = (
-        "amplitude_a",
-        "amplitude_b",
-        "kind",                     # photon-ydse | electron-ydse | kaon | neutrino
-    )
-
-    def probability(self) -> InterferenceBreakdown:
-        return combine_two_amplitudes(self.amplitude_a, self.amplitude_b)
-
-    def classification(self) -> "ClassificationRow":
-        return classify_experiment(self.kind)
 
 
 # --------------------------------------------------------------------------
@@ -347,13 +326,15 @@ def kaon_oscillation_period(sys: KaonSystem) -> float:
     return 2.0 * math.pi * CONSTANTS.hbar_mev_s / sys.dm
 
 
-class EqualVelocityReport(NamedTuple):
+class EqualVelocityReport(Record):
     """How strongly the equal-velocity configuration is preferred for kaons."""
 
-    dp_over_p: float          # momentum offset required for equal velocities
-    dp_rad_over_p: float      # radiative momentum smearing (stored reference)
-    dt_production: float      # s, production-time offset for equal momenta
-    flags: tuple
+    __slots__ = (
+        "dp_over_p",                # momentum offset required for equal velocities
+        "dp_rad_over_p",            # radiative momentum smearing (stored reference)
+        "dt_production",            # s, production-time offset for equal momenta
+        "flags",
+    )
 
 
 def kaon_equal_velocity_report(sys: KaonSystem,
@@ -475,14 +456,6 @@ class NeutrinoOscillationResult(Record):
         "damping_exponent_unit_phase",  # exponent at dm^2 c^2 L/(p0 hbar) = 1
         "flags",
     )
-
-    def as_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "probability", "phi_path", "phi_standard", "phi_compact",
-            "losc_path", "losc_standard", "dt_21", "damping_factor",
-            "damping_exponent_unit_phase")}
-        d["flags"] = [f.as_dict() for f in self.flags]
-        return d
 
 
 def neutrino_oscillation(exp: NeutrinoExperiment) -> NeutrinoOscillationResult:
@@ -639,9 +612,6 @@ class ClassificationRow(Record):
         "phase_formula",
         "wavelength_ratio",
     )
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
 
 
 _TABLE = {

@@ -13,7 +13,6 @@ exp(-d/(c tau_S)) with the arm imbalance.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from pathamp.core_num import CONSTANTS, DiscrepancyFlag, DomainError, Record
 
@@ -175,10 +174,12 @@ def pressure_broadening(tau_s_nat: float, tau_p: float) -> float:
     return 1.0 / (1.0 / tau_s_nat + 1.0 / tau_p)
 
 
-class LifetimeAnalysis(NamedTuple):
-    tau_s: float
-    tau_p: float          # inf when no pressure broadening is resolvable
-    resolvable: bool
+class LifetimeAnalysis(Record):
+    __slots__ = (
+        "tau_s",
+        "tau_p",                    # inf when no pressure broadening is resolvable
+        "resolvable",
+    )
 
 
 def lifetime_from_half_visibility(delta_exp: float,
@@ -240,10 +241,12 @@ def rayleigh_doppler_visibility(d: float, wavelength: float,
     return math.exp(-math.pi * (2.0 * math.pi * d / wavelength) ** 2 * ratio)
 
 
-class SourceMotionCorrection(NamedTuple):
-    phase_argument: float      # cosine argument, 2 kappa d (1 - correction)
-    relative_correction: float  # (3/4) (p_rms/(M c))^2
-    damping: float             # modulus of the averaged interference factor
+class SourceMotionCorrection(Record):
+    __slots__ = (
+        "phase_argument",           # cosine argument, 2 kappa d (1 - correction)
+        "relative_correction",      # (3/4) (p_rms/(M c))^2
+        "damping",                  # modulus of the averaged interference factor
+    )
 
 
 def source_motion_correction(kappa: float, d: float, mass: float,

@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from typing import Callable
+from collections.abc import Callable
 
 import numpy as np
 
@@ -35,6 +35,12 @@ from pathamp.core_num import ConvergenceError, DomainError, PreconditionError, R
 
 # most innermost points one quad_nested array holds (4 MB of complex128)
 _NESTED_CAP = 2 ** 18
+
+# most half-period segments quad_oscillatory takes over a finite range
+_MAX_SEGMENTS = 2_000_000
+
+# samples mc_ordered_volume draws at a time
+_MC_BATCH = 262144
 
 # first point of quad_nested's default x
 NESTED_X_START = 0.4
@@ -98,7 +104,7 @@ def _aitken(seq):
 
 def quad_oscillatory(f: Callable, a: float, b: float, kappa: float,
                      tol: float = 1e-10, damping_scale: float | None = None,
-                     nodes: int = 10, max_segments: int = 2_000_000) -> OracleResult:
+                     nodes: int = 10) -> OracleResult:
     """Integrate a rapidly oscillating complex integrand from a to b.
 
     kappa is the dominant local phase frequency; the range is split into
@@ -111,7 +117,9 @@ def quad_oscillatory(f: Callable, a: float, b: float, kappa: float,
     of a declared exponential envelope of the integrand.  The half-period
     partial sums then form a nearly geometric sequence which is accelerated
     with iterated Aitken extrapolation, so slowly damped integrands
-    (damping_scale >> 1/kappa) are still cheap.
+    (damping_scale >> 1/kappa) are still cheap.  A tail whose nonzero error
+    estimate is not below the modulus of its value (not one correct digit)
+    raises ConvergenceError.
 
     A numpy float64 overflow or invalid operation in the integrand or the
     sums raises ConvergenceError.  A non-finite kappa or a, a NaN b, or
@@ -119,13 +127,12 @@ def quad_oscillatory(f: Callable, a: float, b: float, kappa: float,
     """
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return _quad_oscillatory(f, a, b, kappa, tol, damping_scale, nodes,
-                                     max_segments)
+            return _quad_oscillatory(f, a, b, kappa, tol, damping_scale, nodes)
     except FloatingPointError as exc:
         raise ConvergenceError(f"oscillatory quadrature left float64: {exc}") from None
 
 
-def _quad_oscillatory(f, a, b, kappa, tol, damping_scale, nodes, max_segments):
+def _quad_oscillatory(f, a, b, kappa, tol, damping_scale, nodes):
     if not (math.isfinite(kappa) and math.isfinite(a)) or math.isnan(b):
         raise DomainError(f"kappa and a must be finite and b not NaN, got "
                           f"{kappa!r}, {a!r}, {b!r}")
@@ -146,13 +153,21 @@ def _quad_oscillatory(f, a, b, kappa, tol, damping_scale, nodes, max_segments):
         acc_full = _aitken(partials[-12:])
         acc_prev = _aitken(partials[-13:-1])
         err = abs(acc_full - acc_prev) + abs(fine - coarse)
+        if err > 0 and err >= abs(acc_full):
+            # not one correct digit (an exact 0 with no error is a result);
+            # tol is not used, as a tail of modulus near 1e-7 would pass an
+            # absolute floor of 1e3 * tol
+            raise ConvergenceError(
+                f"oscillatory tail did not converge: error {err:.3e} against"
+                f" a value of modulus {abs(acc_full):.3e}",
+                partials=(complex(acc_prev), complex(acc_full)))
         return OracleResult(complex(acc_full), err, n_seg * 3 * nodes)
 
     if b <= a:
         raise DomainError("need b > a")
     n_seg = max(1, math.ceil((b - a) / seg_len))
-    if n_seg > max_segments:
-        raise PreconditionError(f"{n_seg} segments exceed budget {max_segments}")
+    if n_seg > _MAX_SEGMENTS:
+        raise PreconditionError(f"{n_seg} segments exceed budget {_MAX_SEGMENTS}")
     edges = np.linspace(a, b, n_seg + 1)
     coarse, _ = _gauss_segments(f, edges, nodes)
     fine, _ = _gauss_segments(f, edges, 2 * nodes)
@@ -200,7 +215,7 @@ def quad_nested(order: int, kappa: float, delta_s: float,
         raise DomainError(f"kappa and delta_s must be finite, got {kappa!r}, {delta_s!r}")
     if delta_s < 0:
         raise DomainError(f"delta_s must be >= 0, got {delta_s!r}")
-    if kappa * delta_s > 50:
+    if abs(kappa) * delta_s > 50:
         raise PreconditionError("kappa*delta_s above cost bound 50")
     if x is None:
         x = tuple(NESTED_X_START - 0.1 * k for k in range(order))
@@ -257,7 +272,7 @@ def quad_nested(order: int, kappa: float, delta_s: float,
 
 
 def mc_ordered_volume(order: int, length: float, samples: int,
-                      seed: int = 0, batch: int = 262144) -> OracleResult:
+                      seed: int = 0) -> OracleResult:
     """Monte Carlo volume of the ordered region x_1 >= x_2 >= ... >= x_n
     inside the cube [-L/2, L/2]^n.  Target value L^n/n!.
 
@@ -282,7 +297,7 @@ def mc_ordered_volume(order: int, length: float, samples: int,
     hits = 0
     done = 0
     while done < samples:
-        n = min(batch, samples - done)
+        n = min(_MC_BATCH, samples - done)
         pts = rng.random((n, order))
         ordered = pts[:, 0] >= pts[:, 1]
         for k in range(1, order - 1):

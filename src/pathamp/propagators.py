@@ -62,14 +62,14 @@ class EmitterSpec(Record):
             raise DomainError("width must be >= 0")
 
     @classmethod
-    def from_line(cls, wavelength_m: float, lifetime_s: float,
-                  t_production: float = 0.0) -> "EmitterSpec":
-        """Build from an emission wavelength and an upper-level lifetime."""
+    def from_line(cls, wavelength_m: float, lifetime_s: float) -> "EmitterSpec":
+        """Build from an emission wavelength and an upper-level lifetime,
+        prepared at t_production = 0."""
         if wavelength_m <= 0 or lifetime_s <= 0:
             raise DomainError("wavelength and lifetime must be positive")
         gap = CONSTANTS.hc_ev_m / wavelength_m
         width = CONSTANTS.hbar_ev_s / lifetime_s
-        return cls(gap, 0.0, width, t_production)
+        return cls(gap, 0.0, width)
 
     @property
     def kappa(self) -> float:
@@ -142,13 +142,13 @@ def energy_propagator(e_ev: float, e0_ev: float, width_ev: float) -> complex:
 
 
 def free_decay_detection_probability(t_d: float, t0: float, sigma_t: float,
-                                     r: float, tau_s: float,
-                                     norm: float = 1.0) -> float:
-    """Detection-probability density (1/s) at time t_d for a photon from a
-    source excited at Gaussian-smeared time t0 and observed at distance r.
+                                     r: float, tau_s: float) -> float:
+    """Detection-probability density at time t_d, in units of its value at
+    the onset for sigma_t = 0, for a photon from a source excited at
+    Gaussian-smeared time t0 and observed at distance r.
 
     Gaussian production-time smearing convolved with exponential decay gives
-    norm * exp[-(t_d - t0 - r/c - sigma_t^2/(2 tau_s)) / tau_s], valid once
+    exp[-(t_d - t0 - r/c - sigma_t^2/(2 tau_s)) / tau_s], valid once
     t_d - t0 - r/c is several sigma_t past the onset.  With sigma_t = 0 the
     density is exactly zero before the light-travel onset t0 + r/c.
     """
@@ -161,4 +161,4 @@ def free_decay_detection_probability(t_d: float, t0: float, sigma_t: float,
     onset = t0 + r / CONSTANTS.c
     if sigma_t == 0.0 and t_d < onset:
         return 0.0
-    return norm * math.exp(-(t_d - onset - sigma_t ** 2 / (2.0 * tau_s)) / tau_s)
+    return math.exp(-(t_d - onset - sigma_t ** 2 / (2.0 * tau_s)) / tau_s)

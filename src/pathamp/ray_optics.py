@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple
 
 from pathamp.core_num import (CONSTANTS, ConvergenceError, DiscrepancyFlag, DomainError,
                               Record)
@@ -175,9 +174,8 @@ def _brentq(f, lo: float, hi: float, xtol: float) -> float:
         partials=(xcur, xblk))
 
 
-class StationaryPoint(NamedTuple):
-    theta: float
-    residual: float
+class StationaryPoint(Record):
+    __slots__ = ("theta", "residual")
 
 
 def stationary_phase_angle(geom: InterfaceGeometry, kappa: float = 1.0,
@@ -237,10 +235,8 @@ def phase_curvature(geom: InterfaceGeometry, kappa: float,
     return (f(step) - 2.0 * f(0.0) + f(-step)) / step ** 2
 
 
-class TrajectorySpread(NamedTuple):
-    dtheta: float   # rad
-    dx: float       # m
-    dy: float       # m
+class TrajectorySpread(Record):
+    __slots__ = ("dtheta", "dx", "dy")     # rad, m, m
 
 
 def trajectory_spread(kappa: float, n2: float, r: float,

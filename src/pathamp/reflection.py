@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
 
 from pathamp.core_num import DomainError, Record
 
@@ -99,13 +98,15 @@ def thin_film_coeff(n: float, wavelength: float, thickness: float) -> float:
     return rho * abs(1.0 - cmath.exp(2j * kappa * n * thickness)) ** 2
 
 
-class FresnelComparison(NamedTuple):
+class FresnelComparison(Record):
     """Both normalisations of the path-sum vs Fresnel gap at one interface."""
 
-    rho_path: float
-    rho_fresnel: float
-    fresnel_excess: float     # rho_fresnel/rho_path - 1
-    path_deficit: float       # 1 - rho_path/rho_fresnel
+    __slots__ = (
+        "rho_path",
+        "rho_fresnel",
+        "fresnel_excess",           # rho_fresnel/rho_path - 1
+        "path_deficit",             # 1 - rho_path/rho_fresnel
+    )
 
 
 def fresnel_comparison(n1: float, n2: float) -> FresnelComparison:

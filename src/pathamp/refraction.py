@@ -18,7 +18,6 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from typing import NamedTuple
 
 from pathamp.core_num import (
     CONSTANTS,
@@ -35,6 +34,9 @@ from pathamp.core_num import (
 # Above this scattering strength the float64 series is meaningless
 # (terms reach exp(beta_l) before cancelling); direct summation is refused.
 BETA_L_SUMMATION_LIMIT = 50.0
+
+# Relative agreement the two routes of time_budget_factor must reach.
+ROUTE_TOLERANCE = 1e-10
 
 # Commonly quoted prompt-transmission fraction for the benchmark annulment
 # geometry; disagrees with delta_s_max/(c tau_s) by about a factor 10.
@@ -143,14 +145,16 @@ def scattering_length_for_index(n: float, density: float, wavelength: float) -> 
     return (n - 1.0) * 2.0 * math.pi / column
 
 
-class EffectiveVelocity(NamedTuple):
+class EffectiveVelocity(Record):
     """Apparent signal velocity when a fraction f of the source-detector
     line is filled with medium, by the two bookkeeping routes."""
 
-    linear: float        # (1-f) c + f c/n: single-scattering (thin sheet) form
-    reciprocal: float    # c / (1 + (n-1) f): multiple-scattering (thick block) form
-    relative_difference: float
-    regime: str
+    __slots__ = (
+        "linear",                   # (1-f) c + f c/n: single-scattering (thin sheet) form
+        "reciprocal",               # c / (1 + (n-1) f): multiple-scattering (thick block) form
+        "relative_difference",
+        "regime",
+    )
 
 
 def effective_velocity(filling_fraction: float, n: float) -> EffectiveVelocity:
@@ -180,9 +184,8 @@ def nested_volume_integral(order: int, length: float) -> float:
     return math.exp(order * math.log(length) - math.lgamma(order + 1))
 
 
-class SeriesValue(NamedTuple):
-    value: complex
-    n_terms: int
+class SeriesValue(Record):
+    __slots__ = ("value", "n_terms")
 
 
 def unconstrained_block_amplitude(beta_l: float,
@@ -319,23 +322,19 @@ def _factor_trig_route(delta_phi: float, beta_l: float, n_terms: int) -> complex
     return complex(math.fsum(re), math.fsum(im))
 
 
-class MediumFactor(NamedTuple):
-    value: complex
-    n_terms: int
-    kernel_route: complex
-    trig_route: complex
+class MediumFactor(Record):
+    __slots__ = ("value", "n_terms", "kernel_route", "trig_route")
 
 
 def time_budget_factor(delta_phi: float, beta_l: float,
-                       n_max: int | None = None,
-                       route_tolerance: float = 1e-10) -> MediumFactor:
+                       n_max: int | None = None) -> MediumFactor:
     """Complex factor multiplying the vacuum amplitude for a block traversal
     with path-length-budget phase delta_phi = kappa*delta_s and scattering
     strength beta_l = (n-1)*kappa*L.
 
     Evaluated two independent ways (complex order kernels, and real
     trigonometric series with truncated partial sums); the routes must agree
-    to ``route_tolerance`` relative or SeriesDisagreement is raised.  At
+    to ROUTE_TOLERANCE relative or SeriesDisagreement is raised.  At
     delta_phi = 0 the factor is exactly 1 for any beta_l: refraction is
     annulled outright when the detection time forbids any detour.
     """
@@ -353,7 +352,7 @@ def time_budget_factor(delta_phi: float, beta_l: float,
     kernel_val, n_used = _factor_kernel_route(delta_phi, beta_l, cap)
     trig_val = _factor_trig_route(delta_phi, beta_l, n_used)
     scale = max(abs(kernel_val), abs(trig_val))
-    if scale > 0 and abs(kernel_val - trig_val) / scale > route_tolerance:
+    if scale > 0 and abs(kernel_val - trig_val) / scale > ROUTE_TOLERANCE:
         raise SeriesDisagreement(
             f"independent routes disagree: {kernel_val!r} vs {trig_val!r}")
     return MediumFactor(kernel_val, n_used, kernel_val, trig_val)

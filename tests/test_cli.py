@@ -410,6 +410,9 @@ class TestTypedRefusals:
          "DomainError"),
         (["oracle", "--op", "half-zone", "--x1", "1e150mm"], "DomainError"),
         (["oracle", "--op", "half-zone", "--wavelength", "1e300cm"], "ConvergenceError"),
+        (["oracle", "--op", "half-zone", "--wavelength", "5.121313208877409e-07m",
+          "--x1", "0.3366239658803526m", "--rho-over-kappa", "6.127501162150813e-07"],
+         "ConvergenceError"),
         (["reflect", "--n1", "1e300", "--n2", "1"], "OverflowError"),
         (["neutrino", "--source", "beta", "--dm2", "2e-3eV2", "--L", "100m",
           "--beta-energy", "2MeV", "--p-nu", "1MeV"], "DomainError"),
@@ -430,7 +433,8 @@ class TestTypedRefusals:
         (["oracle", "--op", "nested", "--order", "1.5"], "DomainError"),
     ], ids=["diffraction", "michelson", "ydse", "half-zone", "propagator-beta", "kaon",
             "neutrino-beta-p", "subnormal-wavelength", "subnormal-kaon-p",
-            "half-zone-far", "half-zone-overflow", "reflect-overflow",
+            "half-zone-far", "half-zone-overflow", "half-zone-unconverged-tail",
+            "reflect-overflow",
             "neutrino-beta-no-phase", "neutrino-phase-underflow",
             "refract-index-underflow", "michelson-zero-over-zero",
             "reflect-thsm-underflow", "ydse-damping-overflow", "ydse-spacing-overflow",

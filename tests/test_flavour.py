@@ -433,15 +433,6 @@ class TestClassification:
             classify_experiment("muon")
 
 
-class TestTwoAmplitudeExperiment:
-    def test_bundles_probability_and_classification(self):
-        from pathamp.flavour import TwoAmplitudeExperiment
-        exp = TwoAmplitudeExperiment(0.3 + 0.1j, 0.2 - 0.4j, "kaon")
-        res = exp.probability()
-        assert res.probability == pytest.approx(abs(0.5 - 0.3j) ** 2, rel=1e-14)
-        assert exp.classification().experiment == "kaon"
-
-
 class TestOscillationLengthProperties:
     DM2 = 2e-3
 

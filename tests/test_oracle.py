@@ -65,6 +65,15 @@ class TestQuadOscillatory:
             quad_oscillatory(lambda x: np.exp(1j * x), a, b, kappa,
                              damping_scale=1.0)
 
+    def test_tail_without_a_correct_digit_refused(self):
+        # a draw of perfbench oracle-validate (seed 8101) whose Aitken tail
+        # came back 107% off huygens_zone_value, |v| ~ 4e-8 and error 2.3 |v|
+        kappa, x1, rho = 12268699.552076137, 0.3366239658803526, 7.517647076342569
+        with pytest.raises(ConvergenceError, match="tail did not converge") as err:
+            quad_oscillatory(lambda r: np.exp(1j * kappa * r - rho * (r - x1)),
+                             x1, math.inf, kappa, damping_scale=1.0 / rho)
+        assert len(err.value.partials) == 2
+
     def test_negative_infinite_upper_limit_refused(self):
         # b = -inf lies below a; it is not the damped tail to +inf
         with pytest.raises(DomainError, match="b > a"):
@@ -138,6 +147,8 @@ class TestQuadNested:
             quad_nested(3, 1.0, 51.0)
         with pytest.raises(PreconditionError):
             quad_nested(5, 1.0, 1.0)
+        with pytest.raises(PreconditionError):
+            quad_nested(1, -200.0, 1.0, x=(0.1,))
 
     @staticmethod
     def _scalar_reference(order, kappa, delta_s, x, nodes):

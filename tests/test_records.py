@@ -2,15 +2,21 @@
 
 For each class: construction by position, by keyword and with defaults;
 refusal of assignment and deletion; each domain check in __post_init__;
-and field-wise equality, hashing, repr and copying.
+field-wise equality, hashing, repr and copying; and the dict conversion.
+Record is the package's only value class, and every one is listed here.
 """
 
+import ast
 import copy
+import importlib
 import math
+import pathlib
 import pickle
+import pkgutil
 
 import pytest
 
+import pathamp
 from pathamp import flavour, michelson, oracle, propagators, ray_optics, reflection, \
     refraction, wave_optics
 from pathamp.core_num import CONSTANTS, ConstantsTable, DiscrepancyFlag, DomainError, Record
@@ -22,7 +28,7 @@ _FLAG = DiscrepancyFlag("q", 1.0, 2.0, "note")
 # class -> (valid positional arguments, {field: default} of the omitted fields)
 CASES = {
     DiscrepancyFlag: (("q", 1.0, 2.0), {"note": ""}),
-    flavour.TwoAmplitudeExperiment: ((0.3 + 0.1j, 0.2 - 0.4j, "kaon"), {}),
+    flavour.InterferenceBreakdown: ((0.68, 0.1, 0.2, 0.38), {}),
     flavour.SlitGeometry: ((0.1, 1.0, 0.95e-3, 0.1e-3, 1e-3), {}),
     flavour.PhotonSlitResult: ((_GEOM, 1.07e7, 5.4e-9, 2.9e-5, 1.8e-7, (_FLAG,)), {}),
     flavour.ElectronBeam: ((229.0, 1.374e-4), {"mass": CONSTANTS.m_electron}),
@@ -33,15 +39,21 @@ CASES = {
         {"mode": "two-body", "beta_energy_mev": None, "neutrino_p_mev": None}),
     flavour.NeutrinoOscillationResult: (tuple(float(i) for i in range(9)) + ((),), {}),
     flavour.ClassificationRow: (("kaon", False, False, False, False, True, "f", "1"), {}),
+    flavour.EqualVelocityReport: ((7e-15, 4.2e-2, 6.3e-25, (_FLAG,)), {}),
     michelson.InterferometerSpec: ((0.5, 0.25, 1e-8, 1.07e7),
                                    {"phi_12": 0.0, "scale": 1.0}),
     michelson.AtomLine: ((656.3e-9, 5.4e-9), {"tau_p": math.inf,
                                                "atomic_mass": CONSTANTS.mass_h_kg,
                                                "temperature": 300.0}),
+    michelson.LifetimeAnalysis: ((2e-10, 2.1e-10, True), {}),
+    michelson.SourceMotionCorrection: ((2.1e7, 1e-12, 1.0), {}),
     propagators.OnShellParticle: ((0.511, 0.5), {"width_mev": 0.0}),
     propagators.EmitterSpec: ((2.1, 0.0, 1e-7), {"t_production": 0.0}),
     ray_optics.InterfaceGeometry: ((1.0, 1.5, 1.0, 1.0, 1.0), {}),
+    ray_optics.StationaryPoint: ((0.6, 1e-15), {}),
+    ray_optics.TrajectorySpread: ((6.3e-4, 6.3e-4, 7e-4), {}),
     reflection.ReflectionSetup: ((1.0, 1.5), {"film_thickness": None, "t_hsm": 1.0}),
+    reflection.FresnelComparison: ((0.0123, 0.04, 2.24, 0.69), {}),
     wave_optics.DiffractionGeometry: ((1.0, 2.0), {"alpha": 0.0, "alpha1": 0.0,
                                                    "hole_area": 1e-12}),
     oracle.OracleResult: ((1.0 + 2.0j, 0.1, 5), {}),
@@ -49,6 +61,9 @@ CASES = {
     refraction.CircularBoundary: ((1.0,), {"y": 0.0}),
     refraction.MediumSpec: ((1e25, 1e-10, 0.01, refraction.CircularBoundary(1.0)), {}),
     refraction.AnnulmentReport: ((6e-4, 6.6e3, 2.1e6, 2e-12, 4e-5, (_FLAG,)), {}),
+    refraction.EffectiveVelocity: ((2.9e8, 2.8e8, 0.01, "thick-block"), {}),
+    refraction.SeriesValue: ((0.5 + 0.8j, 17), {}),
+    refraction.MediumFactor: ((1.0 + 0.1j, 12, 1.0 + 0.1j, 1.0 + 0.1j), {}),
     ConstantsTable: ((), {}),
 }
 
@@ -158,6 +173,14 @@ class TestEveryRecord:
         assert copy.deepcopy(a) == a
         assert pickle.loads(pickle.dumps(a)) == a
 
+    def test_as_dict_keys_are_the_fields_in_order(self, cls):
+        keys = list(cls(*CASES[cls][0]).as_dict())
+        if cls is refraction.AnnulmentReport:   # its own unit-suffixed keys
+            assert keys == ["delta_s_max_m", "delta_phi_max_rad", "beta_l",
+                            "prompt_time_s", "prompt_fraction", "flags"]
+        else:
+            assert keys == list(cls.__slots__)
+
 
 @pytest.mark.parametrize("cls,args,kwargs", REFUSED,
                          ids=[f"{c.__name__}-{i}" for i, (c, _a, _k) in enumerate(REFUSED)])
@@ -206,3 +229,38 @@ def test_constants_table_field_order_and_values():
 def test_classification_row_as_dict_keeps_field_order():
     row = flavour.classify_experiment("kaon")
     assert list(row.as_dict()) == list(flavour.ClassificationRow.__slots__)
+
+
+def test_as_dict_converts_nested_records_and_tuples():
+    res = flavour.PhotonSlitResult(_GEOM, 1.07e7, 5.4e-9, 2.9e-5, 1.8e-7, (_FLAG,))
+    assert res.as_dict() == {
+        "geometry": {"l": 0.1, "r_prime": 1.0, "d": 0.95e-3, "h": 0.1e-3, "w": 1e-3},
+        "kappa": 1.07e7, "tau_s": 5.4e-9, "fringe_spacing": 2.9e-5,
+        "damping_per_fringe": 1.8e-7,
+        "flags": [{"quantity": "q", "computed": 1.0, "reference": 2.0, "note": "note"}]}
+    assert flavour.EqualVelocityReport(1.0, 2.0, 3.0, ()).as_dict()["flags"] == []
+
+
+def test_no_value_class_but_record():
+    """No module imports typing or defines a tuple or NamedTuple class."""
+    for path in sorted(pathlib.Path(pathamp.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                assert "typing" not in [a.name.split(".")[0] for a in node.names], path
+            elif isinstance(node, ast.ImportFrom):
+                assert (node.module or "").split(".")[0] != "typing", path
+            elif isinstance(node, ast.ClassDef):
+                bases = [ast.unparse(b).split(".")[-1] for b in node.bases]
+                assert not {"tuple", "NamedTuple"} & set(bases), (path, node.name)
+
+
+def test_cases_cover_every_record_class():
+    for info in pkgutil.walk_packages(pathamp.__path__, "pathamp."):
+        importlib.import_module(info.name)
+    found, todo = set(), [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("pathamp."):
+                found.add(sub)
+    assert found == set(CASES)

@@ -145,9 +145,9 @@ class TestUnconstrainedBlock:
 
     def test_phase_equals_refraction_phase(self):
         beta_l = 2.0
-        val, n_used = unconstrained_block_amplitude(beta_l)
-        assert cmath.phase(val) == pytest.approx(beta_l, rel=1e-12)
-        assert n_used < 40
+        res = unconstrained_block_amplitude(beta_l)
+        assert cmath.phase(res.value) == pytest.approx(beta_l, rel=1e-12)
+        assert res.n_terms < 40
 
     def test_refuses_extreme_strength(self):
         with pytest.raises(PreconditionError):
