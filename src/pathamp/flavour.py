@@ -76,8 +76,11 @@ class PhotonSlitResult(Record):
         import numpy as np
         y = np.asarray(y, dtype=float)
         dr = 2.0 * self.geometry.effective_separation * y / self.geometry.l
-        damp = np.exp(-np.abs(dr) / (2.0 * CONSTANTS.c * self.tau_s)) \
-            if include_damping else 1.0
+        damp = 1.0
+        if include_damping:
+            # an exponent past the double range is a damping of exactly 0
+            with np.errstate(over="ignore"):
+                damp = np.exp(-np.abs(dr) / (2.0 * CONSTANTS.c * self.tau_s))
         return 1.0 + damp * np.cos(self.kappa * dr)
 
 
@@ -179,8 +182,10 @@ class ElectronSlitResult(Record):
         dr = 2.0 * self.geometry.effective_separation * y / self.geometry.l
         n = np.abs(dr) / self.beam.de_broglie
         if include_damping:
-            damp = np.exp(-((self.equal_time_coeff * n) ** 2
-                            + (self.spread_coeff * n) ** 2))
+            # an exponent past the double range is a damping of exactly 0
+            with np.errstate(over="ignore"):
+                damp = np.exp(-((self.equal_time_coeff * n) ** 2
+                                + (self.spread_coeff * n) ** 2))
         else:
             damp = 1.0
         lam = self.beam.de_broglie

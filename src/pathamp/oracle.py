@@ -3,9 +3,11 @@
 Everything here is deliberately dumb: period-segmented Gauss-Legendre sums
 for oscillatory integrals, nested Gauss-Legendre quadrature for nested
 integrals (vectorised level by level, with no array holding more than
-2**18 innermost points, and the phase factor e^{i kappa r} written as
-cos/sin in place, which gives exactly the bits of the complex exp at a
-fraction of its cost), Monte Carlo for ordered volumes,
+2**18 innermost points; the innermost level pairs the symmetric nodes
++-x_k, so it takes n/2 real cosines and one phase factor per outer point,
+and the outer levels write e^{i kappa r} as cos/sin in place, which gives
+exactly the bits of the complex exp at a fraction of its cost), Monte
+Carlo for ordered volumes,
 arbitrary-precision series summation (term by term, in fixed-point Python
 integers scaled by 2**P, with P at least the decimal working precision in
 bits plus 64 guard bits).  These routines know nothing about the closed
@@ -14,8 +16,9 @@ tautology.
 
 Each Gauss-Legendre rule is built once per node count and kept: it
 depends only on the count, never on the integrand, so no result is cached.
-No default path builds a rule of more than 64 points (numpy tests its rule
-only up to degree 100): the Gaussian-ratio average takes a composite
+No default path builds a rule of more than 64 points, and no quadrature
+accepts a node count that needs one above 100 (numpy tests its rule only
+up to degree 100): the Gaussian-ratio average takes a composite
 20-point rule over equal panels, with the embedded 10-point rule for its
 error estimate, not one dense rule over the whole window.
 
@@ -38,11 +41,16 @@ import numpy as np
 
 from pathamp.core_num import ConvergenceError, DomainError, PreconditionError, Record
 
-# most innermost points one quad_nested array holds (4 MB of complex128)
+# most innermost points one quad_nested array holds (4 MB of complex128;
+# the folded innermost level holds half as many, as real cosines)
 _NESTED_CAP = 2 ** 18
 
 # most half-period segments quad_oscillatory takes over a finite range
 _MAX_SEGMENTS = 2_000_000
+
+# most points of a Gauss-Legendre rule the quadratures build: numpy tests
+# its rule only up to degree 100
+_MAX_RULE = 100
 
 # samples mc_ordered_volume draws at a time
 _MC_BATCH = 262144
@@ -66,14 +74,17 @@ class OracleResult(Record):
         return self.value.real
 
 
-def _count(name: str, value) -> int:
-    """value as a Python int of at least 1; anything else raises DomainError."""
+def _count(name: str, value, most: int | None = None) -> int:
+    """value as a Python int from 1 to most (no bound if None); anything
+    else raises DomainError."""
     try:
         value = operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, not {value!r}") from None
     if value < 1:
         raise DomainError(f"{name} must be >= 1")
+    if most is not None and value > most:
+        raise DomainError(f"{name} must be <= {most}, not {value}")
     return value
 
 
@@ -141,12 +152,15 @@ def quad_oscillatory(f: Callable, a: float, b: float, kappa: float,
     with iterated Aitken extrapolation, so slowly damped integrands
     (damping_scale >> 1/kappa) are still cheap.  A tail whose nonzero error
     estimate is not below the modulus of its value (not one correct digit)
-    raises ConvergenceError.
+    raises ConvergenceError, as does a half period pi/kappa below the
+    spacing of doubles at a, where the segment edges collapse and the
+    sums would be an exact 0.
 
     A numpy float64 overflow or invalid operation in the integrand or the
     sums raises ConvergenceError.  A non-finite kappa or a, a NaN b,
-    b <= a (b = -inf included), or a nodes that is not an integer >= 1
-    raises DomainError.
+    b <= a (b = -inf included), or a nodes that is not an integer from 1
+    to 50 (the fine rule takes 2*nodes points, and numpy tests its rule
+    only up to degree 100) raises DomainError.
     """
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -156,7 +170,8 @@ def quad_oscillatory(f: Callable, a: float, b: float, kappa: float,
 
 
 def _quad_oscillatory(f, a, b, kappa, tol, damping_scale, nodes):
-    nodes = _count("nodes", nodes)
+    # the fine rule takes 2 * nodes points
+    nodes = _count("nodes", nodes, _MAX_RULE // 2)
     if not (math.isfinite(kappa) and math.isfinite(a)) or math.isnan(b):
         raise DomainError(f"kappa and a must be finite and b not NaN, got "
                           f"{kappa!r}, {a!r}, {b!r}")
@@ -170,6 +185,12 @@ def _quad_oscillatory(f, a, b, kappa, tol, damping_scale, nodes):
                 "infinite upper limit requires a declared damping envelope")
         n_seg = 64
         edges = a + seg_len * np.arange(n_seg + 1)
+        if not np.all(edges[1:] > edges[:-1]):
+            # a half period below the spacing of doubles at a: the edges
+            # round onto each other, and the sums would be an exact 0
+            raise ConvergenceError(
+                f"oscillatory tail unresolved: half period {seg_len:.3e} is"
+                f" below the spacing of doubles at a = {a!r}")
         coarse, _unused = _gauss_segments(f, edges, nodes)
         fine, seg_f = _gauss_segments(f, edges, 2 * nodes)
         partials = np.cumsum(seg_f)
@@ -221,21 +242,37 @@ def quad_nested(order: int, kappa: float, delta_s: float,
     once.  The outer nodes are taken in chunks so that no array holds more
     than max(2**18, nodes) innermost points.
 
-    The phase factor exp(i kappa r) is computed as cos(kappa r) and
-    sin(kappa r), written in place into the real and imaginary parts of
-    one complex buffer.  This gives the same bits as exp(1j*kappa*r): the
-    real part of that argument is always +-0, and the complex exp of
-    +-0 + iy is exp(+-0) = 1 times cos(y) + i sin(y) (glibc's cexp is
-    sincos scaled by exp of the real part).  Every other operation keeps
-    its operands and their order, so the result is the one the complex
-    exp gives.
+    The innermost level (order 1's only level) has no inner factor, so it
+    folds the rule's symmetric pairs.  numpy builds every Gauss-Legendre
+    rule exactly symmetric (x == -x[::-1] and w == w[::-1] bit for bit,
+    and an odd rule's middle node is 0.0), so with mid = lo + half and
+    theta = kappa * half
+
+        sum_k w_k exp(i kappa (mid + half x_k))
+            = exp(i kappa mid) * (sum_{x_k > 0} 2 w_k cos(theta x_k) + w_0),
+
+    with w_0 the middle weight of an odd rule (0 for an even one).  This
+    is the same Gauss sum, taking n/2 real cosines and one cos/sin pair
+    per outer point instead of n complex exponentials; it uses only the
+    symmetry of the rule and of exp(i theta x), never a closed form of
+    the integral.  The cosines are summed row by row (not by a BLAS
+    product), so the bits do not depend on the chunk size.  The result
+    agrees with the unfolded sum to within 1e-15 relative.
+
+    At the outer levels the phase factor exp(i kappa r) is computed as
+    cos(kappa r) and sin(kappa r), written in place into the real and
+    imaginary parts of one complex buffer.  This gives the same bits as
+    exp(1j*kappa*r): the real part of that argument is always +-0, and
+    the complex exp of +-0 + iy is exp(+-0) = 1 times cos(y) + i sin(y)
+    (glibc's cexp is sincos scaled by exp of the real part).
 
     A non-finite kappa or delta_s, a negative delta_s, or a nodes that is
-    not an integer >= 1 raises DomainError before any quadrature.
+    not an integer from 1 to 100 (numpy tests its rule only up to degree
+    100) raises DomainError before any quadrature.
     """
     if not 1 <= order <= 4:
         raise PreconditionError("order must be between 1 and 4")
-    nodes = _count("nodes", nodes)
+    nodes = _count("nodes", nodes, _MAX_RULE)
     if not (math.isfinite(kappa) and math.isfinite(delta_s)):
         raise DomainError(f"kappa and delta_s must be finite, got {kappa!r}, {delta_s!r}")
     if delta_s < 0:
@@ -246,45 +283,60 @@ def quad_nested(order: int, kappa: float, delta_s: float,
         x = tuple(NESTED_X_START - 0.1 * k for k in range(order))
     if len(x) != order:
         raise DomainError("need one x per integration level")
+    xs = (*x, 0.0)
 
     def run(n_nodes: int) -> complex:
         glx, glw = _leggauss(n_nodes)
+        # the rule is symmetric bit for bit (tests/test_oracle.py checks
+        # it), so the innermost level takes only the positive nodes, their
+        # doubled weights, and w0, the weight of an odd rule's middle node
+        # 0.0 (0.0 for an even rule)
+        pos = n_nodes - n_nodes // 2
+        xpos, wpos = glx[pos:], 2.0 * glw[pos:]
+        w0 = glw[n_nodes // 2] if n_nodes % 2 else 0.0
 
-        def terms(r: np.ndarray, inner: np.ndarray | None) -> np.ndarray:
-            # glw * exp(1j*kappa*r) * inner, scaling r by kappa in place.
-            # The argument's real part is +-0 and exp(+-0) = 1, so cos/sin
-            # give the complex exp's bits (tests/test_oracle.py checks it).
-            r *= kappa
-            out = np.empty(r.shape, complex)
-            np.cos(r, out=out.real)
-            np.sin(r, out=out.imag)
-            out *= glw
-            if inner is not None:
-                out *= inner
+        def innermost(lo: float, half: np.ndarray) -> np.ndarray:
+            # half * sum_k glw_k exp(i kappa (lo + half + half x_k)) per
+            # outer point, folded as in the docstring
+            c = np.multiply.outer(kappa * half, xpos)
+            np.cos(c, out=c)
+            c *= wpos
+            s = np.sum(c, axis=-1)
+            s += w0
+            phase = kappa * (lo + half)
+            out = np.empty(phase.shape, complex)
+            np.cos(phase, out=out.real)
+            np.sin(phase, out=out.imag)
+            out *= half * s
             return out
 
         def level(j: int, rsum: np.ndarray) -> np.ndarray:
-            # level j < order for each outer partial sum r_{j+1}+...+r_n
+            # level j for each outer partial sum r_{j+1}+...+r_n (0 at
+            # the outermost level, where xs[order] = 0 makes lo = x_n)
             step = max(1, _NESTED_CAP // n_nodes ** j)
             if len(rsum) > step:
                 return np.concatenate([level(j, rsum[i:i + step])
                                        for i in range(0, len(rsum), step)])
-            lo = x[j - 1] - x[j]
-            hi = delta_s - rsum + x[j - 1]
+            lo = xs[j - 1] - xs[j]
+            hi = delta_s - rsum + xs[j - 1]
             half = 0.5 * (hi - lo)
+            if j == 1:
+                return innermost(lo, half)
             r = np.multiply.outer(half, glx)
             r += (lo + half)[:, None]
-            inner = None
-            if j > 1:
-                inner = level(j - 1, (rsum[:, None] + r).ravel()).reshape(r.shape)
-            return half * np.sum(terms(r, inner), axis=-1)
+            inner = level(j - 1, (rsum[:, None] + r).ravel()).reshape(r.shape)
+            # glw * exp(1j*kappa*r) * inner, scaling r by kappa in place.
+            # The argument's real part is +-0 and exp(+-0) = 1, so cos/sin
+            # give the complex exp's bits (tests/test_oracle.py checks it).
+            r *= kappa
+            terms = np.empty(r.shape, complex)
+            np.cos(r, out=terms.real)
+            np.sin(r, out=terms.imag)
+            terms *= glw
+            terms *= inner
+            return half * np.sum(terms, axis=-1)
 
-        lo, hi = x[order - 1], delta_s + x[order - 1]
-        half = 0.5 * (hi - lo)
-        r = half * glx
-        r += lo + half
-        inner = level(order - 1, r) if order > 1 else None
-        return half * np.sum(terms(r, inner))
+        return level(order, np.zeros(1))[0]
 
     def evaluations(n_nodes: int) -> int:
         # n nodes at the outer level, n at each of its n inner levels, ...

@@ -408,7 +408,7 @@ class TestTypedRefusals:
         (["diffraction", "--wavelength", "1e-300A"], "DomainError"),
         (["kaon", "--p", "2.2250738585072014e-308MeV/c", "--distance", "1m"],
          "DomainError"),
-        (["oracle", "--op", "half-zone", "--x1", "1e150mm"], "DomainError"),
+        (["oracle", "--op", "half-zone", "--x1", "1e150mm"], "ConvergenceError"),
         (["oracle", "--op", "half-zone", "--wavelength", "1e300cm"], "ConvergenceError"),
         (["oracle", "--op", "half-zone", "--wavelength", "5.121313208877409e-07m",
           "--x1", "0.3366239658803526m", "--rho-over-kappa", "6.127501162150813e-07"],

@@ -45,9 +45,9 @@ def _mostly(good, bad):
 
 
 # Oracle runs are bounded by cost, not by validity: a nested order-4 run
-# takes ~1 s and the default million Monte Carlo samples ~0.1 s.  Order 4
-# is covered by the oracle tests; orders past 4 (8 for Monte Carlo) are
-# still drawn and must be refused.
+# takes ~0.1 s (an order-3 run ~2 ms) and the default million Monte
+# Carlo samples ~0.07 s.  Order 4 is covered by the oracle tests; orders
+# past 4 (8 for Monte Carlo) are still drawn and must be refused.
 _ORACLE_ORDER = st.sampled_from(["1", "2", "3", "5", "9", "0", "-1", "2.5", "3x"])
 _ORACLE_SAMPLES = st.integers(-2, 2000).map(str)
 

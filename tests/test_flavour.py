@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,17 @@ class TestPhotonSlit:
         assert flag.reference == PHOTON_SLIT_REFERENCE_DAMPING
         assert flag.computed / flag.reference > 1e3
 
+    def test_damping_exponent_past_double_range_is_zero(self):
+        # at tau = 5e-324 s the damping per fringe is finite (~1.7e308),
+        # but the exponent five fringes out is not: the damping is 0, with
+        # no overflow warning
+        res = photon_double_slit(GEOM, 2 * math.pi / 500e-9, 5e-324)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = res.probability(np.array([0.0, 5.0 * res.fringe_spacing]))
+        assert p[0] == 2.0
+        assert p[1] == 1.0
+
 
 class TestElectronPhase:
     BEAM = ElectronBeam(mean_p=229.0, sigma_p=229.0 * 6.0e-7)
@@ -139,6 +151,19 @@ class TestElectronSlit:
     def test_zero_spread_is_rejected(self):
         with pytest.raises(DomainError):
             ElectronBeam(mean_p=229.0, sigma_p=0.0)
+
+    def test_damping_exponent_past_double_range_is_zero(self):
+        # at sigma_p = 1e-297 MeV/c the equal-time coefficient is finite,
+        # but its square at fringe order 1 is not: the damping is 0, with
+        # no overflow warning
+        beam = ElectronBeam(mean_p=100.0, sigma_p=1e-297)
+        res = electron_double_slit(GEOM, beam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = res.probability(np.array([0.0, res.fringe_spacing]))
+        scale = math.sqrt(math.pi) * beam.sigma_p
+        assert p[0] * scale == pytest.approx(2.0, rel=1e-12)
+        assert p[1] * scale == pytest.approx(1.0, rel=1e-12)
 
     def test_pattern_matches_photon_of_same_wavelength(self):
         lam = self.BEAM.de_broglie

@@ -17,7 +17,7 @@ from pathamp.oracle import (
     quad_oscillatory,
     series_sum_highprec,
 )
-from pathamp import flavour, oracle, refraction
+from pathamp import flavour, oracle, refraction, wave_optics
 from pathamp.refraction import scattering_order_kernel
 
 
@@ -74,16 +74,30 @@ class TestQuadOscillatory:
                              x1, math.inf, kappa, damping_scale=1.0 / rho)
         assert len(err.value.partials) == 2
 
+    def test_collapsed_tail_refused(self):
+        # at x1 = 1e147 m a half period of 589.3 nm is below the spacing of
+        # doubles, so every segment edge rounds to x1 and the sums would
+        # be an exact 0 (huygens_zone_value gives ~9.4e-8 in modulus)
+        kappa = 2.0 * math.pi / 589.3e-9
+        with pytest.raises(ConvergenceError, match="spacing of doubles"):
+            wave_optics.damped_radial_integral(kappa, 1e147, kappa * 1e-7)
+
     def test_negative_infinite_upper_limit_refused(self):
         # b = -inf lies below a; it is not the damped tail to +inf
         with pytest.raises(DomainError, match="b > a"):
             quad_oscillatory(lambda x: np.exp(1j * x - x), 0.0, -math.inf, 1.0,
                              damping_scale=1.0)
 
-    @pytest.mark.parametrize("nodes", [0, -3, 1.5, "10", None])
+    @pytest.mark.parametrize("nodes", [0, -3, 1.5, "10", None, 51, 1000])
     def test_refuses_bad_node_count(self, nodes):
+        # above 50 the fine rule would pass the 100 points numpy tests
         with pytest.raises(DomainError, match="nodes"):
             quad_oscillatory(lambda x: np.exp(1j * x), 0.0, 1.0, 1.0, nodes=nodes)
+
+    def test_accepts_largest_node_count(self):
+        f = lambda x: np.exp(1j * x)
+        res = quad_oscillatory(f, 0.0, 1.0, 1.0, nodes=50)
+        assert abs(res.value - (cmath.exp(1j) - 1) / 1j) <= 1e-14
 
     def test_accepts_numpy_integer_node_count(self):
         f = lambda x: np.exp(1j * x) / (1.0 + x)
@@ -116,10 +130,16 @@ class TestQuadNested:
             with pytest.raises(DomainError):
                 quad_nested(2, kappa, delta_s)
 
-    @pytest.mark.parametrize("nodes", [0, -3, 1.5, "64", None])
+    @pytest.mark.parametrize("nodes", [0, -3, 1.5, "64", None, 101, 2001])
     def test_refuses_bad_node_count(self, nodes):
+        # numpy tests its rule only up to 100 points
         with pytest.raises(DomainError, match="nodes"):
             quad_nested(2, 1.0, 1.0, nodes=nodes)
+
+    def test_accepts_largest_node_count(self):
+        res = quad_nested(1, 1.0, 2.0, x=(0.1,), nodes=100)
+        expected = (cmath.exp(2j) - 1) * cmath.exp(0.1j) / 1j
+        assert abs(res.value - expected) <= 1e-14 * abs(expected)
 
     def test_accepts_numpy_integer_node_count(self):
         assert quad_nested(2, 1.0, 3.0, nodes=np.int64(24)) \
@@ -172,9 +192,14 @@ class TestQuadNested:
     @staticmethod
     def _scalar_reference(order, kappa, delta_s, x, nodes):
         """The nested quadrature as one Python call per inner level and
-        outer node, with the same floating-point expressions."""
+        outer node, with the same floating-point expressions: the
+        innermost level folds the symmetric pairs +-x_k into real cosines
+        of the positive nodes, plus an odd rule's middle weight."""
         def run(n_nodes):
             glx, glw = np.polynomial.legendre.leggauss(n_nodes)
+            pos = n_nodes - n_nodes // 2
+            xpos, wpos = glx[pos:], 2.0 * glw[pos:]
+            w0 = glw[n_nodes // 2] if n_nodes % 2 else 0.0
             evals = 0
 
             def level(j, rsum):
@@ -185,10 +210,12 @@ class TestQuadNested:
                     lo = x[j - 1] - x[j]
                     hi = delta_s - rsum + x[j - 1]
                 half = 0.5 * (hi - lo)
-                r = (lo + half) + half * glx
                 evals += n_nodes
                 if j == 1:
-                    return half * np.sum(glw * np.exp(1j * kappa * r))
+                    s = np.sum(np.cos(kappa * half * xpos) * wpos) + w0
+                    phase = kappa * (lo + half)
+                    return complex(np.cos(phase), np.sin(phase)) * (half * s)
+                r = (lo + half) + half * glx
                 inner = np.array([level(j - 1, rsum + ri) for ri in r])
                 return half * np.sum(glw * np.exp(1j * kappa * r) * inner)
 
@@ -203,6 +230,16 @@ class TestQuadNested:
         rng = random.Random(seed)
         order = 1 + seed % 4
         nodes = rng.randint(8, 32)
+        self._assert_bit_identical(rng, order, nodes)
+
+    @pytest.mark.parametrize("order,nodes", [(1, 9), (2, 15), (3, 33), (4, 9),
+                                             (1, 1), (2, 3)])
+    def test_bit_identical_to_scalar_recursion_at_odd_node_counts(self, order,
+                                                                  nodes):
+        # an odd rule's middle node x = 0 adds its weight w0 unpaired
+        self._assert_bit_identical(random.Random(100 + nodes), order, nodes)
+
+    def _assert_bit_identical(self, rng, order, nodes):
         kappa = rng.uniform(0.1, 5.0)
         delta_s = rng.uniform(0.0, 50.0 / kappa)
         x = tuple(sorted((rng.uniform(-1.0, 1.0) for _ in range(order)),
@@ -214,7 +251,8 @@ class TestQuadNested:
         assert got.evaluations == ref.evaluations
 
     @pytest.mark.parametrize("cap", [1, 2 ** 6, 2 ** 11])
-    @pytest.mark.parametrize("order,nodes", [(2, 20), (3, 24), (4, 16)])
+    @pytest.mark.parametrize("order,nodes", [(2, 20), (3, 24), (4, 16),
+                                             (1, 33), (2, 15), (3, 9)])
     def test_chunk_size_does_not_change_bits(self, monkeypatch, cap, order,
                                              nodes):
         x = tuple(0.3 - 0.2 * k for k in range(order))
@@ -226,8 +264,9 @@ class TestQuadNested:
 
     @staticmethod
     def _exp_reference(order, kappa, delta_s, x, nodes):
-        """The vectorised kernel with its phase factor from complex exp,
-        exp(1j * kappa * r), chunked under the same cap."""
+        """The unfolded vectorised kernel: every level sums all n nodes
+        with the phase factor from complex exp, exp(1j * kappa * r),
+        chunked under the same cap."""
         def run(n_nodes):
             glx, glw = np.polynomial.legendre.leggauss(n_nodes)
 
@@ -265,15 +304,38 @@ class TestQuadNested:
         (4, 2.7, 1.9, (0.3, -0.1, -0.4, -0.9), 48),
         (3, 2.7, 7.3, (0.2, -0.3, -0.5), 64),
     ])
-    def test_bit_identical_to_complex_exp_at_benchmark_sizes(
+    def test_agrees_with_complex_exp_at_benchmark_sizes(
             self, order, kappa, delta_s, x, nodes):
+        # the folded innermost level rounds differently from the unfolded
+        # sum, so the two agree to rounding, not bit for bit
         got = quad_nested(order, kappa, delta_s, x=x, nodes=nodes)
         if x is None:
             x = tuple(oracle.NESTED_X_START - 0.1 * k for k in range(order))
         ref = self._exp_reference(order, kappa, delta_s, x, nodes)
-        assert got.value == ref.value
-        assert got.error_estimate == ref.error_estimate
+        assert abs(got.value - ref.value) <= 1e-15 * abs(ref.value)
+        assert abs(got.error_estimate - ref.error_estimate) \
+            <= 2e-15 * abs(ref.value)
         assert got.evaluations == ref.evaluations
+
+    def test_seeded_grid_matches_order_kernel_and_complex_exp(self):
+        # 300 points, orders 1-4, budget phases 0.1-20, even and odd
+        # node counts; order 4 takes fewer nodes, for cost only
+        rng = random.Random(2024)
+        for i in range(300):
+            order = 1 + i % 4
+            dphi = math.exp(rng.uniform(math.log(0.1), math.log(20.0)))
+            nodes = rng.randint(12, 24) if order == 4 else rng.randint(16, 64)
+            x = tuple(0.4 - 0.1 * k for k in range(order))
+            got = quad_nested(order, 1.0, dphi, x=x, nodes=nodes).value
+            closed = cmath.exp(1j * x[0]) * (1j) ** order \
+                * scattering_order_kernel(order, dphi)
+            assert abs(got - closed) <= 1e-6 * abs(closed)
+            ref = self._exp_reference(order, 1.0, dphi, x, nodes).value
+            # order 1 cancels to |I_1| = 2|sin(dphi/2)| near dphi = 2 pi k,
+            # so its rounding is measured against the sum of the moduli of
+            # its terms, dphi, not against |I_1|
+            scale = dphi if order == 1 else abs(ref)
+            assert abs(got - ref) <= 1e-15 * scale, (order, dphi, nodes)
 
     def test_platform_cos_sin_equal_complex_exp(self):
         # quad_nested writes cos/sin of kappa*r where it once took
@@ -461,6 +523,17 @@ class TestGaussianRatio:
 
 
 class TestLegGauss:
+    def test_every_tested_rule_is_exactly_symmetric(self):
+        # quad_nested's innermost level folds the pairs +-x_k and takes an
+        # odd rule's middle node as 0.0; a numpy that stops symmetrising
+        # its rules must fail here first
+        for n in range(1, 101):
+            x, w = _leggauss(n)
+            assert np.array_equal(x, -x[::-1]), n
+            assert np.array_equal(w, w[::-1]), n
+            if n % 2:
+                assert x[n // 2] == 0.0, n
+
     def test_arrays_are_read_only(self):
         x, w = _leggauss(10)
         with pytest.raises(ValueError):
