@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from types import MappingProxyType
 
 
 class DomainError(ValueError):
@@ -41,9 +42,9 @@ class Record:
     """Base of the package's immutable value classes.
 
     A subclass lists its fields in ``__slots__``, in constructor order, and
-    the defaults of trailing fields in ``_defaults`` (or, for a fresh object
-    per instance, a zero-argument callable in ``_factories``).  Fields are
-    accepted by position or keyword; ``__post_init__`` then checks them.
+    the defaults of trailing fields in ``_defaults``; a default is shared by
+    every instance, so it must itself be immutable.  Fields are accepted by
+    position or keyword; ``__post_init__`` then checks them.
     Assigning or deleting a field raises AttributeError.  Equality, hashing,
     repr and ``as_dict`` go field by field, in order.  A result is read by
     attribute; it does not unpack as a tuple.
@@ -51,7 +52,6 @@ class Record:
 
     __slots__ = ()
     _defaults: dict = {}
-    _factories: dict = {}
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
@@ -65,8 +65,6 @@ class Record:
                 value = kwargs.pop(name)
             elif name in self._defaults:
                 value = self._defaults[name]
-            elif name in self._factories:
-                value = self._factories[name]()
             else:
                 raise TypeError(f"{type(self).__name__}() missing required argument"
                                 f" {name!r}")
@@ -172,7 +170,9 @@ class ConstantsTable(Record):
     benchmark tables (PDG-2004-era particle data, exact SI definitions).
 
     Deliberately not refreshed to current PDG fits: the benchmark numbers
-    this package reproduces were computed with these inputs.
+    this package reproduces were computed with these inputs.  ``notes``
+    gives the source of each documented value; it is a read-only mapping
+    shared by every table, not a field.
     """
 
     _defaults = {
@@ -201,8 +201,8 @@ class ConstantsTable(Record):
         "mass_na_u": 22.98976928,           # u
         "mass_h_u": 1.008,                  # u
     }
-    __slots__ = (*_defaults, "notes")
-    _factories = {"notes": lambda: {
+    __slots__ = tuple(_defaults)
+    notes = MappingProxyType({
         "c": "exact SI definition",
         "hbar_mev_s": "CODATA, exact since 2019 SI",
         "k_boltzmann": "exact SI definition",
@@ -218,12 +218,12 @@ class ConstantsTable(Record):
         "tau_na_annulment": "frozen benchmark input; differs from tau_na_fringe, both kept",
         "tau_na_fringe": "frozen benchmark input; differs from tau_na_annulment, both kept",
         "atomic_mass_unit": "CODATA 2018",
-    }}
+    })
 
     def validate(self) -> None:
         """Raise if any constant is non-positive or h != 2*pi*hbar."""
         for name in self.__slots__:
-            if name != "notes" and getattr(self, name) <= 0:
+            if getattr(self, name) <= 0:
                 raise DomainError(f"constant {name} must be positive")
         rel = abs(self.h_ev_s - 2.0 * math.pi * self.hbar_ev_s) / self.h_ev_s
         if rel > 1e-9:

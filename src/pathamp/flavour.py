@@ -289,23 +289,16 @@ class KaonSystem(Record):
         return distance / (gamma_beta * CONSTANTS.c)
 
 
-def kaon_detection_probability(sys: KaonSystem, charge: str,
-                               tau: float | None = None,
-                               distance: float | None = None,
-                               scale: float = 1.0) -> float:
-    """Semileptonic detection probability at proper time tau (s), or at a
-    lab distance (m) converted through the mean momentum:
+def kaon_detection_probability(sys: KaonSystem, charge: str, tau: float) -> float:
+    """Semileptonic detection probability at proper time tau (s):
 
-      scale * { e^{-G_S tau/hbar} + e^{-G_L tau/hbar}
-                +/- 2 e^{-(G_S+G_L) tau/(2 hbar)} cos(dm c^2 tau/hbar) }
+      e^{-G_S tau/hbar} + e^{-G_L tau/hbar}
+          +/- 2 e^{-(G_S+G_L) tau/(2 hbar)} cos(dm c^2 tau/hbar)
 
     with + for positrons and - for electrons: the interference term flips
-    sign between the charge modes and cancels in their sum.
+    sign between the charge modes and cancels in their sum.  A lab distance
+    maps to tau through ``KaonSystem.proper_time``.
     """
-    if (tau is None) == (distance is None):
-        raise DomainError("give exactly one of tau or distance")
-    if tau is None:
-        tau = sys.proper_time(distance)
     if tau < 0:
         raise DomainError("tau must be >= 0")
     if charge not in ("e+", "e-"):
@@ -315,7 +308,7 @@ def kaon_detection_probability(sys: KaonSystem, charge: str,
     direct = math.exp(-sys.gamma_s * tau / hbar) + math.exp(-sys.gamma_l * tau / hbar)
     inter = 2.0 * math.exp(-(sys.gamma_s + sys.gamma_l) * tau / (2.0 * hbar)) \
         * math.cos(sys.dm * tau / hbar)
-    return scale * (direct + sign * inter)
+    return direct + sign * inter
 
 
 def kaon_oscillation_phase_lab(sys: KaonSystem, distance: float) -> float:
@@ -342,19 +335,19 @@ class EqualVelocityReport(Record):
     )
 
 
-def kaon_equal_velocity_report(sys: KaonSystem,
-                               tau_s: float = CONSTANTS.tau_ks) -> EqualVelocityReport:
+def kaon_equal_velocity_report(sys: KaonSystem) -> EqualVelocityReport:
     """Equal-velocity bookkeeping for the kaon pair.
 
     dp/p = dm c/p is the momentum offset that equalises the velocities --
     ~12 orders below the radiative smearing, so both eigenstates populate
-    it freely.  dt = dm c^2 tau_S / E is the production-time offset needed
-    for equal-momentum eigenstates to arrive together at a typical decay
-    distance; commonly tabulated values are ~1e3 times larger than this
-    expression gives, so the computed value is flagged.
+    it freely.  dt = dm c^2 tau_S / E, with tau_S = CONSTANTS.tau_ks, is
+    the production-time offset needed for equal-momentum eigenstates to
+    arrive together at a typical decay distance; commonly tabulated values
+    are ~1e3 times larger than this expression gives, so the computed
+    value is flagged.
     """
     dp_over_p = sys.dm / sys.mean_p
-    dt = sys.dm * tau_s / sys.mean_energy
+    dt = sys.dm * CONSTANTS.tau_ks / sys.mean_energy
     flags = (DiscrepancyFlag(
         "dt_production", dt, dt * 1e3,
         "commonly tabulated absolute values are ~1e3 larger; their"
@@ -422,6 +415,15 @@ class NeutrinoExperiment(Record):
         return self.recoil_mass / self.source_mass
 
     @property
+    def source_energy(self) -> float:
+        """E_S (MeV), the energy the source state carries into the phase
+        chain: m_S for a two-body decay at rest, the explicit total energy
+        release in beta mode."""
+        if self.mode == "beta":
+            return self.beta_energy_mev
+        return self.source_mass
+
+    @property
     def p0(self) -> float:
         """Neutrino momentum (MeV/c): two-body value (m_S^2 - m_R^2)/(2 m_S)
         or the explicit beta-mode momentum."""
@@ -470,7 +472,9 @@ def neutrino_oscillation(exp: NeutrinoExperiment) -> NeutrinoOscillationResult:
     The authoritative phase follows the full chain (source propagator up to
     each emission time plus neutrino propagator over the baseline):
 
-        phi_path = (dm^2 c^2 / p0) (c m_S/(2 p0) - 1) L / hbar
+        phi_path = (dm^2 c^2 / p0) (E_S/(2 p0 c) - 1) L / hbar
+
+    with E_S the ``source_energy`` (m_S c^2 for two-body decay at rest).
 
     The compact published form with coefficient (R_m/(1-R_m^2))^2 is
     exactly half of this when specialised to two-body decay at rest; both
@@ -522,17 +526,14 @@ def neutrino_oscillation(exp: NeutrinoExperiment) -> NeutrinoOscillationResult:
 
 
 def _path_oscillation(exp: NeutrinoExperiment, l: float) -> tuple[float, float, float]:
-    """Path-chain phase phi_path (rad), source-lifetime damping of the
-    interference term and appearance probability at baseline l (m)."""
+    """Path-chain phase phi_path = (dm^2/p0)(E_S/(2 p0) - 1) l/(hbar c)
+    (rad), source-lifetime damping of the interference term and appearance
+    probability at baseline l (m)."""
     p0_ev = exp.p0 * 1e6
     hbarc = CONSTANTS.hbarc_ev_m
     dm2 = exp.dm2_ev2
-    if exp.mode == "beta":
-        e_beta_ev = exp.beta_energy_mev * 1e6
-        phi_path = (dm2 / p0_ev) * (e_beta_ev / (2.0 * p0_ev) - 1.0) * l / hbarc
-    else:
-        ms_ev = exp.source_mass * 1e6
-        phi_path = (dm2 / p0_ev) * (ms_ev / (2.0 * p0_ev) - 1.0) * l / hbarc
+    es_ev = exp.source_energy * 1e6
+    phi_path = (dm2 / p0_ev) * (es_ev / (2.0 * p0_ev) - 1.0) * l / hbarc
     gamma_ev = exp.source_width * 1e6
     damping_exponent = gamma_ev * dm2 * l / (4.0 * hbarc * p0_ev ** 2)
     damping = math.exp(-damping_exponent)
@@ -543,11 +544,11 @@ def _path_oscillation(exp: NeutrinoExperiment, l: float) -> tuple[float, float, 
 
 def half_oscillation_distance(exp: NeutrinoExperiment) -> float:
     """Baseline at which the path-chain interference phase reaches pi (m)."""
-    res = neutrino_oscillation(exp)
-    if res.phi_path == 0:
+    phi_path = _path_oscillation(exp, exp.baseline)[0]
+    if phi_path == 0:
         raise DomainError("the path phase is 0 at this baseline, so it gives"
                           " no half-oscillation distance")
-    return math.pi * exp.baseline / abs(res.phi_path)
+    return math.pi * exp.baseline / abs(phi_path)
 
 
 def emission_time_offset_closed_form(exp: NeutrinoExperiment) -> tuple[float, tuple]:

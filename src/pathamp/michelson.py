@@ -35,12 +35,12 @@ _REFERENCE_ROW_VALUES = {
 class InterferometerSpec(Record):
     """Equal-arm scale L (source-splitter = splitter-mirror2 = splitter-
     detector), arm imbalance d (mirror1 arm is L + d), source lifetime
-    tau_s, photon wavenumber kappa, residual instrumental phase phi_12 and
-    amplitude scale K (compensated arms: amp_i / L_i equal)."""
+    tau_s, photon wavenumber kappa and residual instrumental phase phi_12.
+    The arms are compensated: each path amplitude is proportional to its
+    length, so both carry unit weight after the free-flight 1/L."""
 
-    __slots__ = ("arm_length", "imbalance", "tau_s", "kappa", "phi_12",
-                 "scale")
-    _defaults = {"phi_12": 0.0, "scale": 1.0}
+    __slots__ = ("arm_length", "imbalance", "tau_s", "kappa", "phi_12")
+    _defaults = {"phi_12": 0.0}
 
     def __post_init__(self):
         if min(self.arm_length, self.imbalance, self.tau_s, self.kappa) <= 0:
@@ -56,58 +56,28 @@ class InterferometerSpec(Record):
         return 4.0 * self.arm_length
 
 
-class AtomLine(Record):
-    """A spectral line with natural lifetime and collisional shortening.
-
-    The observed lifetime combines the natural one and the pressure
-    parameter as parallel decay channels: 1/tau_s = 1/tau_nat + 1/tau_p.
-    """
-
-    __slots__ = ("wavelength", "tau_s_nat", "tau_p", "atomic_mass",
-                 "temperature")
-    _defaults = {
-        "tau_p": math.inf,
-        "atomic_mass": CONSTANTS.mass_h_kg,
-        "temperature": 300.0,
-    }
-
-    def __post_init__(self):
-        if self.wavelength <= 0 or self.tau_s_nat <= 0 or self.tau_p <= 0:
-            raise DomainError("wavelength and lifetimes must be positive")
-
-    @property
-    def tau_s(self) -> float:
-        return pressure_broadening(self.tau_s_nat, self.tau_p)
-
-
-def detection_probability(spec: InterferometerSpec, t_max: float,
-                          amp1: float | None = None,
-                          amp2: float | None = None) -> float:
+def detection_probability(spec: InterferometerSpec, t_max: float) -> float:
     """Probability of detecting the photon before t_max (source excited at
-    t = 0).
+    t = 0), with both compensated arms at unit weight.
 
     Piecewise in t_max: zero before the short-arm arrival L2/c; a single
     decaying exponential while only the short arm can contribute; and the
     full two-path expression, including the interference term damped by
-    exp(-d/(c tau_s)), once both arrivals are possible.  amp1/amp2 override
-    the compensated-arm amplitudes (defaults K*L1, K*L2).
+    exp(-d/(c tau_s)), once both arrivals are possible.
     """
     if t_max < 0:
         raise DomainError("t_max must be >= 0")
     c, tau = CONSTANTS.c, spec.tau_s
     l1, l2 = spec.long_path, spec.short_path
-    a1 = spec.scale * l1 if amp1 is None else amp1
-    a2 = spec.scale * l2 if amp2 is None else amp2
-    w1, w2 = a1 / l1, a2 / l2
     if t_max <= l2 / c:
         return 0.0
-    p = tau * w2 ** 2 * (1.0 - math.exp(-(t_max - l2 / c) / tau))
+    p = tau * (1.0 - math.exp(-(t_max - l2 / c) / tau))
     if t_max <= l1 / c:
         return p
     gate1 = 1.0 - math.exp(-(t_max - l1 / c) / tau)
-    interference = 2.0 * w1 * w2 * math.exp(-(l1 - l2) / (2.0 * c * tau)) \
+    interference = 2.0 * math.exp(-(l1 - l2) / (2.0 * c * tau)) \
         * math.cos(spec.kappa * (l1 - l2) + spec.phi_12)
-    return p + tau * gate1 * (w1 ** 2 + interference)
+    return p + tau * gate1 * (1.0 + interference)
 
 
 def visibility(spec: InterferometerSpec, t_max: float) -> float:

@@ -48,6 +48,10 @@ _NESTED_CAP = 2 ** 18
 # most half-period segments quad_oscillatory takes over a finite range
 _MAX_SEGMENTS = 2_000_000
 
+# relative tolerance of quad_oscillatory over a finite range (with an
+# absolute floor of 1e3 times it)
+_OSC_TOL = 1e-10
+
 # most points of a Gauss-Legendre rule the quadratures build: numpy tests
 # its rule only up to degree 100
 _MAX_RULE = 100
@@ -136,25 +140,29 @@ def _aitken(seq):
 
 
 def quad_oscillatory(f: Callable, a: float, b: float, kappa: float,
-                     tol: float = 1e-10, damping_scale: float | None = None,
+                     damping_scale: float | None = None,
                      nodes: int = 10) -> OracleResult:
     """Integrate a rapidly oscillating complex integrand from a to b.
 
     kappa is the dominant local phase frequency; the range is split into
     half-period segments of length pi/kappa, each integrated with embedded
     Gauss rules (nodes and 2*nodes points) whose difference provides the
-    error estimate.  The integrand must accept a numpy array and return an
-    array of complex values.
+    error estimate.  Over a finite range the two must agree to 1e-10
+    relative, or 1e-7 absolute, or ConvergenceError is raised.  The
+    integrand must accept a numpy array and return an array of complex
+    values.
 
-    An infinite upper limit requires ``damping_scale``, the e-folding length
-    of a declared exponential envelope of the integrand.  The half-period
-    partial sums then form a nearly geometric sequence which is accelerated
-    with iterated Aitken extrapolation, so slowly damped integrands
+    An infinite upper limit requires ``damping_scale`` > 0, the e-folding
+    length of a declared exponential envelope of the integrand.  The tail
+    takes 64 segments of length min(pi/kappa, damping_scale), so an
+    envelope shorter than a half period is resolved too.  The partial sums
+    then form a nearly geometric sequence which is accelerated with
+    iterated Aitken extrapolation, so slowly damped integrands
     (damping_scale >> 1/kappa) are still cheap.  A tail whose nonzero error
     estimate is not below the modulus of its value (not one correct digit)
-    raises ConvergenceError, as does a half period pi/kappa below the
-    spacing of doubles at a, where the segment edges collapse and the
-    sums would be an exact 0.
+    raises ConvergenceError, as does a segment length below the spacing of
+    doubles at a, where the segment edges collapse and the sums would be
+    an exact 0.
 
     A numpy float64 overflow or invalid operation in the integrand or the
     sums raises ConvergenceError.  A non-finite kappa or a, a NaN b,
@@ -164,12 +172,12 @@ def quad_oscillatory(f: Callable, a: float, b: float, kappa: float,
     """
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return _quad_oscillatory(f, a, b, kappa, tol, damping_scale, nodes)
+            return _quad_oscillatory(f, a, b, kappa, damping_scale, nodes)
     except FloatingPointError as exc:
         raise ConvergenceError(f"oscillatory quadrature left float64: {exc}") from None
 
 
-def _quad_oscillatory(f, a, b, kappa, tol, damping_scale, nodes):
+def _quad_oscillatory(f, a, b, kappa, damping_scale, nodes):
     # the fine rule takes 2 * nodes points
     nodes = _count("nodes", nodes, _MAX_RULE // 2)
     if not (math.isfinite(kappa) and math.isfinite(a)) or math.isnan(b):
@@ -183,13 +191,18 @@ def _quad_oscillatory(f, a, b, kappa, tol, damping_scale, nodes):
         if damping_scale is None:
             raise PreconditionError(
                 "infinite upper limit requires a declared damping envelope")
+        if not damping_scale > 0:
+            raise DomainError(f"damping_scale must be positive, got {damping_scale!r}")
+        # an envelope shorter than the half period sets the segment length,
+        # so the 64 segments span 64 e-folds and not 64 pi/kappa
+        seg_len = min(seg_len, damping_scale)
         n_seg = 64
         edges = a + seg_len * np.arange(n_seg + 1)
         if not np.all(edges[1:] > edges[:-1]):
-            # a half period below the spacing of doubles at a: the edges
+            # a segment below the spacing of doubles at a: the edges
             # round onto each other, and the sums would be an exact 0
             raise ConvergenceError(
-                f"oscillatory tail unresolved: half period {seg_len:.3e} is"
+                f"oscillatory tail unresolved: segment length {seg_len:.3e} is"
                 f" below the spacing of doubles at a = {a!r}")
         coarse, _unused = _gauss_segments(f, edges, nodes)
         fine, seg_f = _gauss_segments(f, edges, 2 * nodes)
@@ -200,8 +213,8 @@ def _quad_oscillatory(f, a, b, kappa, tol, damping_scale, nodes):
         err = abs(acc_full - acc_prev) + abs(fine - coarse)
         if err > 0 and err >= abs(acc_full):
             # not one correct digit (an exact 0 with no error is a result);
-            # tol is not used, as a tail of modulus near 1e-7 would pass an
-            # absolute floor of 1e3 * tol
+            # _OSC_TOL is not used, as a tail of modulus near 1e-7 would
+            # pass its absolute floor of 1e3 * _OSC_TOL
             raise ConvergenceError(
                 f"oscillatory tail did not converge: error {err:.3e} against"
                 f" a value of modulus {abs(acc_full):.3e}",
@@ -217,7 +230,7 @@ def _quad_oscillatory(f, a, b, kappa, tol, damping_scale, nodes):
     coarse, _ = _gauss_segments(f, edges, nodes)
     fine, _ = _gauss_segments(f, edges, 2 * nodes)
     err = abs(fine - coarse)
-    if abs(fine) > 0 and err > max(tol * abs(fine), 1e3 * tol):
+    if abs(fine) > 0 and err > max(_OSC_TOL * abs(fine), 1e3 * _OSC_TOL):
         raise ConvergenceError(
             f"oscillatory quadrature did not converge: error {err:.3e}",
             partials=(coarse, fine))

@@ -20,6 +20,9 @@ from pathamp.core_num import (CONSTANTS, ConvergenceError, DiscrepancyFlag, Doma
 
 _THETA_EPS = 1e-12
 
+# detector-angle bracket of the stationary-point searches
+_WINDOW = (_THETA_EPS, math.pi / 2 - 1e-6)
+
 # Relative tolerance and iteration cap of the bracketed root search
 # (the defaults of scipy.optimize.brentq).
 _BRENT_RTOL = 4 * sys.float_info.epsilon
@@ -181,7 +184,7 @@ class StationaryPoint(Record):
 def stationary_phase_angle(geom: InterfaceGeometry, kappa: float = 1.0,
                            branch: str = "refraction",
                            mode: str = "analytic",
-                           window: tuple[float, float] = (_THETA_EPS, math.pi / 2 - 1e-6),
+                           window: tuple[float, float] = _WINDOW,
                            tol: float = 1e-12) -> StationaryPoint:
     """Detector angle at which the path phase is stationary under
     transverse displacement of the interface crossing.
@@ -225,12 +228,11 @@ def stationary_phase_angle(geom: InterfaceGeometry, kappa: float = 1.0,
     return StationaryPoint(theta, abs(residual(theta)))
 
 
-def phase_curvature(geom: InterfaceGeometry, kappa: float,
-                    theta: float, step: float | None = None) -> float:
+def phase_curvature(geom: InterfaceGeometry, kappa: float, theta: float) -> float:
     """Finite-difference d^2(phase)/d(big_r)^2 at the stationary point,
-    in-plane (phi1 = 0); closed form kappa n2 cos^2(theta)/r."""
-    if step is None:
-        step = 1e-4 * geom.d
+    in-plane (phi1 = 0), with step 1e-4 d; closed form
+    kappa n2 cos^2(theta)/r."""
+    step = 1e-4 * geom.d
     f = lambda R: path_phase(geom, kappa, theta, 0.0, R, 0.0)
     return (f(step) - 2.0 * f(0.0) + f(-step)) / step ** 2
 
@@ -274,12 +276,11 @@ def effective_propagation_time(geom: InterfaceGeometry, theta: float) -> float:
     return (geom.segment * geom.n1 + r * geom.n2) / CONSTANTS.c
 
 
-def fermat_stationary_angle(geom: InterfaceGeometry,
-                            window: tuple[float, float] = (_THETA_EPS, math.pi / 2 - 1e-6),
-                            tol: float = 1e-12) -> float:
+def fermat_stationary_angle(geom: InterfaceGeometry, tol: float = 1e-12) -> float:
     """Detector angle at which the effective propagation time is stationary
     under in-plane displacement of the crossing point, computed from travel
-    times alone (independent of the phase machinery)."""
+    times alone (independent of the phase machinery), searched over the
+    default window of ``stationary_phase_angle``."""
 
     def dt_dr(theta: float) -> float:
         # step large enough that the travel-time difference clears the
@@ -293,7 +294,7 @@ def fermat_stationary_angle(geom: InterfaceGeometry,
 
         return (t_of_r(h) - t_of_r(-h)) / (2.0 * h)
 
-    lo, hi = window
+    lo, hi = _WINDOW
     if dt_dr(lo) * dt_dr(hi) > 0:
         raise DomainError("no stationary time in window")
     return _brentq(dt_dr, lo, hi, tol)

@@ -21,19 +21,17 @@ class ReflectionSetup(Record):
     """Normal-incidence reflection measurement.
 
     n1: index on the incidence side (1 for vacuum); n2: index of the
-    reflecting medium; film_thickness: None for a half-space, otherwise the
-    sheet thickness in m; t_hsm: transmission modulus of the half-silvered
-    mirror used to compare the reflected and reference rates.
+    reflecting half-space; t_hsm: transmission modulus of the half-silvered
+    mirror used to compare the reflected and reference rates.  A film is
+    described by ``thin_film_coeff`` instead.
     """
 
-    __slots__ = ("n1", "n2", "film_thickness", "t_hsm")
-    _defaults = {"film_thickness": None, "t_hsm": 1.0}
+    __slots__ = ("n1", "n2", "t_hsm")
+    _defaults = {"t_hsm": 1.0}
 
     def __post_init__(self):
         if self.n1 < 1.0 or self.n2 < 1.0:
             raise DomainError("indices must be >= 1")
-        if self.film_thickness is not None and self.film_thickness <= 0:
-            raise DomainError("film thickness must be positive")
         if not 0.0 < self.t_hsm <= 1.0:
             raise DomainError("t_hsm must lie in (0, 1]")
 

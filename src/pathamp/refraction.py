@@ -38,6 +38,10 @@ BETA_L_SUMMATION_LIMIT = 50.0
 # Relative agreement the two routes of time_budget_factor must reach.
 ROUTE_TOLERANCE = 1e-10
 
+# Most terms the float64 series of unconstrained_block_amplitude and
+# time_budget_factor take before they give up with ConvergenceError.
+_MAX_TERMS = 100000
+
 # Commonly quoted prompt-transmission fraction for the benchmark annulment
 # geometry; disagrees with delta_s_max/(c tau_s) by about a factor 10.
 _REFERENCE_PROMPT_FRACTION = 4e-4
@@ -75,8 +79,11 @@ class CircularBoundary(Record):
             raise DomainError("axis must pierce the interior of the circle")
 
 
-class InfiniteBoundary:
-    """Transversely unbounded medium."""
+class InfiniteBoundary(Record):
+    """Transversely unbounded medium: a record with no fields, so all
+    instances are equal."""
+
+    __slots__ = ()
 
 
 class MediumSpec(Record):
@@ -84,11 +91,11 @@ class MediumSpec(Record):
 
     density: scatterer number density (1/m^3); scattering_length: real
     elastic photon-atom forward scattering amplitude (m); thickness (m);
-    boundary: transverse boundary geometry.
+    boundary: transverse boundary geometry, unbounded by default.
     """
 
     __slots__ = ("density", "scattering_length", "thickness", "boundary")
-    _factories = {"boundary": InfiniteBoundary}
+    _defaults = {"boundary": InfiniteBoundary()}
 
     def __post_init__(self):
         if self.density <= 0 or self.thickness <= 0:
@@ -188,8 +195,7 @@ class SeriesValue(Record):
     __slots__ = ("value", "n_terms")
 
 
-def unconstrained_block_amplitude(beta_l: float,
-                                  n_max: int | None = None) -> SeriesValue:
+def unconstrained_block_amplitude(beta_l: float) -> SeriesValue:
     """Multiple-forward-scattering sum sum_n (i beta_l)^n / n! for a block
     with no time constraint; converges to e^{i beta_l}, i.e. pure refraction
     phase (n-1) kappa L.
@@ -205,7 +211,7 @@ def unconstrained_block_amplitude(beta_l: float,
         raise PreconditionError(
             f"beta_l = {beta_l:g} exceeds float64 summation limit"
             f" {BETA_L_SUMMATION_LIMIT:g}")
-    cap = n_max if n_max is not None else 100000
+    cap = _MAX_TERMS
     total = 1.0 + 0.0j
     term = 1.0 + 0.0j
     n = 0
@@ -326,8 +332,7 @@ class MediumFactor(Record):
     __slots__ = ("value", "n_terms", "kernel_route", "trig_route")
 
 
-def time_budget_factor(delta_phi: float, beta_l: float,
-                       n_max: int | None = None) -> MediumFactor:
+def time_budget_factor(delta_phi: float, beta_l: float) -> MediumFactor:
     """Complex factor multiplying the vacuum amplitude for a block traversal
     with path-length-budget phase delta_phi = kappa*delta_s and scattering
     strength beta_l = (n-1)*kappa*L.
@@ -348,8 +353,7 @@ def time_budget_factor(delta_phi: float, beta_l: float,
         raise PreconditionError(
             f"beta_l = {beta_l:g} exceeds float64 summation limit"
             f" {BETA_L_SUMMATION_LIMIT:g}; regime: {regime_classification(delta_phi, beta_l)}")
-    cap = n_max if n_max is not None else 100000
-    kernel_val, n_used = _factor_kernel_route(delta_phi, beta_l, cap)
+    kernel_val, n_used = _factor_kernel_route(delta_phi, beta_l, _MAX_TERMS)
     trig_val = _factor_trig_route(delta_phi, beta_l, n_used)
     scale = max(abs(kernel_val), abs(trig_val))
     if scale > 0 and abs(kernel_val - trig_val) / scale > ROUTE_TOLERANCE:

@@ -118,7 +118,7 @@ def damped_radial_integral(kappa: float, x1: float, rho: float) -> complex:
 
 
 def hole_path_amplitude(emitter: EmitterSpec, geom: DiffractionGeometry,
-                        t_d: float, scale: float = 1.0) -> complex:
+                        t_d: float) -> complex:
     """Path amplitude (1/m) for source -> hole -> detector at detection
     time t_d.
 
@@ -126,7 +126,7 @@ def hole_path_amplitude(emitter: EmitterSpec, geom: DiffractionGeometry,
     weighted by the hole area, and the source propagator evaluated at the
     emission time the geometry forces:
 
-        scale/(r r1) * A_diff * dS * exp[-(i kappa + rho)(c(t_d - t0) - r - r1)]
+        1/(r r1) * A_diff * dS * exp[-(i kappa + rho)(c(t_d - t0) - r - r1)]
 
     Paths that would require emission before the source existed
     (c(t_d - t0) < r + r1) have exactly zero amplitude.
@@ -135,7 +135,7 @@ def hole_path_amplitude(emitter: EmitterSpec, geom: DiffractionGeometry,
     if budget < 0:
         return 0.0 + 0.0j
     adiff = diffraction_amplitude(emitter.kappa, geom.alpha, geom.alpha1)
-    geom_factor = scale * adiff * geom.hole_area / (geom.r * geom.r1)
+    geom_factor = adiff * geom.hole_area / (geom.r * geom.r1)
     return geom_factor * cmath.exp(-(1j * emitter.kappa + emitter.rho) * budget)
 
 

@@ -6,7 +6,6 @@ from scipy.integrate import quad
 
 from pathamp.core_num import CONSTANTS, DomainError
 from pathamp.michelson import (
-    AtomLine,
     InterferometerSpec,
     detection_probability,
     gated_visibility_table,
@@ -60,14 +59,6 @@ class TestDetectionProbability:
         vals = [detection_probability(s, float(t)) for t in grid]
         assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
 
-    def test_uncompensated_amplitudes(self):
-        s = spec()
-        t = 40e-9
-        compensated = detection_probability(s, t)
-        explicit = detection_probability(s, t, amp1=s.long_path,
-                                         amp2=s.short_path)
-        assert explicit == pytest.approx(compensated, rel=1e-12)
-
 
 class TestVisibility:
     def test_undefined_before_interference_window(self):
@@ -118,11 +109,6 @@ class TestPressureBroadening:
 
     def test_parallel_combination(self):
         assert pressure_broadening(2.0, 2.0) == pytest.approx(1.0, rel=1e-12)
-
-    def test_atom_line_combines_by_construction(self):
-        line = AtomLine(5893e-10, 12.4e-9, 0.207e-9)
-        assert 1 / line.tau_s == pytest.approx(1 / line.tau_s_nat
-                                               + 1 / line.tau_p, rel=1e-12)
 
 
 class TestLifetimeAnalysis:

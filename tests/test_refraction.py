@@ -5,6 +5,7 @@ import re
 import pytest
 from mpmath import arg as mp_arg
 
+from pathamp import refraction
 from pathamp.core_num import (
     CONSTANTS,
     ApproximationWarning,
@@ -195,9 +196,10 @@ class TestTimeBudgetFactor:
         closed = cmath.exp(0.4j) * 1j ** 4 * scattering_order_kernel(4, dphi)
         assert abs(res.value - closed) <= 1e-6 * abs(closed)
 
-    def test_convergence_error_carries_partials(self):
+    def test_convergence_error_carries_partials(self, monkeypatch):
+        monkeypatch.setattr(refraction, "_MAX_TERMS", 5)
         with pytest.raises(ConvergenceError) as err:
-            time_budget_factor(2.0, 10.0, n_max=5)
+            time_budget_factor(2.0, 10.0)
         assert len(err.value.partials) == 2
 
     def test_refusal_above_summation_limit_names_regime(self):
@@ -331,9 +333,10 @@ class TestBoundaryRadialLimit:
 
 
 class TestUnconstrainedConvergenceGuard:
-    def test_term_cap_raises_with_partials(self):
+    def test_term_cap_raises_with_partials(self, monkeypatch):
+        monkeypatch.setattr(refraction, "_MAX_TERMS", 4)
         with pytest.raises(ConvergenceError) as err:
-            unconstrained_block_amplitude(20.0, n_max=4)
+            unconstrained_block_amplitude(20.0)
         assert len(err.value.partials) == 2
 
 

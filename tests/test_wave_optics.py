@@ -133,13 +133,13 @@ class TestHolePathAmplitude:
         emitter = EmitterSpec(50.0 * CONSTANTS.hbarc_ev_m, 0.0,
                               0.5 * CONSTANTS.hbarc_ev_m)
         t_d = emitter.t_production + (self.GEOM.r + self.GEOM.r1) / C * 1.5
-        amp = hole_path_amplitude(emitter, self.GEOM, t_d, scale=2.0)
+        amp = hole_path_amplitude(emitter, self.GEOM, t_d)
         z = 1j * emitter.kappa + emitter.rho
         flight_r = cmath.exp(z * self.GEOM.r) / self.GEOM.r
         flight_r1 = cmath.exp(z * self.GEOM.r1) / self.GEOM.r1
         hole = diffraction_amplitude(emitter.kappa, 0, 0) * self.GEOM.hole_area
         source = cmath.exp(-z * C * (t_d - emitter.t_production))
-        product = 2.0 * flight_r * flight_r1 * hole * source
+        product = flight_r * flight_r1 * hole * source
         assert abs(amp - product) <= 1e-12 * abs(amp)
 
     def test_probability_monotone_in_path_length(self):
