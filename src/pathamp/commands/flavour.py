@@ -47,7 +47,7 @@ def _kaon(args):
         outputs["lab_phase_rad"] = flavour.kaon_oscillation_phase_lab(kaon, dist)
     rep = flavour.kaon_equal_velocity_report(kaon)
     outputs["dp_over_p_equal_velocity"] = rep.dp_over_p
-    outputs["dp_rad_over_p"] = rep.dp_rad_over_p
+    outputs["dp_rad_over_p"] = flavour.KAON_RADIATIVE_SMEARING
     outputs["dt_production_s"] = rep.dt_production
     if args.curve:
         args.write_csv(args.curve, ["tau_ns", "p_plus", "p_minus", "interference"],

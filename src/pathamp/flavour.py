@@ -111,13 +111,14 @@ def photon_double_slit(geom: SlitGeometry, kappa: float,
 
 
 class ElectronBeam(Record):
-    """Electron beam with Gaussian momentum profile (MeV/c)."""
+    """Electron beam with Gaussian momentum profile (MeV/c); the mass is
+    CONSTANTS.m_electron."""
 
-    __slots__ = ("mean_p", "sigma_p", "mass")
-    _defaults = {"mass": CONSTANTS.m_electron}
+    __slots__ = ("mean_p", "sigma_p")
 
     def __post_init__(self):
-        if self.mean_p <= 0 or self.mass <= 0:
+        if self.mean_p <= 0:
+            # the wording is kept: the command line prints it
             raise DomainError("momentum and mass must be positive")
         if self.sigma_p <= 0:
             raise DomainError(
@@ -126,11 +127,11 @@ class ElectronBeam(Record):
 
     @property
     def energy(self) -> float:
-        return math.hypot(self.mean_p, self.mass)
+        return math.hypot(self.mean_p, CONSTANTS.m_electron)
 
     @property
     def gamma_sq(self) -> float:
-        return (self.energy / self.mass) ** 2
+        return (self.energy / CONSTANTS.m_electron) ** 2
 
     @property
     def de_broglie(self) -> float:
@@ -157,7 +158,7 @@ def electron_phase_difference(beam: ElectronBeam, r_prime: float,
     if mode == "equal-times":
         return beam.mean_p * dr / hbarc_mev_m
     if mode == "equal-velocities":
-        return -beam.mass ** 2 * dr / (beam.mean_p * hbarc_mev_m)
+        return -CONSTANTS.m_electron ** 2 * dr / (beam.mean_p * hbarc_mev_m)
     raise DomainError(f"unknown mode {mode!r}")
 
 
@@ -168,7 +169,6 @@ class ElectronSlitResult(Record):
     __slots__ = (
         "geometry",
         "beam",
-        "r_bar",
         "fringe_spacing",
         "equal_time_coeff",         # Delta p/(2 sigma_p) per fringe order
         "spread_coeff",             # sigma_p dr/(2 hbar) per fringe order
@@ -193,30 +193,29 @@ class ElectronSlitResult(Record):
             / (math.sqrt(math.pi) * self.beam.sigma_p)
 
 
-def electron_double_slit(geom: SlitGeometry, beam: ElectronBeam,
-                         r_bar: float | None = None) -> ElectronSlitResult:
+def electron_double_slit(geom: SlitGeometry, beam: ElectronBeam) -> ElectronSlitResult:
     """Electron double-slit pattern for a Gaussian beam.
 
     Identical fringe term to a photon pattern of the same wavelength; the
     damping exponents per fringe order n are
 
-        equal-time:  n * gamma^2 h / (2 sigma_p (r' + r_bar))
+        equal-time:  n * gamma^2 h / (2 sigma_p (r' + r'))
         spread:      n * pi sigma_p / p
 
     The first enforces the equal-production-time condition through the
-    momentum offset dp = p gamma^2 dr/(r' + r_bar) it requires; the second
-    is the coherence cost of the momentum width itself.  The quoted
+    momentum offset dp = p gamma^2 dr/(r' + r') it requires, with the mean
+    source-to-slit distance taken equal to the slits-to-screen distance r';
+    the second is the coherence cost of the momentum width itself.  The quoted
     benchmark pair for the 229 MeV/c inputs is reported alongside; its
     first coefficient is not reproducible from those inputs (see flags).
     """
     if beam.sigma_p / beam.mean_p > 0.1:
         raise DomainError("Gaussian treatment needs sigma_p << p")
-    rb = geom.r_prime if r_bar is None else r_bar
     lam = beam.de_broglie
     spacing = lam * geom.l / (2.0 * geom.effective_separation)
     h_mev_m = 2.0 * math.pi * CONSTANTS.hbarc_ev_m * 1e-6  # MeV m (h c / c)
     equal_time = beam.gamma_sq * h_mev_m \
-        / (2.0 * beam.sigma_p * (geom.r_prime + rb))
+        / (2.0 * beam.sigma_p * (geom.r_prime + geom.r_prime))
     spread = math.pi * beam.sigma_p / beam.mean_p
     # probability() scales the pattern by 1/(sqrt(pi) sigma_p)
     if math.isinf(equal_time) or math.isinf(1.0 / (math.sqrt(math.pi) * beam.sigma_p)):
@@ -225,8 +224,7 @@ def electron_double_slit(geom: SlitGeometry, beam: ElectronBeam,
         "equal_time_coeff", equal_time, ELECTRON_SLIT_REFERENCE_DAMPING[0],
         "quoted benchmark coefficient is not reproducible from its stated"
         " inputs under the Gaussian-beam formula; stored for reference"),)
-    return ElectronSlitResult(geom, beam, rb, spacing, equal_time,
-                              spread, flags)
+    return ElectronSlitResult(geom, beam, spacing, equal_time, spread, flags)
 
 
 def gaussian_interference_integral(sigma_p: float, mean_p: float,
@@ -253,20 +251,20 @@ def gaussian_interference_integral(sigma_p: float, mean_p: float,
 
 
 class KaonSystem(Record):
-    """Neutral-kaon mass eigenstates: mean pole mass (MeV/c^2), splitting
-    dm = m_L - m_S, widths (MeV) and mean laboratory momentum (MeV/c)."""
+    """Neutral kaons of mean laboratory momentum ``mean_p`` (MeV/c).  The
+    mass eigenstates are fixed by CONSTANTS: mean pole mass (MeV/c^2),
+    splitting dm = m_L - m_S and widths (MeV)."""
 
-    __slots__ = ("mean_mass", "dm", "gamma_s", "gamma_l", "mean_p")
-    _defaults = {
-        "mean_mass": CONSTANTS.m_k0_mean,
-        "dm": CONSTANTS.dm_ls,
-        "gamma_s": CONSTANTS.hbar_mev_s / CONSTANTS.tau_ks,
-        "gamma_l": CONSTANTS.hbar_mev_s / CONSTANTS.tau_kl,
-        "mean_p": 194.0,
-    }
+    __slots__ = ("mean_p",)
+    _defaults = {"mean_p": 194.0}
+    mean_mass = CONSTANTS.m_k0_mean
+    dm = CONSTANTS.dm_ls
+    gamma_s = CONSTANTS.hbar_mev_s / CONSTANTS.tau_ks
+    gamma_l = CONSTANTS.hbar_mev_s / CONSTANTS.tau_kl
 
     def __post_init__(self):
-        if not (self.mean_mass > 0 and self.mean_p > 0):
+        if not self.mean_p > 0:
+            # the wording is kept: the command line prints it
             raise DomainError("mean mass and momentum must be positive")
         # proper_time and kaon_oscillation_phase_lab divide by these, which
         # a subnormal momentum sends to 0
@@ -274,10 +272,6 @@ class KaonSystem(Record):
                 and CONSTANTS.hbar_mev_s * self.mean_p * CONSTANTS.c > 0):
             raise DomainError(
                 f"mean momentum {self.mean_p!r} MeV/c is too small for lab-frame times")
-        if self.dm <= 0:
-            raise DomainError("m_L must exceed m_S")
-        if not self.gamma_s > self.gamma_l > 0:
-            raise DomainError("need gamma_s > gamma_l > 0")
 
     @property
     def mean_energy(self) -> float:
@@ -329,7 +323,6 @@ class EqualVelocityReport(Record):
 
     __slots__ = (
         "dp_over_p",                # momentum offset required for equal velocities
-        "dp_rad_over_p",            # radiative momentum smearing (stored reference)
         "dt_production",            # s, production-time offset for equal momenta
         "flags",
     )
@@ -339,8 +332,8 @@ def kaon_equal_velocity_report(sys: KaonSystem) -> EqualVelocityReport:
     """Equal-velocity bookkeeping for the kaon pair.
 
     dp/p = dm c/p is the momentum offset that equalises the velocities --
-    ~12 orders below the radiative smearing, so both eigenstates populate
-    it freely.  dt = dm c^2 tau_S / E, with tau_S = CONSTANTS.tau_ks, is
+    ~12 orders below the radiative smearing KAON_RADIATIVE_SMEARING, so
+    both eigenstates populate it freely.  dt = dm c^2 tau_S / E, with tau_S = CONSTANTS.tau_ks, is
     the production-time offset needed for equal-momentum eigenstates to
     arrive together at a typical decay distance; commonly tabulated values
     are ~1e3 times larger than this expression gives, so the computed
@@ -352,7 +345,7 @@ def kaon_equal_velocity_report(sys: KaonSystem) -> EqualVelocityReport:
         "dt_production", dt, dt * 1e3,
         "commonly tabulated absolute values are ~1e3 larger; their"
         " momentum dependence (ratios) matches this expression"),)
-    return EqualVelocityReport(dp_over_p, KAON_RADIATIVE_SMEARING, dt, flags)
+    return EqualVelocityReport(dp_over_p, dt, flags)
 
 
 def kaon_curve(sys: KaonSystem, tau_grid) -> list[tuple]:
@@ -398,6 +391,14 @@ class NeutrinoExperiment(Record):
             if not 0.0 < self.recoil_mass < self.source_mass:
                 raise DomainError(
                     "kinematically forbidden: need 0 < recoil mass < source mass")
+            # the oscillation length scales as ((1 - R_m^2)/R_m)^2; q * q
+            # gives inf where q ** 2 would raise OverflowError
+            rm = self.mass_ratio
+            q = (1.0 - rm ** 2) / rm
+            if not math.isfinite(q * q):
+                raise DomainError(
+                    f"recoil mass {self.recoil_mass!r} MeV is too small against the"
+                    " source mass: ((1 - R_m^2)/R_m)^2 leaves the double range")
         elif self.mode == "beta":
             if self.beta_energy_mev is None or self.neutrino_p_mev is None:
                 raise DomainError("beta mode needs beta_energy_mev and neutrino_p_mev")

@@ -158,7 +158,9 @@ def quad_oscillatory(f: Callable, a: float, b: float, kappa: float,
     envelope shorter than a half period is resolved too.  The partial sums
     then form a nearly geometric sequence which is accelerated with
     iterated Aitken extrapolation, so slowly damped integrands
-    (damping_scale >> 1/kappa) are still cheap.  A tail whose nonzero error
+    (damping_scale >> 1/kappa) are still cheap.  The tail's error estimate
+    adds |value| ulp(a)/damping_scale, the error of rounding the node
+    positions to doubles, to the two rule differences.  A tail whose nonzero error
     estimate is not below the modulus of its value (not one correct digit)
     raises ConvergenceError, as does a segment length below the spacing of
     doubles at a, where the segment edges collapse and the sums would be
@@ -210,7 +212,11 @@ def _quad_oscillatory(f, a, b, kappa, damping_scale, nodes):
         # accelerate the tail of the partial-sum sequence
         acc_full = _aitken(partials[-12:])
         acc_prev = _aitken(partials[-13:-1])
-        err = abs(acc_full - acc_prev) + abs(fine - coarse)
+        # the node positions round to the spacing of doubles at a, which
+        # moves the integrand by up to ulp(a)/damping_scale relative; neither
+        # difference above sees it
+        err = abs(acc_full - acc_prev) + abs(fine - coarse) \
+            + abs(acc_full) * math.ulp(a) / damping_scale
         if err > 0 and err >= abs(acc_full):
             # not one correct digit (an exact 0 with no error is a result);
             # _OSC_TOL is not used, as a tail of modulus near 1e-7 would

@@ -48,12 +48,11 @@ class EmitterSpec(Record):
     """An excited source state decaying by photon emission.
 
     Level energies are pole energies in eV; width_ev is the natural width
-    of the upper level.  t_production is the laboratory time at which the
-    excited state was prepared.
+    of the upper level.  The excited state is prepared at laboratory
+    time 0.
     """
 
-    __slots__ = ("e_upper_ev", "e_lower_ev", "width_ev", "t_production")
-    _defaults = {"t_production": 0.0}
+    __slots__ = ("e_upper_ev", "e_lower_ev", "width_ev")
 
     def __post_init__(self):
         if self.e_upper_ev <= self.e_lower_ev:
@@ -63,8 +62,7 @@ class EmitterSpec(Record):
 
     @classmethod
     def from_line(cls, wavelength_m: float, lifetime_s: float) -> "EmitterSpec":
-        """Build from an emission wavelength and an upper-level lifetime,
-        prepared at t_production = 0."""
+        """Build from an emission wavelength and an upper-level lifetime."""
         if wavelength_m <= 0 or lifetime_s <= 0:
             raise DomainError("wavelength and lifetime must be positive")
         gap = CONSTANTS.hc_ev_m / wavelength_m

@@ -79,23 +79,14 @@ class CircularBoundary(Record):
             raise DomainError("axis must pierce the interior of the circle")
 
 
-class InfiniteBoundary(Record):
-    """Transversely unbounded medium: a record with no fields, so all
-    instances are equal."""
-
-    __slots__ = ()
-
-
 class MediumSpec(Record):
     """A uniform transparent medium.
 
     density: scatterer number density (1/m^3); scattering_length: real
-    elastic photon-atom forward scattering amplitude (m); thickness (m);
-    boundary: transverse boundary geometry, unbounded by default.
+    elastic photon-atom forward scattering amplitude (m); thickness (m).
     """
 
-    __slots__ = ("density", "scattering_length", "thickness", "boundary")
-    _defaults = {"boundary": InfiniteBoundary()}
+    __slots__ = ("density", "scattering_length", "thickness")
 
     def __post_init__(self):
         if self.density <= 0 or self.thickness <= 0:
@@ -478,6 +469,4 @@ def boundary_radial_limit(boundary, x1: float, phi1: float) -> float:
             raise DomainError("boundary point behind the axis plane")
         return x1 + transverse ** 2 / (2.0 * x1)
 
-    if isinstance(boundary, InfiniteBoundary):
-        raise DomainError("an infinite boundary has no radial limit")
     raise DomainError(f"unsupported boundary {boundary!r}")

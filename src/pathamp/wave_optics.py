@@ -23,19 +23,16 @@ class DiffractionGeometry(Record):
     """Source -> hole -> detector geometry.
 
     r: source-to-hole distance (m), r1: hole-to-detector distance (m),
-    alpha/alpha1: angles of the two legs to the screen normal (rad),
     hole_area: area of the hole (m^2), used as the path-counting weight.
+    Both legs meet the screen at normal incidence.
     """
 
-    __slots__ = ("r", "r1", "alpha", "alpha1", "hole_area")
-    _defaults = {"alpha": 0.0, "alpha1": 0.0, "hole_area": 1e-12}
+    __slots__ = ("r", "r1", "hole_area")
+    _defaults = {"hole_area": 1e-12}
 
     def __post_init__(self):
         if min(self.r, self.r1, self.hole_area) <= 0:
             raise DomainError("r, r1 and hole_area must be positive")
-        for a in (self.alpha, self.alpha1):
-            if not 0.0 <= a < math.pi / 2:
-                raise DomainError("angles must lie in [0, pi/2)")
 
 
 def spherical_wave(kappa: float, r1: float) -> complex:
@@ -126,39 +123,35 @@ def hole_path_amplitude(emitter: EmitterSpec, geom: DiffractionGeometry,
     weighted by the hole area, and the source propagator evaluated at the
     emission time the geometry forces:
 
-        1/(r r1) * A_diff * dS * exp[-(i kappa + rho)(c(t_d - t0) - r - r1)]
+        1/(r r1) * A_diff * dS * exp[-(i kappa + rho)(c t_d - r - r1)]
 
+    with the source prepared at t = 0 and both legs at normal incidence.
     Paths that would require emission before the source existed
-    (c(t_d - t0) < r + r1) have exactly zero amplitude.
+    (c t_d < r + r1) have exactly zero amplitude.
     """
-    budget = CONSTANTS.c * (t_d - emitter.t_production) - geom.r - geom.r1
+    budget = CONSTANTS.c * t_d - geom.r - geom.r1
     if budget < 0:
         return 0.0 + 0.0j
-    adiff = diffraction_amplitude(emitter.kappa, geom.alpha, geom.alpha1)
+    adiff = diffraction_amplitude(emitter.kappa, 0.0, 0.0)
     geom_factor = adiff * geom.hole_area / (geom.r * geom.r1)
     return geom_factor * cmath.exp(-(1j * emitter.kappa + emitter.rho) * budget)
 
 
-def plane_sum_factor(kappa: float, x1: float, method: str = "analytic",
-                     rho: float | None = None) -> complex:
+def plane_sum_factor(kappa: float, x1: float, rho: float | None = None) -> complex:
     """Net factor from summing diffracted paths over a full transverse plane
     at distance x1 short of the detector.
 
     Writing the plane sum as 2 pi A_diff(0,0) times the radial integral, the
-    analytic half-period-zone rule gives exactly e^{i kappa x1}: the plane of
-    secondary sources reproduces direct rectilinear propagation over the
-    remaining distance.  method="damped" evaluates the radial integral by
-    brute force with the physical damping rho instead.
+    half-period-zone rule (rho None) gives exactly e^{i kappa x1}: the plane
+    of secondary sources reproduces direct rectilinear propagation over the
+    remaining distance.  A rho evaluates the radial integral by brute force
+    with that physical damping instead.
     """
     adiff = diffraction_amplitude(kappa, 0.0, 0.0)
-    if method == "analytic":
+    if rho is None:
         radial = huygens_zone_value(kappa, x1)
-    elif method == "damped":
-        if rho is None:
-            raise PreconditionError("damped method requires rho")
-        radial = damped_radial_integral(kappa, x1, rho)
     else:
-        raise DomainError(f"unknown method {method!r}")
+        radial = damped_radial_integral(kappa, x1, rho)
     return 2.0 * math.pi * adiff * radial
 
 

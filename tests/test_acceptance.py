@@ -56,7 +56,7 @@ def test_criterion_03_double_slit_benchmarks():
     assert abs(photon.fringe_spacing - 29e-6) <= 0.5e-6
 
     beam = flavour.ElectronBeam(mean_p=229.0, sigma_p=229.0 * 6.0e-7)
-    electron = flavour.electron_double_slit(geom, beam, r_bar=1.0)
+    electron = flavour.electron_double_slit(geom, beam)
     # the sigma_p-driven coefficient is derivable from the quoted inputs
     assert abs(electron.spread_coeff - 1.9e-6) <= 0.1 * 1.9e-6
     # the equal-time coefficient is not (see the decisions ledger): the
@@ -248,8 +248,7 @@ def test_criterion_12_rectilinear_consistency():
     for x1 in (0.5, 1.0, 2.0):
         ps = wave_optics.plane_sum_factor(KAPPA_NA, x1)
         assert abs(ps - wave_optics.direct_factor(KAPPA_NA, x1)) < 1e-10
-    damped = wave_optics.plane_sum_factor(KAPPA_NA, 1.0, method="damped",
-                                          rho=1e-7 * KAPPA_NA)
+    damped = wave_optics.plane_sum_factor(KAPPA_NA, 1.0, rho=1e-7 * KAPPA_NA)
     assert abs(damped - wave_optics.direct_factor(KAPPA_NA, 1.0)) < 0.02
     verdict(12, "plane sum of secondary sources = direct amplitude to 1e-10 "
                 "(analytic rule), to 2% (damped quadrature)")

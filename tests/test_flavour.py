@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from pathamp.core_num import CONSTANTS, DomainError
 from pathamp.flavour import (
     ELECTRON_SLIT_REFERENCE_DAMPING,
+    KAON_RADIATIVE_SMEARING,
     NEUTRINO_REFERENCE_DAMPING_EXP,
     PHOTON_SLIT_REFERENCE_DAMPING,
     ElectronBeam,
@@ -112,7 +113,7 @@ class TestElectronPhase:
         ref = electron_phase_difference(self.BEAM, 1.0, 0.5, 0.5 + dr,
                                         "equal-times")
         assert abs(fast / ref) == pytest.approx(
-            (self.BEAM.mass / self.BEAM.mean_p) ** 2, rel=1e-12)
+            (CONSTANTS.m_electron / self.BEAM.mean_p) ** 2, rel=1e-12)
         assert abs(fast) < 1e-5 * abs(ref)
 
     def test_slow_beam_equal_velocity_phase_dominates(self):
@@ -121,7 +122,7 @@ class TestElectronPhase:
         ev = electron_phase_difference(slow, 1.0, 0.5, 0.5 + dr,
                                        "equal-velocities")
         et = electron_phase_difference(slow, 1.0, 0.5, 0.5 + dr, "equal-times")
-        assert abs(ev / et) == pytest.approx((slow.mass / slow.mean_p) ** 2,
+        assert abs(ev / et) == pytest.approx((CONSTANTS.m_electron / slow.mean_p) ** 2,
                                              rel=1e-12)
         assert abs(ev) > 1e3 * abs(et)
 
@@ -130,7 +131,7 @@ class TestElectronSlit:
     BEAM = ElectronBeam(mean_p=229.0, sigma_p=229.0 * 6.0e-7)
 
     def test_spread_coefficient_reproducible(self):
-        res = electron_double_slit(GEOM, self.BEAM, r_bar=1.0)
+        res = electron_double_slit(GEOM, self.BEAM)
         assert res.spread_coeff == pytest.approx(math.pi * 6.0e-7, rel=1e-12)
         assert abs(res.spread_coeff - ELECTRON_SLIT_REFERENCE_DAMPING[1]) \
             <= 0.1 * ELECTRON_SLIT_REFERENCE_DAMPING[1]
@@ -139,7 +140,7 @@ class TestElectronSlit:
         # the quoted companion coefficient cannot be derived from its own
         # stated inputs; the module computes the formula value and flags
         # the stored reference
-        res = electron_double_slit(GEOM, self.BEAM, r_bar=1.0)
+        res = electron_double_slit(GEOM, self.BEAM)
         gamma_sq = self.BEAM.gamma_sq
         h_mev_m = 2 * math.pi * HBARC_MEV_M
         expected = gamma_sq * h_mev_m / (2 * self.BEAM.sigma_p * 2.0)
@@ -168,7 +169,7 @@ class TestElectronSlit:
     def test_pattern_matches_photon_of_same_wavelength(self):
         lam = self.BEAM.de_broglie
         photon = photon_double_slit(GEOM, 2 * math.pi / lam, 1.0)
-        electron = electron_double_slit(GEOM, self.BEAM, r_bar=1.0)
+        electron = electron_double_slit(GEOM, self.BEAM)
         assert electron.fringe_spacing \
             == pytest.approx(photon.fringe_spacing, rel=1e-12)
         y = np.linspace(-3, 3, 101) * photon.fringe_spacing
@@ -245,7 +246,7 @@ class TestKaons:
     def test_equal_velocity_momentum_offset(self):
         rep = kaon_equal_velocity_report(self.SYS)
         assert rep.dp_over_p == pytest.approx(1.8e-14, rel=0.01)
-        assert rep.dp_rad_over_p == 4.2e-2
+        assert KAON_RADIATIVE_SMEARING == 4.2e-2
 
     def test_production_time_offset_and_scaling(self):
         rep_low = kaon_equal_velocity_report(KaonSystem(mean_p=10.0))
@@ -393,6 +394,18 @@ class TestNeutrinos:
     def test_forbidden_decay_rejected(self):
         with pytest.raises(DomainError):
             NeutrinoExperiment(100.0, 1e-14, 120.0, self.DM2, 0.5, 10.0)
+
+    def test_vanishing_recoil_mass_refused_without_overflow(self):
+        # ((1 - R_m^2)/R_m)^2 leaves the double range below R_m ~ 7e-155:
+        # a typed refusal at construction, not an OverflowError later
+        with pytest.raises(DomainError, match="double range"):
+            NeutrinoExperiment(139.57, 2.5e-14, 1e-300, self.DM2, 0.7, 100.0)
+        with pytest.raises(DomainError, match="double range"):
+            NeutrinoExperiment(139.57, 2.5e-14, 1e-152, self.DM2, 0.7, 100.0)
+        # just inside the range both consumers of the figure return
+        exp = NeutrinoExperiment(139.57, 2.5e-14, 1e-151, self.DM2, 0.7, 100.0)
+        neutrino_oscillation(exp)
+        oscillation_length_ratio(exp, self.exp())
 
     def test_curve_rows(self):
         rows = neutrino_curve(self.exp(), [10.0, 100.0])

@@ -66,6 +66,19 @@ class TestVisibility:
         with pytest.raises(DomainError):
             visibility(s, s.long_path / C)
 
+    @pytest.mark.parametrize("d", [0.01, 0.03, 0.1, 0.3, 1.0, 2.0])
+    @pytest.mark.parametrize("tau", [1e-9, 5e-8])
+    def test_equals_fringe_extremes_of_detection_probability(self, d, tau):
+        # (P+ - P-)/(P+ + P-) with the instrumental phase at the fringe
+        # maximum, phi_12 = -kappa (l1 - l2), and at the minimum, pi later
+        s = spec(d=d, tau=tau)
+        arm_phase = s.kappa * (s.long_path - s.short_path)
+        for n_tau in (0.01, 0.1, 1.0, 3.0, 10.0, 30.0):
+            t = s.long_path / C + n_tau * tau
+            p_max = detection_probability(spec(d=d, tau=tau, phi=-arm_phase), t)
+            p_min = detection_probability(spec(d=d, tau=tau, phi=math.pi - arm_phase), t)
+            assert abs(visibility(s, t) - (p_max - p_min) / (p_max + p_min)) <= 1e-11
+
     def test_asymptote(self):
         s = spec(d=0.125)
         assert visibility(s, 1.0) == pytest.approx(

@@ -76,6 +76,18 @@ class TestQuadOscillatory:
         exact = cmath.exp(1j * kappa * x1) / (rho - 1j * kappa)
         assert abs(res.value - exact) <= 1e-6 * abs(exact)
 
+    @pytest.mark.parametrize("x1", [0.05, 0.5, 5.0])
+    @pytest.mark.parametrize("rho_over_kappa", [10.0, 100.0, 1e3, 3e4, 1e5, 1e6])
+    def test_tail_error_estimate_bounds_true_error(self, x1, rho_over_kappa):
+        # node positions round to the spacing of doubles at x1, an error
+        # of ~rho ulp(x1) relative that the rule differences do not see
+        kappa = 2.0 * math.pi / 589.3e-9
+        rho = rho_over_kappa * kappa
+        res = quad_oscillatory(lambda r: np.exp(1j * kappa * r - rho * (r - x1)),
+                               x1, math.inf, kappa, damping_scale=1.0 / rho)
+        exact = cmath.exp(1j * kappa * x1) / (rho - 1j * kappa)
+        assert abs(res.value - exact) <= res.error_estimate
+
     @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan])
     def test_refuses_non_positive_damping_scale(self, scale):
         with pytest.raises(DomainError, match="damping_scale"):

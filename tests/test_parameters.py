@@ -1,18 +1,23 @@
-"""No public function of the package keeps a parameter that nothing sets.
+"""No public function or value class of the package keeps a parameter or
+field that nothing sets.
 
 A parameter with a default that no call ever passes is a constant in
 disguise: it widens the API and every reader must check what it does.
 Each such parameter of a public module-level function under
-src/pathamp (cli.py aside, whose entry point takes argv) must be passed,
-by keyword or by position, in at least one call under src/, tests/ or
-perfbench/.  A call to the function with *args or **kwargs counts as
-passing all of them.
+src/pathamp (cli.py aside, whose entry point takes argv), and each
+defaulted field of a Record class, must be passed, by keyword or by
+position, in at least one call of that function or class under src/,
+tests/ or perfbench/.  A call with *args or **kwargs counts as passing
+all of them.
 """
 
 import ast
+import importlib
 import pathlib
+import pkgutil
 
 import pathamp
+from pathamp.core_num import Record
 
 PACKAGE = pathlib.Path(pathamp.__file__).parent
 ROOT = PACKAGE.parent.parent
@@ -35,6 +40,20 @@ def _defaulted_parameters():
                        if d is not None]
             if params:
                 found[(path.relative_to(ROOT).as_posix(), node.name)] = params
+    return found
+
+
+def _defaulted_fields():
+    """{(module, class name): [(field, position)]} over every Record class."""
+    for info in pkgutil.walk_packages(pathamp.__path__, "pathamp."):
+        importlib.import_module(info.name)
+    found, todo = {}, [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls._defaults:
+                found[(cls.__module__, cls.__name__)] = [
+                    (name, cls.__slots__.index(name)) for name in cls._defaults]
     return found
 
 
@@ -62,10 +81,17 @@ def _passes(call: ast.Call, param: str, position) -> bool:
     return position is not None and len(call.args) > position
 
 
-def test_every_defaulted_parameter_is_passed_somewhere():
+def _unused(found):
     calls = _calls()
-    unused = [f"{path}:{func}({param})"
-              for (path, func), params in _defaulted_parameters().items()
-              for param, position in params
-              if not any(_passes(c, param, position) for c in calls.get(func, ()))]
-    assert unused == []
+    return [f"{where}:{name}({param})"
+            for (where, name), params in found.items()
+            for param, position in params
+            if not any(_passes(c, param, position) for c in calls.get(name, ()))]
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    assert _unused(_defaulted_parameters()) == []
+
+
+def test_every_defaulted_record_field_is_passed_somewhere():
+    assert _unused(_defaulted_fields()) == []

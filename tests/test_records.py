@@ -31,32 +31,30 @@ CASES = {
     flavour.InterferenceBreakdown: ((0.68, 0.1, 0.2, 0.38), {}),
     flavour.SlitGeometry: ((0.1, 1.0, 0.95e-3, 0.1e-3, 1e-3), {}),
     flavour.PhotonSlitResult: ((_GEOM, 1.07e7, 5.4e-9, 2.9e-5, 1.8e-7, (_FLAG,)), {}),
-    flavour.ElectronBeam: ((229.0, 1.374e-4), {"mass": CONSTANTS.m_electron}),
-    flavour.ElectronSlitResult: ((_GEOM, _BEAM, 1.0, 1e-5, 0.1, 0.2, ()), {}),
-    flavour.KaonSystem: ((497.0, 3.5e-12, 7e-12, 1.3e-14), {"mean_p": 194.0}),
+    flavour.ElectronBeam: ((229.0, 1.374e-4), {}),
+    flavour.ElectronSlitResult: ((_GEOM, _BEAM, 1e-5, 0.1, 0.2, ()), {}),
+    flavour.KaonSystem: ((), {"mean_p": 194.0}),
     flavour.NeutrinoExperiment: (
         (CONSTANTS.m_pi, 2.5e-14, CONSTANTS.m_mu, 2e-3, math.pi / 4, 100.0),
         {"mode": "two-body", "beta_energy_mev": None, "neutrino_p_mev": None}),
     flavour.NeutrinoOscillationResult: (tuple(float(i) for i in range(9)) + ((),), {}),
     flavour.ClassificationRow: (("kaon", False, False, False, False, True, "f", "1"), {}),
-    flavour.EqualVelocityReport: ((7e-15, 4.2e-2, 6.3e-25, (_FLAG,)), {}),
+    flavour.EqualVelocityReport: ((7e-15, 6.3e-25, (_FLAG,)), {}),
     michelson.InterferometerSpec: ((0.5, 0.25, 1e-8, 1.07e7), {"phi_12": 0.0}),
     michelson.LifetimeAnalysis: ((2e-10, 2.1e-10, True), {}),
     michelson.SourceMotionCorrection: ((2.1e7, 1e-12, 1.0), {}),
     propagators.OnShellParticle: ((0.511, 0.5), {"width_mev": 0.0}),
-    propagators.EmitterSpec: ((2.1, 0.0, 1e-7), {"t_production": 0.0}),
+    propagators.EmitterSpec: ((2.1, 0.0, 1e-7), {}),
     ray_optics.InterfaceGeometry: ((1.0, 1.5, 1.0, 1.0, 1.0), {}),
     ray_optics.StationaryPoint: ((0.6, 1e-15), {}),
     ray_optics.TrajectorySpread: ((6.3e-4, 6.3e-4, 7e-4), {}),
     reflection.ReflectionSetup: ((1.0, 1.5), {"t_hsm": 1.0}),
     reflection.FresnelComparison: ((0.0123, 0.04, 2.24, 0.69), {}),
-    wave_optics.DiffractionGeometry: ((1.0, 2.0), {"alpha": 0.0, "alpha1": 0.0,
-                                                   "hole_area": 1e-12}),
+    wave_optics.DiffractionGeometry: ((1.0, 2.0), {"hole_area": 1e-12}),
     oracle.OracleResult: ((1.0 + 2.0j, 0.1, 5), {}),
     refraction.RectangularBoundary: ((2.0, 3.0), {"y": 0.0, "z": 0.0}),
     refraction.CircularBoundary: ((1.0,), {"y": 0.0}),
-    refraction.InfiniteBoundary: ((), {}),
-    refraction.MediumSpec: ((1e25, 1e-10, 0.01, refraction.CircularBoundary(1.0)), {}),
+    refraction.MediumSpec: ((1e25, 1e-10, 0.01), {}),
     refraction.AnnulmentReport: ((6e-4, 6.6e3, 2.1e6, 2e-12, 4e-5, (_FLAG,)), {}),
     refraction.EffectiveVelocity: ((2.9e8, 2.8e8, 0.01, "thick-block"), {}),
     refraction.SeriesValue: ((0.5 + 0.8j, 17), {}),
@@ -64,48 +62,58 @@ CASES = {
     ConstantsTable: ((), {}),
 }
 
-# the refusals of __post_init__: (class, positional arguments, keyword arguments)
-REFUSED = [
-    (flavour.SlitGeometry, (0.1, 1.0, 0.95e-3, 0.1e-3, 0.0), {}),
-    (flavour.SlitGeometry, (-0.1, 1.0, 0.95e-3, 0.1e-3, 1e-3), {}),
-    (flavour.ElectronBeam, (0.0, 1e-4), {}),
-    (flavour.ElectronBeam, (229.0, 1e-4), {"mass": 0.0}),
-    (flavour.ElectronBeam, (229.0, 0.0), {}),
-    (flavour.KaonSystem, (), {"dm": 0.0}),
-    (flavour.KaonSystem, (), {"gamma_s": 1e-15}),
-    (flavour.KaonSystem, (), {"gamma_l": 0.0}),
-    (flavour.NeutrinoExperiment, (139.6, 2.5e-14, 105.7, 0.0, 0.5, 100.0), {}),
-    (flavour.NeutrinoExperiment, (139.6, 2.5e-14, 105.7, 2e-3, 0.5, 0.0), {}),
-    (flavour.NeutrinoExperiment, (100.0, 2.5e-14, 120.0, 2e-3, 0.5, 10.0), {}),
-    (flavour.NeutrinoExperiment, (139.6, 2.5e-14, 105.7, 2e-3, 0.5, 10.0),
-     {"mode": "beta", "beta_energy_mev": 1.0}),
-    (flavour.NeutrinoExperiment, (139.6, 2.5e-14, 105.7, 2e-3, 0.5, 10.0),
-     {"mode": "three-body"}),
-    (michelson.InterferometerSpec, (0.5, 0.0, 1e-8, 1e7), {}),
-    (michelson.InterferometerSpec, (0.5, 0.25, 1e-8, -1e7), {}),
-    (michelson.InterferometerSpec, (0.0, 0.25, 1e-8, 1e7), {}),
-    (michelson.InterferometerSpec, (0.5, 0.25, 0.0, 1e7), {}),
-    (propagators.OnShellParticle, (-1.0, 0.5), {}),
-    (propagators.OnShellParticle, (1.0, 0.5), {"width_mev": -1.0}),
-    (propagators.OnShellParticle, (1.0, 1.5), {}),
-    (propagators.OnShellParticle, (1.0, 1.0), {}),
-    (propagators.EmitterSpec, (1.0, 2.0, 1e-7), {}),
-    (propagators.EmitterSpec, (2.0, 1.0, -1e-7), {}),
-    (ray_optics.InterfaceGeometry, (0.9, 1.5, 1.0, 1.0, 1.0), {}),
-    (ray_optics.InterfaceGeometry, (1.0, 1.5, 1.0, 0.0, 1.0), {}),
-    (ray_optics.InterfaceGeometry, (1.0, 1.5, 0.0, 1.0, 1.0), {}),
-    (reflection.ReflectionSetup, (1.0, 0.5), {}),
-    (reflection.ReflectionSetup, (1.0, 1.5), {"t_hsm": 0.0}),
-    (reflection.ReflectionSetup, (1.0, 1.5), {"t_hsm": 1.5}),
-    (wave_optics.DiffractionGeometry, (0.0, 2.0), {}),
-    (wave_optics.DiffractionGeometry, (1.0, 2.0), {"alpha1": math.pi / 2}),
-    (refraction.RectangularBoundary, (0.0, 3.0), {}),
-    (refraction.RectangularBoundary, (2.0, 3.0), {"z": 1.5}),
-    (refraction.CircularBoundary, (0.0,), {}),
-    (refraction.CircularBoundary, (1.0,), {"y": -1.0}),
-    (refraction.MediumSpec, (0.0, 1e-10, 0.01), {}),
-    (refraction.MediumSpec, (1e25, 1e-10, -0.01), {}),
-]
+# the refusals of __post_init__: {id: (class, positional arguments, keyword
+# arguments)}; a comment names the field broken when no keyword does.  The
+# ids are written out, not numbered by position, so removing a row renames
+# no other test.
+REFUSED = {
+    "SlitGeometry-0": (flavour.SlitGeometry, (0.1, 1.0, 0.95e-3, 0.1e-3, 0.0), {}),  # w
+    "SlitGeometry-1": (flavour.SlitGeometry, (-0.1, 1.0, 0.95e-3, 0.1e-3, 1e-3), {}),  # l
+    "ElectronBeam-2": (flavour.ElectronBeam, (0.0, 1e-4), {}),                  # mean_p
+    "ElectronBeam-4": (flavour.ElectronBeam, (229.0, 0.0), {}),                 # sigma_p
+    "NeutrinoExperiment-8": (flavour.NeutrinoExperiment,                        # dm2_ev2
+                             (139.6, 2.5e-14, 105.7, 0.0, 0.5, 100.0), {}),
+    "NeutrinoExperiment-9": (flavour.NeutrinoExperiment,                        # baseline
+                             (139.6, 2.5e-14, 105.7, 2e-3, 0.5, 0.0), {}),
+    "NeutrinoExperiment-10": (flavour.NeutrinoExperiment,                       # recoil_mass
+                              (100.0, 2.5e-14, 120.0, 2e-3, 0.5, 10.0), {}),
+    "NeutrinoExperiment-11": (flavour.NeutrinoExperiment,                       # neutrino_p_mev
+                              (139.6, 2.5e-14, 105.7, 2e-3, 0.5, 10.0),
+                              {"mode": "beta", "beta_energy_mev": 1.0}),
+    "NeutrinoExperiment-12": (flavour.NeutrinoExperiment,
+                              (139.6, 2.5e-14, 105.7, 2e-3, 0.5, 10.0),
+                              {"mode": "three-body"}),
+    "InterferometerSpec-13": (michelson.InterferometerSpec,                     # imbalance
+                              (0.5, 0.0, 1e-8, 1e7), {}),
+    "InterferometerSpec-14": (michelson.InterferometerSpec,                     # kappa
+                              (0.5, 0.25, 1e-8, -1e7), {}),
+    "InterferometerSpec-15": (michelson.InterferometerSpec,                     # arm_length
+                              (0.0, 0.25, 1e-8, 1e7), {}),
+    "InterferometerSpec-16": (michelson.InterferometerSpec,                     # tau_s
+                              (0.5, 0.25, 0.0, 1e7), {}),
+    "OnShellParticle-17": (propagators.OnShellParticle, (-1.0, 0.5), {}),       # mass_mev
+    "OnShellParticle-18": (propagators.OnShellParticle, (1.0, 0.5), {"width_mev": -1.0}),
+    "OnShellParticle-19": (propagators.OnShellParticle, (1.0, 1.5), {}),        # beta
+    "OnShellParticle-20": (propagators.OnShellParticle, (1.0, 1.0), {}),        # beta
+    "EmitterSpec-21": (propagators.EmitterSpec, (1.0, 2.0, 1e-7), {}),          # e_upper_ev
+    "EmitterSpec-22": (propagators.EmitterSpec, (2.0, 1.0, -1e-7), {}),         # width_ev
+    "InterfaceGeometry-23": (ray_optics.InterfaceGeometry,                      # n1
+                             (0.9, 1.5, 1.0, 1.0, 1.0), {}),
+    "InterfaceGeometry-24": (ray_optics.InterfaceGeometry,                      # d
+                             (1.0, 1.5, 1.0, 0.0, 1.0), {}),
+    "InterfaceGeometry-25": (ray_optics.InterfaceGeometry,                      # alpha
+                             (1.0, 1.5, 0.0, 1.0, 1.0), {}),
+    "ReflectionSetup-26": (reflection.ReflectionSetup, (1.0, 0.5), {}),         # n2
+    "ReflectionSetup-27": (reflection.ReflectionSetup, (1.0, 1.5), {"t_hsm": 0.0}),
+    "ReflectionSetup-28": (reflection.ReflectionSetup, (1.0, 1.5), {"t_hsm": 1.5}),
+    "DiffractionGeometry-29": (wave_optics.DiffractionGeometry, (0.0, 2.0), {}),  # r
+    "RectangularBoundary-31": (refraction.RectangularBoundary, (0.0, 3.0), {}),  # l_y
+    "RectangularBoundary-32": (refraction.RectangularBoundary, (2.0, 3.0), {"z": 1.5}),
+    "CircularBoundary-33": (refraction.CircularBoundary, (0.0,), {}),           # radius
+    "CircularBoundary-34": (refraction.CircularBoundary, (1.0,), {"y": -1.0}),
+    "MediumSpec-35": (refraction.MediumSpec, (0.0, 1e-10, 0.01), {}),           # density
+    "MediumSpec-36": (refraction.MediumSpec, (1e25, 1e-10, -0.01), {}),         # thickness
+}
 
 
 @pytest.mark.parametrize("cls", list(CASES), ids=[cls.__name__ for cls in CASES])
@@ -134,8 +142,6 @@ class TestEveryRecord:
         obj = cls(*CASES[cls][0])
         with pytest.raises(AttributeError):
             obj.not_a_field = 1
-        if not cls.__slots__:   # a record with no fields
-            return
         name = cls.__slots__[0]
         before = getattr(obj, name)
         with pytest.raises(AttributeError):
@@ -165,9 +171,7 @@ class TestEveryRecord:
         assert a == b and not a != b
         assert a != object()
         assert hash(a) == hash(b)
-        text = repr(a)
-        first = f"{cls.__slots__[0]}=" if cls.__slots__ else ")"
-        assert text.startswith(f"{cls.__name__}({first}")
+        assert repr(a).startswith(f"{cls.__name__}({cls.__slots__[0]}=")
         assert copy.copy(a) == a
         assert copy.deepcopy(a) == a
         assert pickle.loads(pickle.dumps(a)) == a
@@ -181,8 +185,7 @@ class TestEveryRecord:
             assert keys == list(cls.__slots__)
 
 
-@pytest.mark.parametrize("cls,args,kwargs", REFUSED,
-                         ids=[f"{c.__name__}-{i}" for i, (c, _a, _k) in enumerate(REFUSED)])
+@pytest.mark.parametrize("cls,args,kwargs", REFUSED.values(), ids=REFUSED)
 def test_post_init_refusals_raise_domain_error(cls, args, kwargs):
     with pytest.raises(DomainError):
         cls(*args, **kwargs)
@@ -191,16 +194,6 @@ def test_post_init_refusals_raise_domain_error(cls, args, kwargs):
 def test_unequal_fields_compare_unequal():
     assert DiscrepancyFlag("q", 1.0, 2.0) != DiscrepancyFlag("q", 1.0, 2.5)
     assert DiscrepancyFlag("q", 1.0, 2.0) != oracle.OracleResult("q", 1.0, 2.0)
-
-
-def test_default_boundary_is_one_shared_record():
-    m1 = refraction.MediumSpec(1e25, 1e-10, 0.01)
-    m2 = refraction.MediumSpec(1e25, 1e-10, 0.01)
-    assert isinstance(m1.boundary, refraction.InfiniteBoundary)
-    assert m1.boundary is m2.boundary
-    assert m1.boundary == refraction.InfiniteBoundary()
-    assert m1 == m2 and hash(m1) == hash(m2)
-    assert m1 != refraction.MediumSpec(1e25, 1e-10, 0.01, refraction.CircularBoundary(1.0))
 
 
 def test_constants_table_hashes_and_notes_are_read_only():
@@ -249,7 +242,7 @@ def test_as_dict_converts_nested_records_and_tuples():
         "kappa": 1.07e7, "tau_s": 5.4e-9, "fringe_spacing": 2.9e-5,
         "damping_per_fringe": 1.8e-7,
         "flags": [{"quantity": "q", "computed": 1.0, "reference": 2.0, "note": "note"}]}
-    assert flavour.EqualVelocityReport(1.0, 2.0, 3.0, ()).as_dict()["flags"] == []
+    assert flavour.EqualVelocityReport(1.0, 2.0, ()).as_dict()["flags"] == []
 
 
 def test_no_value_class_but_record():

@@ -18,7 +18,6 @@ from pathamp.refraction import (
     AnnulmentReport,
     CircularBoundary,
     ConvergenceError,
-    InfiniteBoundary,
     MediumSpec,
     RectangularBoundary,
     annulment_report,
@@ -329,7 +328,7 @@ class TestBoundaryRadialLimit:
         with pytest.raises(DomainError):
             RectangularBoundary(l_y=0.04, l_z=0.04, y=0.03)
         with pytest.raises(DomainError):
-            boundary_radial_limit(InfiniteBoundary(), 0.5, 0.0)
+            boundary_radial_limit(None, 0.5, 0.0)
 
 
 class TestUnconstrainedConvergenceGuard:

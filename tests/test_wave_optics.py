@@ -108,21 +108,21 @@ class TestHolePathAmplitude:
     GEOM = DiffractionGeometry(r=0.5, r1=0.7, hole_area=1e-8)
 
     def test_prompt_decay_no_damping(self):
-        t_d = NA.t_production + (self.GEOM.r + self.GEOM.r1) / C
+        t_d = (self.GEOM.r + self.GEOM.r1) / C
         amp = hole_path_amplitude(NA, self.GEOM, t_d)
         expected_mod = abs(diffraction_amplitude(NA.kappa, 0, 0)) \
             * self.GEOM.hole_area / (self.GEOM.r * self.GEOM.r1)
         assert abs(amp) == pytest.approx(expected_mod, rel=1e-12)
 
     def test_later_detection_damps(self):
-        t_on = NA.t_production + (self.GEOM.r + self.GEOM.r1) / C
+        t_on = (self.GEOM.r + self.GEOM.r1) / C
         tau = NA.lifetime
         a0 = abs(hole_path_amplitude(NA, self.GEOM, t_on))
         a1 = abs(hole_path_amplitude(NA, self.GEOM, t_on + 3.0 * tau))
         assert a1 / a0 == pytest.approx(math.exp(-1.5), rel=1e-9)
 
     def test_causality_zero(self):
-        t_d = NA.t_production + (self.GEOM.r + self.GEOM.r1) / C * 0.999
+        t_d = (self.GEOM.r + self.GEOM.r1) / C * 0.999
         assert hole_path_amplitude(NA, self.GEOM, t_d) == 0.0
 
     def test_product_decomposition(self):
@@ -132,13 +132,13 @@ class TestHolePathAmplitude:
         # the identity can be checked at the 1e-12 level in float64.
         emitter = EmitterSpec(50.0 * CONSTANTS.hbarc_ev_m, 0.0,
                               0.5 * CONSTANTS.hbarc_ev_m)
-        t_d = emitter.t_production + (self.GEOM.r + self.GEOM.r1) / C * 1.5
+        t_d = (self.GEOM.r + self.GEOM.r1) / C * 1.5
         amp = hole_path_amplitude(emitter, self.GEOM, t_d)
         z = 1j * emitter.kappa + emitter.rho
         flight_r = cmath.exp(z * self.GEOM.r) / self.GEOM.r
         flight_r1 = cmath.exp(z * self.GEOM.r1) / self.GEOM.r1
         hole = diffraction_amplitude(emitter.kappa, 0, 0) * self.GEOM.hole_area
-        source = cmath.exp(-z * C * (t_d - emitter.t_production))
+        source = cmath.exp(-z * C * t_d)
         product = flight_r * flight_r1 * hole * source
         assert abs(amp - product) <= 1e-12 * abs(amp)
 
@@ -147,7 +147,7 @@ class TestHolePathAmplitude:
         # geometric 1/(r r1)^2 falloff against a weaker source damping;
         # within a coherence length (path << 1/rho ~ 10 m here) the
         # geometry wins and the detection probability cannot increase
-        t_d = NA.t_production + 2.0 / C
+        t_d = 2.0 / C
         probs = []
         for extra in (0.0, 0.1, 0.2, 0.3):
             geom = DiffractionGeometry(r=0.5, r1=0.7 + extra, hole_area=1e-8)
@@ -165,6 +165,5 @@ class TestRectilinearConsistency:
 
     def test_damped_plane_sum_within_two_percent(self):
         x1 = 1.0
-        ps = plane_sum_factor(self.KAPPA, x1, method="damped",
-                              rho=1e-7 * self.KAPPA)
+        ps = plane_sum_factor(self.KAPPA, x1, rho=1e-7 * self.KAPPA)
         assert abs(ps - direct_factor(self.KAPPA, x1)) < 0.02
