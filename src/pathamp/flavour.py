@@ -117,13 +117,15 @@ class ElectronBeam(Record):
     __slots__ = ("mean_p", "sigma_p")
 
     def __post_init__(self):
-        if self.mean_p <= 0:
-            # the wording is kept: the command line prints it
-            raise DomainError("momentum and mass must be positive")
-        if self.sigma_p <= 0:
+        if not self.mean_p > 0:
+            raise DomainError("momentum must be positive")
+        if not self.sigma_p > 0:
             raise DomainError(
                 "sigma_p must be positive: interference requires a"
                 " non-vanishing momentum spread")
+        if not (math.isfinite(self.mean_p) and math.isfinite(self.sigma_p)):
+            raise DomainError(f"momentum {self.mean_p!r} and spread {self.sigma_p!r}"
+                              " MeV/c must be finite")
 
     @property
     def energy(self) -> float:
@@ -264,8 +266,9 @@ class KaonSystem(Record):
 
     def __post_init__(self):
         if not self.mean_p > 0:
-            # the wording is kept: the command line prints it
-            raise DomainError("mean mass and momentum must be positive")
+            raise DomainError("mean momentum must be positive")
+        if not math.isfinite(self.mean_p):
+            raise DomainError(f"mean momentum {self.mean_p!r} MeV/c must be finite")
         # proper_time and kaon_oscillation_phase_lab divide by these, which
         # a subnormal momentum sends to 0
         if not (self.mean_p / self.mean_mass * CONSTANTS.c > 0
@@ -399,6 +402,14 @@ class NeutrinoExperiment(Record):
                 raise DomainError(
                     f"recoil mass {self.recoil_mass!r} MeV is too small against the"
                     " source mass: ((1 - R_m^2)/R_m)^2 leaves the double range")
+            # neutrino_oscillation and oscillation_length_ratio scale it by
+            # the source mass and divide by dm2 and p0
+            if not (self.p0 > 0 and math.isfinite(_compact_length(self))
+                    and math.isfinite(_length_figure(self))):
+                raise DomainError(
+                    f"recoil mass {self.recoil_mass!r} MeV against source mass"
+                    f" {self.source_mass!r} MeV: the path oscillation length"
+                    " leaves the double range")
         elif self.mode == "beta":
             if self.beta_energy_mev is None or self.neutrino_p_mev is None:
                 raise DomainError("beta mode needs beta_energy_mev and neutrino_p_mev")
@@ -494,8 +505,7 @@ def neutrino_oscillation(exp: NeutrinoExperiment) -> NeutrinoOscillationResult:
         rm = exp.mass_ratio
         ms_ev = exp.source_mass * 1e6
         phi_compact = (dm2 / ms_ev) * (rm / (1.0 - rm ** 2)) ** 2 * l / hbarc
-        losc_path = 2.0 * math.pi * hbarc * ms_ev \
-            * ((1.0 - rm ** 2) / rm) ** 2 / dm2
+        losc_path = _compact_length(exp)
     else:
         # the compact two-body coefficient has no beta-decay analogue;
         # the oscillation length then follows the full phase chain
@@ -577,11 +587,22 @@ def oscillation_length_ratio(exp_a: NeutrinoExperiment,
     ~28 for a kaon source versus a pion source; the standard kinematic
     formula instead predicts 1 at equal momentum.
     """
-    def figure(e: NeutrinoExperiment) -> float:
-        rm = e.mass_ratio
-        return e.source_mass * ((1.0 - rm ** 2) / rm) ** 2 / e.p0
+    return _length_figure(exp_a) / _length_figure(exp_b)
 
-    return figure(exp_a) / figure(exp_b)
+
+def _compact_length(exp: NeutrinoExperiment) -> float:
+    """Two-body path oscillation length 2 pi hbar c m_S ((1-R_m^2)/R_m)^2
+    / dm^2 (m)."""
+    rm = exp.mass_ratio
+    return 2.0 * math.pi * CONSTANTS.hbarc_ev_m * (exp.source_mass * 1e6) \
+        * ((1.0 - rm ** 2) / rm) ** 2 / exp.dm2_ev2
+
+
+def _length_figure(exp: NeutrinoExperiment) -> float:
+    """m_S ((1-R_m^2)/R_m)^2 / p0, the two-body oscillation length at
+    equal momentum up to a common factor."""
+    rm = exp.mass_ratio
+    return exp.source_mass * ((1.0 - rm ** 2) / rm) ** 2 / exp.p0
 
 
 def neutrino_curve(exp: NeutrinoExperiment, baselines) -> list[tuple]:

@@ -24,9 +24,10 @@ error estimate, not one dense rule over the whole window.
 
 Monte Carlo uses the counter-based Philox generator, so a fixed seed gives
 bit-identical results across platforms.  Samples are drawn in fixed-size
-batches by one sequential loop, and the hit count is an exact integer sum,
-so a fixed seed and sample count always give the same estimate, whatever
-the batch size.
+batches by one sequential loop into one reused buffer of at most
+order * _MC_BATCH doubles, and the hit count is an exact integer sum, so a
+fixed seed and sample count always give the same estimate, whatever the
+batch size.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ _OSC_TOL = 1e-10
 # its rule only up to degree 100
 _MAX_RULE = 100
 
-# samples mc_ordered_volume draws at a time
-_MC_BATCH = 262144
+# samples mc_ordered_volume draws at a time: one order-8 batch is 2 MB
+_MC_BATCH = 32768
 
 # first point of quad_nested's default x
 NESTED_X_START = 0.4
@@ -78,15 +79,15 @@ class OracleResult(Record):
         return self.value.real
 
 
-def _count(name: str, value, most: int | None = None) -> int:
-    """value as a Python int from 1 to most (no bound if None); anything
-    else raises DomainError."""
+def _count(name: str, value, most: int | None = None, least: int = 1) -> int:
+    """value as a Python int from least to most (no upper bound if None);
+    anything else raises DomainError."""
     try:
         value = operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, not {value!r}") from None
-    if value < 1:
-        raise DomainError(f"{name} must be >= 1")
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}")
     if most is not None and value > most:
         raise DomainError(f"{name} must be <= {most}, not {value}")
     return value
@@ -374,6 +375,16 @@ def mc_ordered_volume(order: int, length: float, samples: int,
 
     Returns the estimate with a one-sigma binomial error bar.  order 1 is
     degenerate (the answer is exactly L) and is returned without sampling.
+
+    The points are drawn batch by batch into one reused buffer of at most
+    order * _MC_BATCH doubles (2 MB at order 8), and the ordering test is
+    formed in two reused boolean masks.  Philox fills the buffer's rows
+    with the same doubles, in the same order, as one draw of all samples,
+    so the estimate does not depend on the batch size.
+
+    A seed that is not an integer >= 0 (None included, which would seed
+    from OS entropy) raises DomainError, as does a non-finite or
+    non-positive length or a samples that is not an integer >= 1.
     """
     if not 1 <= order <= 8:
         raise PreconditionError("order must be between 1 and 8")
@@ -382,18 +393,25 @@ def mc_ordered_volume(order: int, length: float, samples: int,
     if length <= 0:
         raise DomainError("length must be positive")
     samples = _count("samples", samples)
+    seed = _count("seed", seed, least=0)
     if order == 1:
         return OracleResult(complex(length), 0.0, 0)
     rng = np.random.Generator(np.random.Philox(seed))
+    # one batch buffer and two masks, reused: a C-contiguous row slice of
+    # buf takes the same doubles from the stream as a fresh (n, order) draw
+    batch = min(_MC_BATCH, samples)
+    buf = np.empty((batch, order))
+    ordered = np.empty(batch, bool)
+    pair = np.empty(batch, bool)
     hits = 0
     done = 0
     while done < samples:
-        n = min(_MC_BATCH, samples - done)
-        pts = rng.random((n, order))
-        ordered = pts[:, 0] >= pts[:, 1]
+        n = min(batch, samples - done)
+        pts = rng.random(out=buf[:n])
+        ok = np.greater_equal(pts[:, 0], pts[:, 1], out=ordered[:n])
         for k in range(1, order - 1):
-            ordered &= pts[:, k] >= pts[:, k + 1]
-        hits += int(np.count_nonzero(ordered))
+            ok &= np.greater_equal(pts[:, k], pts[:, k + 1], out=pair[:n])
+        hits += int(np.count_nonzero(ok))
         done += n
     p = hits / samples
     vol = length ** order

@@ -431,6 +431,8 @@ class TestTypedRefusals:
         (["oracle", "--op", "mc-volume", "--order", "2.9", "--samples", "1000"],
          "DomainError"),
         (["oracle", "--op", "nested", "--order", "1.5"], "DomainError"),
+        (["oracle", "--op", "mc-volume", "--samples", "1000", "--seed", "-1"],
+         "DomainError"),
     ], ids=["diffraction", "michelson", "ydse", "half-zone", "propagator-beta", "kaon",
             "neutrino-beta-p", "subnormal-wavelength", "subnormal-kaon-p",
             "half-zone-far", "half-zone-overflow", "half-zone-unconverged-tail",
@@ -439,7 +441,8 @@ class TestTypedRefusals:
             "refract-index-underflow", "michelson-zero-over-zero",
             "reflect-thsm-underflow", "ydse-damping-overflow", "ydse-spacing-overflow",
             "ydse-electron-scale-overflow", "neutrino-beta-tiny-p",
-            "mc-volume-fractional-order", "nested-fractional-order"])
+            "mc-volume-fractional-order", "nested-fractional-order",
+            "mc-volume-negative-seed"])
     def test_refused(self, capsys, argv, kind):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -153,6 +153,13 @@ class TestElectronSlit:
         with pytest.raises(DomainError):
             ElectronBeam(mean_p=229.0, sigma_p=0.0)
 
+    @pytest.mark.parametrize("mean_p,sigma_p", [
+        (math.nan, 1e-3), (math.inf, 1e-3), (100.0, math.nan), (100.0, math.inf)])
+    def test_non_finite_momentum_or_spread_is_rejected(self, mean_p, sigma_p):
+        # these were accepted, and energy then returned nan or inf
+        with pytest.raises(DomainError):
+            ElectronBeam(mean_p=mean_p, sigma_p=sigma_p)
+
     def test_damping_exponent_past_double_range_is_zero(self):
         # at sigma_p = 1e-297 MeV/c the equal-time coefficient is finite,
         # but its square at fringe order 1 is not: the damping is 0, with
@@ -255,6 +262,12 @@ class TestKaons:
         ratio = rep_low.dt_production / rep_high.dt_production
         assert ratio == pytest.approx(6.27 / 2.8, rel=0.01)
         assert rep_low.flags[0].quantity == "dt_production"
+
+    @pytest.mark.parametrize("mean_p", [math.nan, math.inf])
+    def test_non_finite_momentum_is_rejected(self, mean_p):
+        # an infinite momentum was accepted, and mean_energy returned inf
+        with pytest.raises(DomainError):
+            KaonSystem(mean_p=mean_p)
 
     def test_curve_rows(self):
         rows = kaon_curve(self.SYS, np.linspace(0, 1e-10, 5))
@@ -403,9 +416,20 @@ class TestNeutrinos:
         with pytest.raises(DomainError, match="double range"):
             NeutrinoExperiment(139.57, 2.5e-14, 1e-152, self.DM2, 0.7, 100.0)
         # just inside the range both consumers of the figure return
-        exp = NeutrinoExperiment(139.57, 2.5e-14, 1e-151, self.DM2, 0.7, 100.0)
-        neutrino_oscillation(exp)
-        oscillation_length_ratio(exp, self.exp())
+        exp = NeutrinoExperiment(139.57, 2.5e-14, 1e-149, self.DM2, 0.7, 100.0)
+        assert math.isfinite(neutrino_oscillation(exp).losc_path)
+        assert math.isfinite(oscillation_length_ratio(exp, self.exp()))
+
+    def test_overflowing_oscillation_length_refused(self):
+        # ((1 - R_m^2)/R_m)^2 ~ 1.9e306 is a double here, but the path
+        # oscillation length 2 pi hbar c m_S times it over dm2 is not: a
+        # typed refusal, not losc_path = inf and a subnormal phi_compact
+        with pytest.raises(DomainError, match="oscillation length"):
+            NeutrinoExperiment(139.57, 2.5e-14, 1e-151, self.DM2, 0.7, 100.0)
+        # nor is the oscillation_length_ratio figure m_S (...)^2 / p0 once
+        # p0 underflows to 0
+        with pytest.raises(DomainError, match="oscillation length"):
+            NeutrinoExperiment(1e-200, 1e-3, 0.5e-200, self.DM2, 0.7, 100.0)
 
     def test_curve_rows(self):
         rows = neutrino_curve(self.exp(), [10.0, 100.0])

@@ -429,6 +429,30 @@ class TestMonteCarlo:
         with pytest.raises(DomainError, match="samples"):
             mc_ordered_volume(order, 1.0, samples)
 
+    @pytest.mark.parametrize("order", [1, 3])
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, "3"])
+    def test_refuses_seed_that_is_not_a_non_negative_integer(self, order, seed):
+        # None would seed Philox from OS entropy, so no fixed seed
+        with pytest.raises(DomainError, match="seed"):
+            mc_ordered_volume(order, 1.0, 100, seed=seed)
+
+    def test_accepts_numpy_integer_seed(self):
+        a = mc_ordered_volume(3, 1.0, 5000, seed=np.int64(4))
+        b = mc_ordered_volume(3, 1.0, 5000, seed=4)
+        assert a == b
+
+    def test_memory_is_one_batch(self):
+        # a fresh (262144, 8) draw per batch, bound while the next was
+        # built, peaked at 32.25 MiB; the reused buffer is 2 MiB
+        tracemalloc.start()
+        try:
+            res = mc_ordered_volume(8, 1.0, 1_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.evaluations == 1_000_000
+        assert peak < 4 * 2 ** 20
+
     def test_accepts_numpy_integer_sample_count(self):
         a = mc_ordered_volume(3, 1.0, np.int64(5000), seed=4)
         b = mc_ordered_volume(3, 1.0, 5000, seed=4)
@@ -440,27 +464,43 @@ class TestMonteCarlo:
         with pytest.raises(DomainError, match="length"):
             mc_ordered_volume(order, length, 100)
 
-    # hit counts for seeds 0, 1, 2 at the default batch of 262144 samples:
-    # below it, equal to it, and above it but not a multiple of it
+    # hit counts for seeds 0, 1, 2, recorded with a batch of 262144
+    # samples: below it, equal to it, and above it but not a multiple of
+    # it.  The rows at 32768 and 40000 sit at the batch of 32768 and just
+    # above it, so they show the counts do not depend on the batch size.
     SEED_HITS = {
+        (2, 32_768): (16386, 16535, 16291),
+        (2, 40_000): (19974, 20130, 19856),
         (2, 100_000): (50077, 50001, 49799),
         (2, 262_144): (131047, 131241, 130919),
         (2, 300_000): (149813, 150258, 149997),
+        (3, 32_768): (5367, 5520, 5491),
+        (3, 40_000): (6590, 6703, 6733),
         (3, 100_000): (16442, 16834, 16721),
         (3, 262_144): (43443, 44064, 43914),
         (3, 300_000): (49702, 50336, 50193),
+        (4, 32_768): (1296, 1356, 1303),
+        (4, 40_000): (1573, 1658, 1622),
         (4, 100_000): (4087, 4076, 4112),
         (4, 262_144): (10746, 10732, 10829),
         (4, 300_000): (12350, 12258, 12404),
+        (5, 32_768): (266, 271, 275),
+        (5, 40_000): (333, 336, 329),
         (5, 100_000): (821, 828, 800),
         (5, 262_144): (2180, 2199, 2116),
         (5, 300_000): (2514, 2501, 2437),
+        (6, 32_768): (49, 42, 51),
+        (6, 40_000): (59, 52, 61),
         (6, 100_000): (146, 133, 159),
         (6, 262_144): (378, 363, 371),
         (6, 300_000): (428, 422, 417),
+        (7, 32_768): (7, 8, 6),
+        (7, 40_000): (8, 10, 6),
         (7, 100_000): (25, 18, 22),
         (7, 262_144): (69, 51, 59),
         (7, 300_000): (74, 62, 63),
+        (8, 32_768): (0, 0, 0),
+        (8, 40_000): (0, 0, 0),
         (8, 100_000): (0, 1, 1),
         (8, 262_144): (7, 4, 4),
         (8, 300_000): (8, 5, 4),
