@@ -3,12 +3,12 @@
 
 import math
 
-from pathamp.core_num import CONSTANTS
+from pathamp.core_num import CONSTANTS, wavenumber
 
 
 def _recipe_fig9(args):
     from pathamp import michelson
-    kappa = 2.0 * math.pi / CONSTANTS.lambda_na_d
+    kappa = wavenumber(CONSTANTS.lambda_na_d)
     t_grid = [round(7.0 + 0.25 * i, 4) for i in range(170)]
     imbalances = {"d=12.5cm": 0.125, "d=25cm": 0.25, "d=50cm": 0.50}
     rows = michelson.gated_visibility_table(0.5, imbalances.values(),

@@ -75,7 +75,7 @@ class PhotonSlitResult(Record):
         """Detection probability (arbitrary scale) at screen position y."""
         import numpy as np
         y = np.asarray(y, dtype=float)
-        dr = 2.0 * self.geometry.effective_separation * y / self.geometry.l
+        dr = self.geometry.path_difference(y)
         damp = 1.0
         if include_damping:
             # an exponent past the double range is a damping of exactly 0
@@ -181,7 +181,7 @@ class ElectronSlitResult(Record):
         """Detection probability (scale 1/(sqrt(pi) sigma_p)) at position y."""
         import numpy as np
         y = np.asarray(y, dtype=float)
-        dr = 2.0 * self.geometry.effective_separation * y / self.geometry.l
+        dr = self.geometry.path_difference(y)
         n = np.abs(dr) / self.beam.de_broglie
         if include_damping:
             # an exponent past the double range is a damping of exactly 0
@@ -386,10 +386,20 @@ class NeutrinoExperiment(Record):
     }
 
     def __post_init__(self):
+        # NaN would pass the sign checks and come out as probability nan;
+        # inf as a bare ValueError from cos(inf)
+        for name in ("source_mass", "source_width", "recoil_mass", "dm2_ev2",
+                     "theta_12", "baseline"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value!r}")
         if self.dm2_ev2 <= 0:
             raise DomainError("dm2 must be positive")
         if self.baseline <= 0:
             raise DomainError("baseline must be positive")
+        if self.source_width < 0:
+            # a negative width would amplify the interference term
+            raise DomainError("source width must be >= 0")
         if self.mode == "two-body":
             if not 0.0 < self.recoil_mass < self.source_mass:
                 raise DomainError(
@@ -413,6 +423,9 @@ class NeutrinoExperiment(Record):
         elif self.mode == "beta":
             if self.beta_energy_mev is None or self.neutrino_p_mev is None:
                 raise DomainError("beta mode needs beta_energy_mev and neutrino_p_mev")
+            if not (math.isfinite(self.beta_energy_mev)
+                    and math.isfinite(self.neutrino_p_mev)):
+                raise DomainError("beta_energy_mev and neutrino_p_mev must be finite")
             # the phase and the damping divide by the momentum in eV, squared
             p_ev = self.neutrino_p_mev * 1e6
             if not (p_ev > 0 and p_ev * p_ev > 0):

@@ -498,7 +498,9 @@ def series_sum_highprec(delta_phi: float, beta_l: float,
         S = sum_{n=0}^{n_max} (i beta_l)^n / n!
                 * (1 - e^{i dphi} sum_{k<n} (-i dphi)^k / k!)
 
-    Returns an mpmath complex; magnitudes can exceed float range.  Working
+    Returns an mpmath complex; magnitudes can exceed float range.  mpmath
+    is not a runtime dependency of the package (it comes with the ``test``
+    extra), and no command calls this function.  Working
     precision is chosen from beta_l so that the catastrophic cancellation
     among terms of size ~exp(beta_l) leaves >= 25 significant digits:
     dps = 30 + (1.1 beta_l + 0.7 dphi) / ln 10 decimal digits.

@@ -20,8 +20,10 @@ from pathamp.core_num import (CONSTANTS, ConvergenceError, DiscrepancyFlag, Doma
 
 _THETA_EPS = 1e-12
 
-# detector-angle bracket of the stationary-point searches
+# detector-angle bracket of the stationary-point searches, and the
+# absolute tolerance of their root search
 _WINDOW = (_THETA_EPS, math.pi / 2 - 1e-6)
+_XTOL = 1e-12
 
 # Relative tolerance and iteration cap of the bracketed root search
 # (the defaults of scipy.optimize.brentq).
@@ -58,10 +60,6 @@ class InterfaceGeometry(Record):
             raise DomainError("d and segment must be positive")
         if not 0.0 < self.alpha <= math.pi / 2:
             raise DomainError("alpha must lie in (0, pi/2]")
-
-    @property
-    def theta_incidence(self) -> float:
-        return math.pi / 2 - self.alpha
 
     def detector_r(self, theta: float) -> float:
         return self.d / math.cos(theta)
@@ -101,15 +99,6 @@ def snell_angle(n1: float, n2: float, theta_i: float) -> float:
     if s > 1.0:
         raise TotalInternalReflection(n1, n2)
     return math.asin(s)
-
-
-def _displacement_gradient(geom: InterfaceGeometry, theta: float,
-                           n_out: float, phi1: float = 0.0) -> float:
-    """d(phase)/d(big_r) at big_r = 0, phi = 0, per unit kappa, from
-    differentiating the displaced leg lengths analytically:
-    cos(phi1) (n1 cos(alpha) - n_out sin(theta))."""
-    return math.cos(phi1) * (geom.n1 * math.cos(geom.alpha)
-                             - n_out * math.sin(theta))
 
 
 def _brentq(f, lo: float, hi: float, xtol: float) -> float:
@@ -181,11 +170,27 @@ class StationaryPoint(Record):
     __slots__ = ("theta", "residual")
 
 
-def stationary_phase_angle(geom: InterfaceGeometry, kappa: float = 1.0,
-                           branch: str = "refraction",
-                           mode: str = "analytic",
-                           window: tuple[float, float] = _WINDOW,
-                           tol: float = 1e-12) -> StationaryPoint:
+def _window_root(f) -> float:
+    """Root of f over the detector-angle window ``_WINDOW``.
+
+    At normal incidence the root lies below the window (cos(pi/2) is
+    not 0 in floating point, so it sits near 6e-17 rad); when the window
+    has no sign change but [0, lo] has, that interval is searched.
+    Raises DomainError when neither has a sign change.
+    """
+    lo, hi = _WINDOW
+    flo, fhi = f(lo), f(hi)
+    if flo * fhi > 0:
+        if f(0.0) * flo > 0:
+            raise DomainError(
+                f"no stationary point in window ({lo:.4g}, {hi:.4g}):"
+                f" residuals {flo:.4g}, {fhi:.4g}")
+        lo, hi = 0.0, lo
+    return _brentq(f, lo, hi, _XTOL)
+
+
+def stationary_phase_angle(geom: InterfaceGeometry,
+                           branch: str = "refraction") -> StationaryPoint:
     """Detector angle at which the path phase is stationary under
     transverse displacement of the interface crossing.
 
@@ -193,38 +198,18 @@ def stationary_phase_angle(geom: InterfaceGeometry, kappa: float = 1.0,
     law); branch="reflection" maps theta -> pi - theta_R and replaces the
     outgoing index by n1, yielding the law of reflection theta_R = theta_i.
     The azimuthal derivative vanishes identically at zero displacement, so
-    the residual is the displacement gradient alone; a bracketing root
-    search drives it below ``tol``.  mode="analytic" uses the closed-form
-    gradient, mode="fd" central differences of ``path_phase``.
+    the residual is the displacement gradient per unit kappa,
+    n1 cos(alpha) - n_out sin(theta), from differentiating the displaced
+    leg lengths; the stationary point does not depend on kappa.
     """
     if branch not in ("refraction", "reflection"):
         raise DomainError(f"branch must be 'refraction' or 'reflection', got {branch!r}")
-    if mode not in ("analytic", "fd"):
-        raise DomainError(f"mode must be 'analytic' or 'fd', got {mode!r}")
     n_out = geom.n2 if branch == "refraction" else geom.n1
 
     def residual(theta: float) -> float:
-        if mode == "analytic":
-            return _displacement_gradient(geom, theta, n_out)
-        # finite differences of the true phase function; the reflection
-        # branch reuses the refraction geometry with the outgoing index
-        # swapped, which has the same phase structure.
-        g = InterfaceGeometry(geom.n1, max(n_out, 1.0), geom.alpha,
-                              geom.d, geom.segment)
-        h = 1e-7
-        f = lambda R: path_phase(g, kappa, theta, 0.0, R, 0.0)
-        d_r = (f(h) - f(-h)) / (2.0 * h)
-        fp = lambda p1: path_phase(g, kappa, theta, 0.0, 0.0, p1)
-        d_phi1 = (fp(h) - fp(-h)) / (2.0 * h)
-        return (d_r + d_phi1) / kappa
+        return geom.n1 * math.cos(geom.alpha) - n_out * math.sin(theta)
 
-    lo, hi = window
-    flo, fhi = residual(lo), residual(hi)
-    if flo * fhi > 0:
-        raise DomainError(
-            f"no stationary point in window ({lo:.4g}, {hi:.4g}):"
-            f" residuals {flo:.4g}, {fhi:.4g}")
-    theta = _brentq(residual, lo, hi, tol)
+    theta = _window_root(residual)
     return StationaryPoint(theta, abs(residual(theta)))
 
 
@@ -276,11 +261,12 @@ def effective_propagation_time(geom: InterfaceGeometry, theta: float) -> float:
     return (geom.segment * geom.n1 + r * geom.n2) / CONSTANTS.c
 
 
-def fermat_stationary_angle(geom: InterfaceGeometry, tol: float = 1e-12) -> float:
+def fermat_stationary_angle(geom: InterfaceGeometry) -> float:
     """Detector angle at which the effective propagation time is stationary
     under in-plane displacement of the crossing point, computed from travel
     times alone (independent of the phase machinery), searched over the
-    default window of ``stationary_phase_angle``."""
+    window of ``stationary_phase_angle``.  Its reflection counterpart is
+    this search on the mirrored geometry ``InterfaceGeometry(n1, n1, ...)``."""
 
     def dt_dr(theta: float) -> float:
         # step large enough that the travel-time difference clears the
@@ -294,7 +280,4 @@ def fermat_stationary_angle(geom: InterfaceGeometry, tol: float = 1e-12) -> floa
 
         return (t_of_r(h) - t_of_r(-h)) / (2.0 * h)
 
-    lo, hi = _WINDOW
-    if dt_dr(lo) * dt_dr(hi) > 0:
-        raise DomainError("no stationary time in window")
-    return _brentq(dt_dr, lo, hi, tol)
+    return _window_root(dt_dr)

@@ -244,6 +244,14 @@ class TestOtherCommands:
         assert outputs["theta_o_stationary_rad"] \
             == pytest.approx(outputs["theta_o_rad"], abs=1e-6)
 
+    def test_snell_search_at_normal_incidence(self, capsys):
+        # the stationary point lies below the search window's lower edge
+        code, out, _ = run_cli(["snell", "--n1", "1.5", "--n2", "1.0",
+                                "--theta-i", "0deg", "--search"], capsys)
+        assert code == 0
+        outputs = json.loads(out)["outputs"]
+        assert abs(outputs["theta_o_stationary_rad"]) <= 1e-12
+
     def test_snell_total_internal_reflection_error(self, capsys):
         code, _, err = run_cli(["snell", "--n1", "1.5", "--n2", "1.0",
                                 "--theta-i", "80deg"], capsys)

@@ -408,6 +408,31 @@ class TestNeutrinos:
         with pytest.raises(DomainError):
             NeutrinoExperiment(100.0, 1e-14, 120.0, self.DM2, 0.5, 10.0)
 
+    @pytest.mark.parametrize("field", ["source_mass", "source_width", "recoil_mass",
+                                       "dm2_ev2", "theta_12", "baseline"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_input_refused(self, field, value):
+        # NaN used to give probability nan, inf a bare "math domain error"
+        good = dict(source_mass=139.57, source_width=2.5e-14, recoil_mass=105.66,
+                    dm2_ev2=self.DM2, theta_12=0.7, baseline=100.0)
+        with pytest.raises(DomainError):
+            NeutrinoExperiment(**dict(good, **{field: value}))
+
+    @pytest.mark.parametrize("field", ["beta_energy_mev", "neutrino_p_mev"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_beta_input_refused(self, field, value):
+        beta = dict(beta_energy_mev=1.0, neutrino_p_mev=0.3)
+        with pytest.raises(DomainError, match="finite"):
+            NeutrinoExperiment(139.57, 2.5e-14, 105.66, self.DM2, 0.7, 100.0,
+                               mode="beta", **dict(beta, **{field: value}))
+
+    def test_negative_source_width_refused(self):
+        # it gave a damping factor above 1
+        with pytest.raises(DomainError, match="width"):
+            NeutrinoExperiment(139.57, -1e-6, 105.66, self.DM2, 0.7, 100.0)
+        exp = NeutrinoExperiment(139.57, 0.0, 105.66, self.DM2, 0.7, 100.0)
+        assert neutrino_oscillation(exp).damping_factor == 1.0
+
     def test_vanishing_recoil_mass_refused_without_overflow(self):
         # ((1 - R_m^2)/R_m)^2 leaves the double range below R_m ~ 7e-155:
         # a typed refusal at construction, not an OverflowError later

@@ -9,6 +9,10 @@ defaulted field of a Record class, must be passed, by keyword or by
 position, in at least one call of that function or class under src/,
 tests/ or perfbench/.  A call with *args or **kwargs counts as passing
 all of them.
+
+Likewise a public method or property that nothing reads is dead API:
+the name of each one defined on a class under src/pathamp must appear as
+an attribute or a name somewhere under src/, tests/ or perfbench/.
 """
 
 import ast
@@ -57,6 +61,33 @@ def _defaulted_fields():
     return found
 
 
+def _public_methods():
+    """{method name: [module path:Class.method]} over every class in the package."""
+    found = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    found.setdefault(item.name, []).append(
+                        f"{path.relative_to(ROOT).as_posix()}:{node.name}.{item.name}")
+    return found
+
+
+def _referenced_names():
+    """Every attribute and name read or written in src, tests and perfbench."""
+    names = set()
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.Name):
+                    names.add(node.id)
+    return names
+
+
 def _calls():
     """{function name: [ast.Call]} over every call in src, tests and perfbench."""
     calls = {}
@@ -95,3 +126,9 @@ def test_every_defaulted_parameter_is_passed_somewhere():
 
 def test_every_defaulted_record_field_is_passed_somewhere():
     assert _unused(_defaulted_fields()) == []
+
+
+def test_every_public_method_is_referenced_somewhere():
+    referenced = _referenced_names()
+    assert [where for name, defs in _public_methods().items()
+            if name not in referenced for where in defs] == []

@@ -69,17 +69,27 @@ class TestStationaryPhase:
         found = stationary_phase_angle(geom, branch="reflection")
         assert found.theta == pytest.approx(theta_i, abs=1e-8)
 
-    def test_fd_mode_agrees_with_analytic(self):
-        geom = geometry(1.5, 1.0, math.radians(30.0))
-        analytic = stationary_phase_angle(geom).theta
-        fd = stationary_phase_angle(geom, mode="fd").theta
-        assert fd == pytest.approx(analytic, abs=1e-6)
+    def test_reflection_branch_matches_fermat_on_mirrored_geometry(self):
+        # the independent check of the reflection branch: stationary time
+        # with the outgoing leg in the incidence medium
+        for theta_i_deg in (5.0, 25.0, 41.0):
+            theta_i = math.radians(theta_i_deg)
+            found = stationary_phase_angle(geometry(1.5, 1.0, theta_i),
+                                           branch="reflection")
+            mirrored = fermat_stationary_angle(geometry(1.5, 1.5, theta_i))
+            assert found.theta == pytest.approx(theta_i, abs=1e-12)
+            assert mirrored == pytest.approx(found.theta, abs=1e-9)
 
-    def test_fd_mode_reflection_branch(self):
-        theta_i = math.radians(25.0)
-        geom = geometry(1.5, 1.0, theta_i)
-        fd = stationary_phase_angle(geom, branch="reflection", mode="fd")
-        assert fd.theta == pytest.approx(theta_i, abs=1e-7)
+    @pytest.mark.parametrize("n1, n2", [(1.5, 1.0), (1.0, 1.5), (1.3, 1.3)])
+    def test_normal_incidence_goes_straight(self, n1, n2):
+        # the root lies below the window's lower edge, since
+        # cos(pi/2) != 0 in floating point
+        geom = geometry(n1, n2, 0.0)
+        for branch in ("refraction", "reflection"):
+            found = stationary_phase_angle(geom, branch=branch)
+            assert abs(found.theta) <= 1e-12
+            assert found.residual <= 1e-15
+        assert abs(fermat_stationary_angle(geom)) <= 1e-12
 
     def test_matched_media_branches_coincide(self):
         theta_i = math.radians(20.0)
@@ -90,20 +100,18 @@ class TestStationaryPhase:
         assert refl == pytest.approx(theta_i, abs=1e-9)
 
     def test_no_root_in_window(self):
-        geom = geometry(1.5, 1.0, math.radians(30.0))
-        with pytest.raises(DomainError):
-            stationary_phase_angle(geom, window=(0.9, 1.2))
+        # past the critical angle, n1 sin(theta_i) > n2: no transmitted ray
+        geom = geometry(1.5, 1.0, math.radians(45.0))
+        with pytest.raises(DomainError, match="no stationary point"):
+            stationary_phase_angle(geom)
+        with pytest.raises(DomainError, match="no stationary point"):
+            fermat_stationary_angle(geom)
 
     def test_unknown_branch_refused(self):
         # a misspelt branch must not fall back to the reflection angle
         geom = geometry(1.5, 1.0, math.radians(30.0))
         with pytest.raises(DomainError, match="branch"):
             stationary_phase_angle(geom, branch="refracton")
-
-    def test_unknown_mode_refused(self):
-        geom = geometry(1.5, 1.0, math.radians(30.0))
-        with pytest.raises(DomainError, match="mode"):
-            stationary_phase_angle(geom, mode="finite-difference")
 
 
 class TestRootSearch:
@@ -114,29 +122,24 @@ class TestRootSearch:
             return brentq(f, lo, hi, xtol=xtol)
 
         searches = {
-            (branch, mode): (lambda g, kappa, tol, branch=branch, mode=mode:
-                             stationary_phase_angle(g, kappa, branch, mode,
-                                                    tol=tol).theta)
+            branch: (lambda g, branch=branch: stationary_phase_angle(g, branch).theta)
             for branch in ("refraction", "reflection")
-            for mode in ("analytic", "fd")
         }
-        searches["fermat"] = lambda g, kappa, tol: fermat_stationary_angle(g, tol=tol)
+        searches["fermat"] = fermat_stationary_angle
         compared = dict.fromkeys(searches, 0)
         rng = random.Random(2005)
         for _ in range(1000):
             geom = InterfaceGeometry(rng.uniform(1.0, 2.5), rng.uniform(1.0, 2.5),
                                      rng.uniform(0.02, math.pi / 2),
                                      rng.uniform(0.1, 5.0), rng.uniform(0.1, 5.0))
-            kappa = rng.uniform(1.0, 1e7)
-            tol = rng.choice((1e-12, 1e-9, 1e-6))
             for name, search in searches.items():
                 monkeypatch.setattr(ray_optics, "_brentq", own)
                 try:
-                    got = search(geom, kappa, tol)
+                    got = search(geom)
                 except DomainError:
                     continue   # refused by the bracket check, before any search
                 monkeypatch.setattr(ray_optics, "_brentq", reference)
-                assert got == search(geom, kappa, tol), (name, geom, kappa, tol)
+                assert got == search(geom), (name, geom)
                 compared[name] += 1
         assert min(compared.values()) >= 700, compared
 
