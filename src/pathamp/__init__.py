@@ -9,14 +9,8 @@ oscillations, and ships an independent brute-force integration module so
 that every closed form can be checked numerically before it is trusted.
 """
 
-from pathamp.core_num import CONSTANTS, modulus, phase, truncated_cos, truncated_sin
+from pathamp.core_num import CONSTANTS, phase
 
-__all__ = [
-    "CONSTANTS",
-    "modulus",
-    "phase",
-    "truncated_cos",
-    "truncated_sin",
-]
+__all__ = ["CONSTANTS", "phase"]
 
 __version__ = "0.1.0"

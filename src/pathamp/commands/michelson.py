@@ -1,6 +1,8 @@
 """michelson: time-gated fringe visibility of a single decaying atom."""
 
-from pathamp.core_num import CONSTANTS, linspace, wavenumber
+import math
+
+from pathamp.core_num import CONSTANTS, DomainError, linspace, wavenumber
 
 
 def _michelson(args):
@@ -17,8 +19,12 @@ def _michelson(args):
     if args.curve:
         t0_ns = spec.long_path / CONSTANTS.c * 1e9
         grid = linspace(t0_ns + 0.05, t0_ns + 12.0 * spec.tau_s * 1e9, 400)
-        args.write_csv(args.curve, ["t_max_ns", "visibility"],
-                       zip(grid, michelson.visibility_curve(spec, [t * 1e-9 for t in grid])))
+        rows = michelson.gated_visibility_table(spec.arm_length, [spec.imbalance],
+                                                spec.tau_s, spec.kappa, grid)
+        if math.isnan(rows[0][1]):
+            # past ~5e13 m of arm the 0.05 ns offset rounds onto the arrival
+            raise DomainError("visibility undefined before the long-arm arrival")
+        args.write_csv(args.curve, ["t_max_ns", "visibility"], rows)
         outputs["curve_csv"] = args.curve
     return ({"arm_m": spec.arm_length, "d_m": spec.imbalance,
              "tau_s": spec.tau_s, "wavelength_m": lam}, outputs, None, [])

@@ -39,10 +39,13 @@ def _annulment(args):
     from pathamp import refraction
     values = [args.quantity(f) for f in ("--radius", "--axis-distance", "--wavelength",
                                          "--block-length", "--n", "--tau")]
-    d = refraction.annulment_report(*values).as_dict()
-    flags = d.pop("flags")
+    rep = refraction.annulment_report(*values)
+    outputs = {"delta_s_max_m": rep.delta_s_max, "delta_phi_max_rad": rep.delta_phi_max,
+               "beta_l": rep.beta_l, "prompt_time_s": rep.prompt_time,
+               "prompt_fraction": rep.prompt_fraction}
     return (dict(zip(("radius_m", "axis_distance_m", "wavelength_m",
-                      "block_length_m", "n", "tau_s"), values)), d, None, flags)
+                      "block_length_m", "n", "tau_s"), values)), outputs, None,
+            [f.as_dict() for f in rep.flags])
 
 
 _REQ = {"required": True}

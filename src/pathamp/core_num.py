@@ -3,7 +3,7 @@ trigonometric series, and ``Record``, the base of the package's immutable
 value classes.
 
 Amplitudes are plain Python ``complex`` numbers throughout the package;
-``modulus`` and ``phase`` give the polar pieces with phase in (-pi, pi].
+``abs`` gives the modulus and ``phase`` the argument in (-pi, pi].
 """
 
 from __future__ import annotations
@@ -131,22 +131,12 @@ class DiscrepancyFlag(Record):
     _defaults = {"note": ""}
 
 
-def modulus(z: complex) -> float:
-    """|z|, always >= 0."""
-    return abs(z)
-
-
 def phase(z: complex) -> float:
     """Argument of z in (-pi, pi]."""
     # cmath.phase gives -pi on the negative real axis approached from below
     # (imaginary part -0.0, or rounded away); the interval excludes it
     p = cmath.phase(z)
     return math.pi if p == -math.pi else p
-
-
-def from_polar(mod: float, ph: float) -> complex:
-    """Complex number with the given modulus and phase."""
-    return mod * cmath.exp(1j * ph)
 
 
 def complex_out(z: complex) -> dict:

@@ -71,16 +71,14 @@ class PhotonSlitResult(Record):
     __slots__ = ("geometry", "kappa", "tau_s", "fringe_spacing",
                  "damping_per_fringe", "flags")
 
-    def probability(self, y, include_damping: bool = True):
+    def probability(self, y):
         """Detection probability (arbitrary scale) at screen position y."""
         import numpy as np
         y = np.asarray(y, dtype=float)
         dr = self.geometry.path_difference(y)
-        damp = 1.0
-        if include_damping:
-            # an exponent past the double range is a damping of exactly 0
-            with np.errstate(over="ignore"):
-                damp = np.exp(-np.abs(dr) / (2.0 * CONSTANTS.c * self.tau_s))
+        # an exponent past the double range is a damping of exactly 0
+        with np.errstate(over="ignore"):
+            damp = np.exp(-np.abs(dr) / (2.0 * CONSTANTS.c * self.tau_s))
         return 1.0 + damp * np.cos(self.kappa * dr)
 
 
@@ -177,19 +175,16 @@ class ElectronSlitResult(Record):
         "flags",
     )
 
-    def probability(self, y, include_damping: bool = True):
+    def probability(self, y):
         """Detection probability (scale 1/(sqrt(pi) sigma_p)) at position y."""
         import numpy as np
         y = np.asarray(y, dtype=float)
         dr = self.geometry.path_difference(y)
         n = np.abs(dr) / self.beam.de_broglie
-        if include_damping:
-            # an exponent past the double range is a damping of exactly 0
-            with np.errstate(over="ignore"):
-                damp = np.exp(-((self.equal_time_coeff * n) ** 2
-                                + (self.spread_coeff * n) ** 2))
-        else:
-            damp = 1.0
+        # an exponent past the double range is a damping of exactly 0
+        with np.errstate(over="ignore"):
+            damp = np.exp(-((self.equal_time_coeff * n) ** 2
+                            + (self.spread_coeff * n) ** 2))
         lam = self.beam.de_broglie
         return (1.0 + damp * np.cos(2.0 * math.pi * dr / lam)) \
             / (math.sqrt(math.pi) * self.beam.sigma_p)

@@ -107,11 +107,6 @@ def visibility_asymptote(spec: InterferometerSpec) -> float:
     return math.exp(-spec.imbalance / (CONSTANTS.c * spec.tau_s))
 
 
-def visibility_curve(spec: InterferometerSpec, t_grid) -> list[float]:
-    """Visibility at each gate time (s) of an iterable, as a list of floats."""
-    return [visibility(spec, float(t)) for t in t_grid]
-
-
 def gated_visibility_table(arm_length: float, imbalances, tau_s: float,
                            kappa: float, t_ns):
     """Rows (t_ns, V_first, V_second, ...) of gated visibility for several

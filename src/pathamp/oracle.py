@@ -74,10 +74,6 @@ class OracleResult(Record):
 
     __slots__ = ("value", "error_estimate", "evaluations")
 
-    @property
-    def real(self) -> float:
-        return self.value.real
-
 
 def _count(name: str, value, most: int | None = None, least: int = 1) -> int:
     """value as a Python int from least to most (no upper bound if None);

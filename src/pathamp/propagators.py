@@ -39,10 +39,6 @@ class OnShellParticle(Record):
         if self.beta == 1.0 and self.mass_mev > 0:
             raise DomainError("beta = 1 is only allowed for a massless particle")
 
-    @property
-    def gamma(self) -> float:
-        return 1.0 / math.sqrt(1.0 - self.beta * self.beta)
-
 
 class EmitterSpec(Record):
     """An excited source state decaying by photon emission.

@@ -54,6 +54,12 @@ class InterfaceGeometry(Record):
     __slots__ = ("n1", "n2", "alpha", "d", "segment")
 
     def __post_init__(self):
+        # NaN passes the comparisons below; an infinite index or length
+        # gives a meaningless geometry
+        for name in ("n1", "n2", "d", "segment"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value!r}")
         if self.n1 < 1.0 or self.n2 < 1.0:
             raise DomainError("indices must be >= 1")
         if self.d <= 0 or self.segment <= 0:
@@ -91,6 +97,8 @@ def snell_angle(n1: float, n2: float, theta_i: float) -> float:
     Raises TotalInternalReflection (carrying the critical angle) when
     (n1/n2) sin theta_i > 1.
     """
+    if not (math.isfinite(n1) and math.isfinite(n2)):
+        raise DomainError(f"indices must be finite, got n1={n1!r}, n2={n2!r}")
     if n1 < 1.0 or n2 < 1.0:
         raise DomainError("indices must be >= 1")
     if not 0.0 <= theta_i < math.pi / 2:
@@ -189,25 +197,22 @@ def _window_root(f) -> float:
     return _brentq(f, lo, hi, _XTOL)
 
 
-def stationary_phase_angle(geom: InterfaceGeometry,
-                           branch: str = "refraction") -> StationaryPoint:
-    """Detector angle at which the path phase is stationary under
-    transverse displacement of the interface crossing.
+def stationary_phase_angle(geom: InterfaceGeometry) -> StationaryPoint:
+    """Detector angle on the outgoing side (index n2) at which the path
+    phase is stationary under transverse displacement of the interface
+    crossing; it matches Snell's law.
 
-    branch="refraction" searches the transmitted side (matches Snell's
-    law); branch="reflection" maps theta -> pi - theta_R and replaces the
-    outgoing index by n1, yielding the law of reflection theta_R = theta_i.
     The azimuthal derivative vanishes identically at zero displacement, so
     the residual is the displacement gradient per unit kappa,
-    n1 cos(alpha) - n_out sin(theta), from differentiating the displaced
-    leg lengths; the stationary point does not depend on kappa.
+    n1 cos(alpha) - n2 sin(theta), from differentiating the displaced leg
+    lengths; the stationary point does not depend on kappa.  The law of
+    reflection theta_R = theta_i is this search on the mirrored geometry
+    ``InterfaceGeometry(n1, n1, alpha, d, segment)``, whose outgoing leg
+    stays in the incidence medium.
     """
-    if branch not in ("refraction", "reflection"):
-        raise DomainError(f"branch must be 'refraction' or 'reflection', got {branch!r}")
-    n_out = geom.n2 if branch == "refraction" else geom.n1
 
     def residual(theta: float) -> float:
-        return geom.n1 * math.cos(geom.alpha) - n_out * math.sin(theta)
+        return geom.n1 * math.cos(geom.alpha) - geom.n2 * math.sin(theta)
 
     theta = _window_root(residual)
     return StationaryPoint(theta, abs(residual(theta)))
@@ -265,8 +270,8 @@ def fermat_stationary_angle(geom: InterfaceGeometry) -> float:
     """Detector angle at which the effective propagation time is stationary
     under in-plane displacement of the crossing point, computed from travel
     times alone (independent of the phase machinery), searched over the
-    window of ``stationary_phase_angle``.  Its reflection counterpart is
-    this search on the mirrored geometry ``InterfaceGeometry(n1, n1, ...)``."""
+    window of ``stationary_phase_angle``.  Like that search, it gives the
+    reflection angle on the mirrored geometry ``InterfaceGeometry(n1, n1, ...)``."""
 
     def dt_dr(theta: float) -> float:
         # step large enough that the travel-time difference clears the

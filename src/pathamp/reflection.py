@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from pathamp.core_num import DomainError, Record
+from pathamp.core_num import DomainError, Record, wavenumber
 
 
 class ReflectionSetup(Record):
@@ -91,7 +91,7 @@ def thin_film_coeff(n: float, wavelength: float, thickness: float) -> float:
         raise DomainError("thickness must be positive")
     if wavelength <= 0:
         raise DomainError("wavelength must be positive")
-    kappa = 2.0 * math.pi / wavelength
+    kappa = wavenumber(wavelength)
     rho = reflection_coeff_path(1.0, n)
     return rho * abs(1.0 - cmath.exp(2j * kappa * n * thickness)) ** 2
 

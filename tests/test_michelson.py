@@ -209,17 +209,16 @@ class TestSourceMotion:
 
 
 class TestCurveHelpers:
-    def test_visibility_curve_matches_pointwise(self):
-        from pathamp.michelson import visibility_curve
+    def test_gated_table_matches_pointwise(self):
+        # the single-curve table `michelson --curve` writes
         s = spec()
-        t0 = s.long_path / C
-        grid = np.linspace(t0 * 1.01, t0 + 5 * s.tau_s, 7)
-        curve = visibility_curve(s, grid)
-        assert type(curve) is list
-        for t, v in zip(grid, curve):
+        t0_ns = s.long_path / C * 1e9
+        grid = [float(t) for t in np.linspace(t0_ns * 1.01, t0_ns + 5 * s.tau_s * 1e9, 7)]
+        rows = gated_visibility_table(s.arm_length, [s.imbalance], s.tau_s, s.kappa, grid)
+        assert [t for t, _ in rows] == grid
+        for t, v in rows:
             assert type(v) is float
-            assert v == visibility(s, float(t))
-        assert visibility_curve(s, list(grid)) == curve
+            assert v == visibility(s, t * 1e-9)
 
     def test_kappa_must_be_positive(self):
         with pytest.raises(DomainError):

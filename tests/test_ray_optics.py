@@ -26,6 +26,11 @@ def geometry(n1, n2, theta_i, d=1.0, segment=0.7):
     return InterfaceGeometry(n1, n2, math.pi / 2 - theta_i, d, segment)
 
 
+def mirrored(geom):
+    """The reflection geometry: the outgoing leg stays in medium n1."""
+    return InterfaceGeometry(geom.n1, geom.n1, geom.alpha, geom.d, geom.segment)
+
+
 class TestSnell:
     def test_normal_incidence_goes_straight(self):
         assert snell_angle(1.5, 1.0, 0.0) == 0.0
@@ -47,6 +52,25 @@ class TestSnell:
         assert math.degrees(err.value.critical_angle) \
             == pytest.approx(41.81, abs=0.01)
 
+    @pytest.mark.parametrize("n1, n2", [(math.nan, 1.0), (1.5, math.nan),
+                                        (math.inf, 1.0), (1.5, math.inf)])
+    def test_non_finite_index_refused(self, n1, n2):
+        # NaN passed the n >= 1 check (nan out); an infinite n2 gave 0.0
+        with pytest.raises(DomainError, match="finite"):
+            snell_angle(n1, n2, 0.3)
+
+
+class TestInterfaceGeometry:
+    @pytest.mark.parametrize("field", ["n1", "n2", "alpha", "d", "segment"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_refused(self, field, value):
+        # NaN passed every comparison but alpha's, and an infinite index
+        # or length made a meaningless geometry
+        kwargs = dict(n1=1.5, n2=1.0, alpha=0.5, d=1.0, segment=1.0)
+        kwargs[field] = value
+        with pytest.raises(DomainError, match=f"^{field} must"):
+            InterfaceGeometry(**kwargs)
+
 
 class TestStationaryPhase:
     def test_refraction_branch_matches_snell(self):
@@ -65,28 +89,27 @@ class TestStationaryPhase:
 
     def test_reflection_branch(self):
         theta_i = math.radians(25.0)
-        geom = geometry(1.5, 1.0, theta_i)
-        found = stationary_phase_angle(geom, branch="reflection")
+        geom = mirrored(geometry(1.5, 1.0, theta_i))
+        found = stationary_phase_angle(geom)
         assert found.theta == pytest.approx(theta_i, abs=1e-8)
 
     def test_reflection_branch_matches_fermat_on_mirrored_geometry(self):
-        # the independent check of the reflection branch: stationary time
+        # the independent check of the law of reflection: stationary time
         # with the outgoing leg in the incidence medium
         for theta_i_deg in (5.0, 25.0, 41.0):
             theta_i = math.radians(theta_i_deg)
-            found = stationary_phase_angle(geometry(1.5, 1.0, theta_i),
-                                           branch="reflection")
-            mirrored = fermat_stationary_angle(geometry(1.5, 1.5, theta_i))
+            geom = mirrored(geometry(1.5, 1.0, theta_i))
+            found = stationary_phase_angle(geom)
             assert found.theta == pytest.approx(theta_i, abs=1e-12)
-            assert mirrored == pytest.approx(found.theta, abs=1e-9)
+            assert fermat_stationary_angle(geom) == pytest.approx(found.theta, abs=1e-9)
 
     @pytest.mark.parametrize("n1, n2", [(1.5, 1.0), (1.0, 1.5), (1.3, 1.3)])
     def test_normal_incidence_goes_straight(self, n1, n2):
         # the root lies below the window's lower edge, since
         # cos(pi/2) != 0 in floating point
         geom = geometry(n1, n2, 0.0)
-        for branch in ("refraction", "reflection"):
-            found = stationary_phase_angle(geom, branch=branch)
+        for g in (geom, mirrored(geom)):
+            found = stationary_phase_angle(g)
             assert abs(found.theta) <= 1e-12
             assert found.residual <= 1e-15
         assert abs(fermat_stationary_angle(geom)) <= 1e-12
@@ -94,8 +117,9 @@ class TestStationaryPhase:
     def test_matched_media_branches_coincide(self):
         theta_i = math.radians(20.0)
         geom = geometry(1.2, 1.2, theta_i)
+        assert mirrored(geom) == geom   # matched media are their own mirror
         refr = stationary_phase_angle(geom).theta
-        refl = stationary_phase_angle(geom, branch="reflection").theta
+        refl = stationary_phase_angle(mirrored(geom)).theta
         assert refr == pytest.approx(theta_i, abs=1e-9)
         assert refl == pytest.approx(theta_i, abs=1e-9)
 
@@ -107,12 +131,6 @@ class TestStationaryPhase:
         with pytest.raises(DomainError, match="no stationary point"):
             fermat_stationary_angle(geom)
 
-    def test_unknown_branch_refused(self):
-        # a misspelt branch must not fall back to the reflection angle
-        geom = geometry(1.5, 1.0, math.radians(30.0))
-        with pytest.raises(DomainError, match="branch"):
-            stationary_phase_angle(geom, branch="refracton")
-
 
 class TestRootSearch:
     def test_roots_equal_scipy_brentq_at_both_call_sites(self, monkeypatch):
@@ -122,10 +140,10 @@ class TestRootSearch:
             return brentq(f, lo, hi, xtol=xtol)
 
         searches = {
-            branch: (lambda g, branch=branch: stationary_phase_angle(g, branch).theta)
-            for branch in ("refraction", "reflection")
+            "refraction": lambda g: stationary_phase_angle(g).theta,
+            "reflection": lambda g: stationary_phase_angle(mirrored(g)).theta,
+            "fermat": fermat_stationary_angle,
         }
-        searches["fermat"] = fermat_stationary_angle
         compared = dict.fromkeys(searches, 0)
         rng = random.Random(2005)
         for _ in range(1000):

@@ -165,5 +165,7 @@ class TestRectilinearConsistency:
 
     def test_damped_plane_sum_within_two_percent(self):
         x1 = 1.0
-        ps = plane_sum_factor(self.KAPPA, x1, rho=1e-7 * self.KAPPA)
+        # the rule's radial value replaced by the damped radial integral
+        radial = damped_radial_integral(self.KAPPA, x1, 1e-7 * self.KAPPA)
+        ps = plane_sum_factor(self.KAPPA, x1) * radial / huygens_zone_value(self.KAPPA, x1)
         assert abs(ps - direct_factor(self.KAPPA, x1)) < 0.02
