@@ -19,14 +19,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 
-SEED_ENV_VAR = "PATHAMP_SEED"
-
+# a decimal float literal (at least one digit, at most one point), then
+# an optional unit suffix
 _QUANTITY_RE = re.compile(
-    r"^\s*([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*([A-Za-z][A-Za-z/0-9-]*|)\s*$")
+    r"^\s*([-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)\s*"
+    r"([A-Za-z][A-Za-z/0-9-]*|)\s*$")
 
 # the unit tables the flag rows name; "bare" is a number with no unit suffix
 _UNITS = {
@@ -63,8 +63,7 @@ class UnitError(ValueError):
 
 
 class ConfigError(ValueError):
-    """A run configuration that cannot be used: a --config summary that
-    cannot be read or replayed, or a non-integer PATHAMP_SEED."""
+    """A --config summary that cannot be read or replayed."""
 
 
 class OutputError(ValueError):
@@ -202,17 +201,8 @@ class _LazyParser:
         return parser.parse_known_args(args, namespace)
 
 
-def _env_seed() -> int:
-    value = os.environ.get(SEED_ENV_VAR, "0")
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(
-            f"{SEED_ENV_VAR}: expected an integer, got {value!r}") from None
-
-
-def _load_replay(path: str) -> tuple[list[str], int | None]:
-    """The argv and the seed (None if absent) of an emitted summary."""
+def _load_replay(path: str) -> tuple[list[str], int]:
+    """The argv and the seed (0 if absent) of an emitted summary."""
     try:
         with open(path) as fh:
             stored = json.load(fh)
@@ -228,14 +218,12 @@ def _load_replay(path: str) -> tuple[list[str], int | None]:
     seed = stored.get("seed")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise ConfigError(f"--config: {path!r} has a non-integer 'seed'")
-    return argv, seed
+    return argv, 0 if seed is None else seed
 
 
-def build_parser(seed: int | None = None) -> argparse.ArgumentParser:
+def build_parser(seed: int) -> argparse.ArgumentParser:
     """The command-line parser, one subparser per _COMMANDS entry; `seed`
-    is the default of `oracle --seed` (PATHAMP_SEED, else 0, when None)."""
-    if seed is None:
-        seed = _env_seed()
+    is the default of `oracle --seed`."""
     p = _Parser(
         prog="pathamp",
         description="Path-amplitude optics and flavour-oscillation calculator")
@@ -251,7 +239,7 @@ def build_parser(seed: int | None = None) -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        return _run(argv, _env_seed(), replayed=False)
+        return _run(argv, 0, replayed=False)
     except ConfigError as exc:
         return _error_exit(type(exc).__name__, str(exc))
 
@@ -273,9 +261,10 @@ def _run(argv: list[str], seed: int, replayed: bool) -> int:
             raise ConfigError("--config: a replayed summary cannot name another --config")
         replay, stored_seed = _load_replay(args.config)
         # the stored seed becomes the default, so the summary's argv is
-        # replayed unchanged and PATHAMP_SEED cannot alter the numbers
+        # replayed unchanged, and a summary that stores a seed its argv
+        # does not name replays with that seed
         return _run((["--out", args.out] if args.out else []) + replay,
-                    seed if stored_seed is None else stored_seed, replayed=True)
+                    stored_seed, replayed=True)
 
     if not args.subcommand:
         parser.print_help()

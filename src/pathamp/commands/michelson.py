@@ -17,13 +17,22 @@ def _michelson(args):
         outputs["visibility"] = michelson.visibility(spec, t_max)
         outputs["detection_probability"] = michelson.detection_probability(spec, t_max)
     if args.curve:
-        t0_ns = spec.long_path / CONSTANTS.c * 1e9
-        grid = linspace(t0_ns + 0.05, t0_ns + 12.0 * spec.tau_s * 1e9, 400)
+        arrival = spec.long_path / CONSTANTS.c
+        t0_ns = arrival * 1e9
+        first = t0_ns + 0.05
+        if first * 1e-9 <= arrival:
+            # past ~5e13 m of arm 0.05 ns is below the spacing of doubles
+            # at the arrival and rounds away; 4 ulps outlast the roundings
+            # of the ns/s conversions
+            first = t0_ns + 4.0 * math.ulp(t0_ns)
+        grid = linspace(first, t0_ns + 12.0 * spec.tau_s * 1e9, 400)
+        if len(set(grid)) < len(grid):
+            raise DomainError(
+                f"a {spec.arm_length:g} m arm puts the long-arm arrival where doubles"
+                f" are {math.ulp(t0_ns):g} ns apart, too coarse for 400 distinct"
+                " gate times after it")
         rows = michelson.gated_visibility_table(spec.arm_length, [spec.imbalance],
                                                 spec.tau_s, spec.kappa, grid)
-        if math.isnan(rows[0][1]):
-            # past ~5e13 m of arm the 0.05 ns offset rounds onto the arrival
-            raise DomainError("visibility undefined before the long-arm arrival")
         args.write_csv(args.curve, ["t_max_ns", "visibility"], rows)
         outputs["curve_csv"] = args.curve
     return ({"arm_m": spec.arm_length, "d_m": spec.imbalance,

@@ -59,7 +59,8 @@ def _oracle(args):
 
 
 COMMANDS = {
-    # the default of --seed is the run's seed (see cli.build_parser)
+    # the default of --seed is the run's seed: 0, or a replayed summary's
+    # stored seed (see cli.build_parser)
     "oracle": (_oracle, (
         ("--op", None, {"choices": ("mc-volume", "half-zone", "nested"),
                         "required": True}),

@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from pathamp.core_num import CONSTANTS, DiscrepancyFlag, DomainError, Record
+from pathamp.core_num import CONSTANTS, DiscrepancyFlag, DomainError, Record, finite_phase
 
 # Stored reference figures (with provenance) that the library cannot derive
 # from its own formulas; each is reported next to the computed value.
@@ -211,8 +211,9 @@ def electron_double_slit(geom: SlitGeometry, beam: ElectronBeam) -> ElectronSlit
     lam = beam.de_broglie
     spacing = lam * geom.l / (2.0 * geom.effective_separation)
     h_mev_m = 2.0 * math.pi * CONSTANTS.hbarc_ev_m * 1e-6  # MeV m (h c / c)
-    equal_time = beam.gamma_sq * h_mev_m \
-        / (2.0 * beam.sigma_p * (geom.r_prime + geom.r_prime))
+    # the denominator underflows to 0 for a tiny sigma_p and r'
+    denominator = 2.0 * beam.sigma_p * (geom.r_prime + geom.r_prime)
+    equal_time = beam.gamma_sq * h_mev_m / denominator if denominator else math.inf
     spread = math.pi * beam.sigma_p / beam.mean_p
     # probability() scales the pattern by 1/(sqrt(pi) sigma_p)
     if math.isinf(equal_time) or math.isinf(1.0 / (math.sqrt(math.pi) * beam.sigma_p)):
@@ -297,9 +298,10 @@ def kaon_detection_probability(sys: KaonSystem, charge: str, tau: float) -> floa
         raise DomainError("charge must be 'e+' or 'e-'")
     sign = 1.0 if charge == "e+" else -1.0
     hbar = CONSTANTS.hbar_mev_s
+    phase = finite_phase(sys.dm * tau / hbar, "dm c^2 tau/hbar")
     direct = math.exp(-sys.gamma_s * tau / hbar) + math.exp(-sys.gamma_l * tau / hbar)
     inter = 2.0 * math.exp(-(sys.gamma_s + sys.gamma_l) * tau / (2.0 * hbar)) \
-        * math.cos(sys.dm * tau / hbar)
+        * math.cos(phase)
     return direct + sign * inter
 
 
@@ -464,9 +466,8 @@ def pion_neutrino_experiment(dm2_ev2: float, theta_12: float,
 def kaon_neutrino_experiment(dm2_ev2: float, theta_12: float,
                              baseline: float) -> NeutrinoExperiment:
     """K -> mu nu at rest."""
-    tau_k = 1.2385e-8  # s, charged-kaon lifetime
     return NeutrinoExperiment(CONSTANTS.m_k_charged,
-                              CONSTANTS.hbar_mev_s / tau_k,
+                              CONSTANTS.hbar_mev_s / CONSTANTS.tau_k_charged,
                               CONSTANTS.m_mu, dm2_ev2, theta_12, baseline)
 
 
@@ -552,7 +553,8 @@ def _path_oscillation(exp: NeutrinoExperiment, l: float) -> tuple[float, float, 
     hbarc = CONSTANTS.hbarc_ev_m
     dm2 = exp.dm2_ev2
     es_ev = exp.source_energy * 1e6
-    phi_path = (dm2 / p0_ev) * (es_ev / (2.0 * p0_ev) - 1.0) * l / hbarc
+    phi_path = finite_phase((dm2 / p0_ev) * (es_ev / (2.0 * p0_ev) - 1.0) * l / hbarc,
+                            "(dm^2/p0)(E_S/(2 p0) - 1) L/(hbar c)")
     gamma_ev = exp.source_width * 1e6
     damping_exponent = gamma_ev * dm2 * l / (4.0 * hbarc * p0_ev ** 2)
     damping = math.exp(-damping_exponent)

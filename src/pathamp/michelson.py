@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from pathamp.core_num import CONSTANTS, DiscrepancyFlag, DomainError, Record
+from pathamp.core_num import CONSTANTS, DiscrepancyFlag, DomainError, Record, finite_phase
 
 #: Benchmark fringe-visibility rows: transition label -> (wavelength m,
 #: measured half-visibility path difference m, quoted natural lifetime s).
@@ -76,7 +76,7 @@ def detection_probability(spec: InterferometerSpec, t_max: float) -> float:
         return p
     gate1 = 1.0 - math.exp(-(t_max - l1 / c) / tau)
     interference = 2.0 * math.exp(-(l1 - l2) / (2.0 * c * tau)) \
-        * math.cos(spec.kappa * (l1 - l2) + spec.phi_12)
+        * math.cos(finite_phase(spec.kappa * (l1 - l2) + spec.phi_12, "kappa (L1 - L2)"))
     return p + tau * gate1 * (1.0 + interference)
 
 

@@ -10,10 +10,9 @@ pick ``temporal_propagator`` explicitly for that case.
 
 from __future__ import annotations
 
-import cmath
 import math
 
-from pathamp.core_num import CONSTANTS, DomainError, PreconditionError, Record
+from pathamp.core_num import CONSTANTS, DomainError, PreconditionError, Record, phase_exp
 
 _BETA_CONSISTENCY_TOL = 1e-9
 
@@ -108,7 +107,7 @@ def covariant_propagator(particle: OnShellParticle, r: float, dt: float) -> comp
         return complex(particle.beta / r, 0.0)
     dtau = dt * math.sqrt(1.0 - particle.beta ** 2)
     z = -(1j * particle.mass_mev + particle.width_mev / 2.0) * dtau / CONSTANTS.hbar_mev_s
-    return (particle.beta / r) * cmath.exp(z)
+    return (particle.beta / r) * phase_exp(z, "m c^2 dtau/hbar")
 
 
 def temporal_propagator(emitter: EmitterSpec, dtau: float) -> complex:
@@ -121,7 +120,7 @@ def temporal_propagator(emitter: EmitterSpec, dtau: float) -> complex:
         raise DomainError("dtau must be >= 0 (forward proper time only)")
     gap = emitter.e_upper_ev - emitter.e_lower_ev
     z = -1j * (gap - 1j * emitter.width_ev / 2.0) * dtau / CONSTANTS.hbar_ev_s
-    return cmath.exp(z)
+    return phase_exp(z, "(E_u - E_l) dtau/hbar")
 
 
 def energy_propagator(e_ev: float, e0_ev: float, width_ev: float) -> complex:

@@ -11,10 +11,9 @@ special cases exactly.
 
 from __future__ import annotations
 
-import cmath
 import math
 
-from pathamp.core_num import DomainError, Record, wavenumber
+from pathamp.core_num import DomainError, Record, phase_exp, wavenumber
 
 
 class ReflectionSetup(Record):
@@ -93,7 +92,7 @@ def thin_film_coeff(n: float, wavelength: float, thickness: float) -> float:
         raise DomainError("wavelength must be positive")
     kappa = wavenumber(wavelength)
     rho = reflection_coeff_path(1.0, n)
-    return rho * abs(1.0 - cmath.exp(2j * kappa * n * thickness)) ** 2
+    return rho * abs(1.0 - phase_exp(2j * kappa * n * thickness, "2 kappa n thickness")) ** 2
 
 
 class FresnelComparison(Record):

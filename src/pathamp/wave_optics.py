@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from pathamp.core_num import CONSTANTS, DomainError, PreconditionError, Record
+from pathamp.core_num import CONSTANTS, DomainError, PreconditionError, Record, phase_exp
 from pathamp.propagators import EmitterSpec
 
 
@@ -83,7 +83,7 @@ def half_period_zone_integral(kappa: float, x1: float) -> complex:
     """
     if kappa <= 0 or x1 <= 0:
         raise DomainError("kappa and x1 must be positive")
-    return 2j * cmath.exp(1j * kappa * x1) / kappa
+    return 2j * phase_exp(1j * kappa * x1, "kappa x1") / kappa
 
 
 def huygens_zone_value(kappa: float, x1: float) -> complex:

@@ -51,6 +51,23 @@ class TestUnitEnforcement:
         assert code == 2
         assert json.loads(err)["error"] == "UnitError"
 
+    @pytest.mark.parametrize("value", [".", "..", "1.2.3", "1..5", "+.e5"])
+    @pytest.mark.parametrize("argv,flag,suffix", [
+        (["reflect", "--n2", "{}"], "--n2", ""),
+        (["snell", "--n1", "1.5", "--n2", "1", "--theta-i", "{}"], "--theta-i", "deg"),
+        (["propagator", "--r", "{}", "--beta", "0.5"], "--r", "m"),
+        (["oracle", "--op", "half-zone", "--x1", "{}"], "--x1", "m"),
+    ], ids=["bare", "angle", "length", "oracle-length"])
+    def test_malformed_number_rejected(self, capsys, argv, flag, suffix, value):
+        text = value + suffix
+        code, out, err = run_cli([text if a == "{}" else a for a in argv], capsys)
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "UnitError"
+        assert payload["message"].startswith(f"{flag}: ")
+        assert repr(text) in payload["message"]
+
     def test_physical_precondition_becomes_error_json(self, capsys):
         code, _, err = run_cli(["refract-series", "--dphi", "1.0",
                                 "--betal", "1000"], capsys)
@@ -446,6 +463,21 @@ class TestTypedRefusals:
         (["annulment", "--radius", "5cm", "--axis-distance", "2m",
           "--wavelength", "1e-320m", "--block-length", "1cm", "--n", "1.5",
           "--tau", "10ns"], "DomainError"),
+        (["propagator", "--mode", "temporal", "--wavelength", "500nm",
+          "--tau", "10ns", "--dtau", "1e300s"], "DomainError"),
+        (["propagator", "--mode", "covariant", "--mass", "1e300MeV",
+          "--beta", "0.5", "--r", "1m"], "DomainError"),
+        (["kaon", "--tau", "1e300s"], "DomainError"),
+        (["neutrino", "--source", "kaon", "--dm2", "1e300eV2", "--L", "1e300A"],
+         "DomainError"),
+        (["reflect", "--n2", "1.5", "--film-thickness", "1e308m",
+          "--wavelength", "500nm"], "DomainError"),
+        (["michelson", "--L", "1m", "--d", "1e10m", "--tau", "1s",
+          "--wavelength", "1e-300m", "--tmax", "1000s"], "DomainError"),
+        (["oracle", "--op", "half-zone", "--wavelength", "1e-300m", "--x1", "1e300m"],
+         "DomainError"),
+        (["ydse", "--kind", "electron", "--screen-distance", "1e-300mm",
+          "--sigma-p", "1e-300MeV"], "DomainError"),
     ], ids=["diffraction", "michelson", "ydse", "half-zone", "propagator-beta", "kaon",
             "neutrino-beta-p", "subnormal-wavelength", "subnormal-kaon-p",
             "half-zone-far", "half-zone-overflow", "half-zone-unconverged-tail",
@@ -456,7 +488,11 @@ class TestTypedRefusals:
             "ydse-electron-scale-overflow", "neutrino-beta-tiny-p",
             "mc-volume-fractional-order", "nested-fractional-order",
             "mc-volume-negative-seed", "reflect-film-subnormal-wavelength",
-            "annulment-subnormal-wavelength"])
+            "annulment-subnormal-wavelength", "temporal-phase-overflow",
+            "covariant-phase-overflow", "kaon-phase-overflow",
+            "neutrino-phase-overflow", "film-phase-overflow",
+            "michelson-phase-overflow", "half-zone-phase-overflow",
+            "ydse-electron-damping-underflow"])
     def test_refused(self, capsys, argv, kind):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -468,17 +504,37 @@ class TestTypedRefusals:
         assert payload["error"] == kind
 
     def test_michelson_curve_starting_on_the_arrival_refused(self, capsys, tmp_path):
-        # at a 1e14 m arm the grid's 0.05 ns offset rounds away, so its
-        # first gate time is the long-arm arrival itself: a refusal, not a
-        # CSV with an empty cell
+        # at --tau 0.1ns the 400 gates are 3e-3 ns apart, below the spacing
+        # of doubles at the long-arm arrival of these arms, so gate times
+        # would repeat (at 5e13 m the first would also be the arrival itself)
         path = tmp_path / "curve.csv"
-        code, out, err = run_cli(["michelson", "--L", "1e14m", "--d", "1m",
-                                  "--tau", "10ns", "--curve", str(path)], capsys)
-        assert code == 2
-        assert out == ""
-        assert json.loads(err) == {"error": "DomainError", "message":
-                                   "visibility undefined before the long-arm arrival"}
-        assert not path.exists()
+        for arm, spacing in (("2e12m", "0.00390625"), ("5e13m", "0.125")):
+            code, out, err = run_cli(["michelson", "--L", arm, "--d", "1m",
+                                      "--tau", "0.1ns", "--curve", str(path)], capsys)
+            assert code == 2
+            assert out == ""
+            payload = json.loads(err)
+            assert payload["error"] == "DomainError"
+            assert f"a {float(arm[:-1]):g} m arm" in payload["message"]
+            assert f"{spacing} ns apart" in payload["message"]
+            assert not path.exists()
+
+    @pytest.mark.parametrize("arm", ["1e14m", "5e13m"])
+    def test_michelson_curve_at_a_far_arm_starts_past_the_arrival(self, capsys, tmp_path,
+                                                                   arm):
+        # the 0.05 ns offset rounds away here, so the grid starts 4 ulps
+        # past the arrival instead
+        path = tmp_path / "curve.csv"
+        code, out, _ = run_cli(["michelson", "--L", arm, "--d", "1m",
+                                "--tau", "10ns", "--curve", str(path)], capsys)
+        assert code == 0
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        gates = [float(t) for t, _ in rows]
+        assert len(rows) == 400
+        assert all(a < b for a, b in zip(gates, gates[1:]))
+        long_path = json.loads(out)["outputs"]["long_path_m"]
+        assert gates[0] * 1e-9 > long_path / pathamp.CONSTANTS.c
+        assert all(0.0 < float(v) < 1.0 for _, v in rows)
 
     @pytest.mark.parametrize("dphi", ["0", "-0", "0.0"])
     def test_nested_oracle_at_zero_budget_refused(self, capsys, dphi):
@@ -575,11 +631,6 @@ class TestErrorContract:
         code, out, err = run_cli(["--config", str(path)], capsys)
         self._assert_config_error(code, out, err, "another --config")
 
-    def test_non_integer_seed_variable(self, capsys, monkeypatch):
-        monkeypatch.setenv("PATHAMP_SEED", "abc")
-        code, out, err = run_cli(["reflect", "--n2", "1.5"], capsys)
-        self._assert_config_error(code, out, err, "PATHAMP_SEED")
-
     @pytest.mark.parametrize("argv", [
         ["--out", "{path}", "reflect", "--n2", "1.5"],
         ["michelson", "--L", "50cm", "--d", "25cm", "--tau", "10ns",
@@ -597,18 +648,22 @@ class TestErrorContract:
         assert payload["error"] == "OutputError"
         assert path in payload["message"]
 
-    def test_replay_honours_stored_seed(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.delenv("PATHAMP_SEED", raising=False)
-        out_file = tmp_path / "mc.json"
-        code, first, _ = run_cli(["--out", str(out_file), "oracle", "--op",
-                                  "mc-volume", "--order", "3",
-                                  "--samples", "1000"], capsys)
+    def test_replay_honours_stored_seed(self, capsys, tmp_path):
+        # a summary's stored seed is the default of oracle --seed on replay,
+        # so a summary recorded with a seed its argv does not name replays
+        argv = ["oracle", "--op", "mc-volume", "--order", "3", "--samples", "1000"]
+        code, direct, _ = run_cli([*argv, "--seed", "7"], capsys)
         assert code == 0
-        assert json.loads(first)["seed"] == 0
-        monkeypatch.setenv("PATHAMP_SEED", "7")
-        code, second, _ = run_cli(["--config", str(out_file)], capsys)
+        assert json.loads(direct)["seed"] == 7
+        path = tmp_path / "mc.json"
+        path.write_text(json.dumps({"argv": argv, "seed": 7}))
+        code, replayed, _ = run_cli(["--config", str(path)], capsys)
         assert code == 0
-        assert second == first
+        assert json.loads(replayed) == json.loads(direct) | {"argv": argv}
+        code, unseeded, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert json.loads(unseeded)["seed"] == 0
+        assert json.loads(unseeded)["outputs"] != json.loads(direct)["outputs"]
 
 
 def _child_env():

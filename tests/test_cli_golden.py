@@ -188,9 +188,8 @@ def run_golden(argv):
     return {"rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue(), "csv_sha256": digest}
 
 
-def _pin_environment(setenv, delenv):
-    # the oracle seed default, and the help text's line width
-    delenv("PATHAMP_SEED", raising=False)
+def _pin_environment(setenv):
+    # the help text's line width
     setenv("COLUMNS", "80")
     setenv("LINES", "24")
 
@@ -207,7 +206,7 @@ def test_golden_covers_every_argv(golden):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_ARGV))
 def test_transcript_is_byte_identical(name, golden, tmp_path, monkeypatch):
-    _pin_environment(monkeypatch.setenv, monkeypatch.delenv)
+    _pin_environment(monkeypatch.setenv)
     monkeypatch.chdir(tmp_path)
     assert run_golden(GOLDEN_ARGV[name]) == golden[name]
 
@@ -215,13 +214,10 @@ def test_transcript_is_byte_identical(name, golden, tmp_path, monkeypatch):
 def _record():
     import tempfile
 
-    def delenv(key, raising=False):
-        os.environ.pop(key, None)
-
     def setenv(key, value):
         os.environ[key] = value
 
-    _pin_environment(setenv, delenv)
+    _pin_environment(setenv)
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)

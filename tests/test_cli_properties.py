@@ -13,7 +13,10 @@ two of its values, so that an odd value also meets otherwise valid input.
 Every run, in process through ``cli.main``, must either exit 0 with one
 strict-JSON summary on stdout and replay byte for byte through
 ``--config`` and ``--out``, or exit 2 with one ``{"error", "message"}``
-object on stderr and nothing on stdout.  No run may raise out of ``main``
+object on stderr and nothing on stdout.  That error is typed: never the
+bare ``ValueError`` or ``RuntimeError`` of a value that slipped past
+every check (``OverflowError`` is the documented refusal of a result
+that leaves the range of a double).  No run may raise out of ``main``
 (a traceback in a real process) or raise a numpy ``RuntimeWarning``.
 """
 
@@ -150,6 +153,7 @@ def test_every_argv_keeps_the_contract(argv, out_dir):
         assert out == ""
         payload = json.loads(err)
         assert set(payload) == {"error", "message"}
+        assert payload["error"] not in ("ValueError", "RuntimeError"), payload
         return
     summary = json.loads(out, parse_constant=_reject_constant)
     assert summary["command"] == argv[0]

@@ -19,7 +19,7 @@ import pytest
 import pathamp
 from pathamp import flavour, michelson, oracle, propagators, ray_optics, reflection, \
     refraction, wave_optics
-from pathamp.core_num import CONSTANTS, ConstantsTable, DiscrepancyFlag, DomainError, Record
+from pathamp.core_num import CONSTANTS, DiscrepancyFlag, DomainError, Record
 
 _GEOM = flavour.SlitGeometry(0.1, 1.0, 0.95e-3, 0.1e-3, 1e-3)
 _BEAM = flavour.ElectronBeam(229.0, 1.374e-4)
@@ -59,7 +59,6 @@ CASES = {
     refraction.EffectiveVelocity: ((2.9e8, 2.8e8, 0.01, "thick-block"), {}),
     refraction.SeriesValue: ((0.5 + 0.8j, 17), {}),
     refraction.MediumFactor: ((1.0 + 0.1j, 12, 1.0 + 0.1j, 1.0 + 0.1j), {}),
-    ConstantsTable: ((), {}),
 }
 
 # the refusals of __post_init__: {id: (class, positional arguments, keyword
@@ -128,7 +127,7 @@ class TestEveryRecord:
         args, defaults = CASES[cls]
         by_position = cls(*args)
         names = cls.__slots__
-        assert len(names) == len(args) + len(defaults) or cls is ConstantsTable
+        assert len(names) == len(args) + len(defaults)
         for name, value in zip(names, args):
             assert getattr(by_position, name) is value
         for name, value in defaults.items():
@@ -192,38 +191,62 @@ def test_unequal_fields_compare_unequal():
     assert DiscrepancyFlag("q", 1.0, 2.0) != oracle.OracleResult("q", 1.0, 2.0)
 
 
-def test_constants_table_hashes_and_notes_are_read_only():
-    assert hash(CONSTANTS) == hash(ConstantsTable())
-    assert ConstantsTable().notes is CONSTANTS.notes
-    with pytest.raises(TypeError):
-        CONSTANTS.notes["c"] = "changed"
-    with pytest.raises(AttributeError):
-        CONSTANTS.notes = {}
-    with pytest.raises(TypeError, match="unexpected keyword argument 'notes'"):
-        ConstantsTable(notes={})
+# every constant, as float hex, in the order core_num defines them: the
+# values the benchmark tables were computed with, derived ones last
+_CONSTANTS_HEX = {
+    "c": "0x1.1de784a000000p+28",
+    "hbar_ev_s": "0x1.7b6ef0abcdc94p-51",
+    "hbar_mev_s": "0x1.8ddd5df1eef73p-71",
+    "h_ev_s": "0x1.2a019a830a613p-48",
+    "k_boltzmann": "0x1.0b0e6d55e647cp-76",
+    "m_electron": "0x1.05a1a78514a75p-1",
+    "m_pi": "0x1.1723eea209aaap+7",
+    "m_mu": "0x1.a6a22b7baecd0p+6",
+    "m_k_charged": "0x1.edad4fdf3b646p+8",
+    "tau_k_charged": "0x1.a98b9cb147247p-27",
+    "m_k0_mean": "0x1.f1b3333333333p+8",
+    "dm_ls": "0x1.eb2c80689b872p-39",
+    "tau_ks": "0x1.89cd13e170979p-34",
+    "tau_kl": "0x1.b776079df5f62p-25",
+    "tau_pi": "0x1.bf3e58465b85ep-26",
+    "lambda_na_d": "0x1.3c60c678d1a14p-21",
+    "tau_na_annulment": "0x1.cfdb417c18a1bp-25",
+    "tau_na_fringe": "0x1.7315cdfce0816p-28",
+    "atomic_mass_unit": "0x1.071f778ed6aafp-89",
+    "mass_na_u": "0x1.6fd6185002f7bp+4",
+    "mass_h_u": "0x1.020c49ba5e354p+0",
+    "hbarc_ev_m": "0x1.a7c1a79cc88ecp-23",
+    "hc_ev_m": "0x1.4cd14ad96378bp-20",
+    "mass_na_kg": "0x1.7a1229b0e73e1p-85",
+    "mass_h_kg": "0x1.093a57bf15d34p-89",
+}
 
 
-@pytest.mark.parametrize("name", ["c", "hbar_ev_s", "m_pi", "tau_ks", "mass_h_u"])
-@pytest.mark.parametrize("value", [0.0, -1.0])
-def test_validate_catches_non_positive_constant(name, value):
-    table = ConstantsTable(**{name: value})
-    with pytest.raises(DomainError, match=f"constant {name} must be positive"):
-        table.validate()
-
-
-def test_validate_catches_inconsistent_planck_constants():
-    with pytest.raises(DomainError, match="h and hbar inconsistent"):
-        ConstantsTable(h_ev_s=4.2e-15).validate()
+def _constant_names():
+    return [name for name in vars(type(CONSTANTS)) if not name.startswith("_")]
 
 
 def test_constants_table_field_order_and_values():
-    assert ConstantsTable.__slots__ == (
-        "c", "hbar_mev_s", "hbar_ev_s", "h_ev_s", "k_boltzmann", "ev_joule",
-        "m_electron", "m_pi", "m_mu", "m_k_charged", "m_k0_mean", "dm_ls",
-        "tau_ks", "tau_kl", "tau_pi", "lambda_na_d", "tau_na_annulment",
-        "tau_na_fringe", "atomic_mass_unit", "mass_na_u", "mass_h_u")
-    CONSTANTS.validate()
-    assert CONSTANTS == ConstantsTable()
+    assert _constant_names() == list(_CONSTANTS_HEX)
+    assert {name: getattr(CONSTANTS, name).hex() for name in _constant_names()} \
+        == _CONSTANTS_HEX
+
+
+def test_constants_are_a_read_only_namespace():
+    assert not isinstance(CONSTANTS, Record)
+    assert not hasattr(CONSTANTS, "__dict__")
+    assert type(CONSTANTS).__slots__ == ()
+    for name in ("validate", "notes", "ev_joule"):
+        assert not hasattr(CONSTANTS, name)
+    for name in _constant_names():
+        before = getattr(CONSTANTS, name)
+        with pytest.raises(AttributeError):
+            setattr(CONSTANTS, name, 1.0)
+        with pytest.raises(AttributeError):
+            delattr(CONSTANTS, name)
+        assert getattr(CONSTANTS, name) is before
+    with pytest.raises(AttributeError):
+        CONSTANTS.not_a_constant = 1.0
 
 
 def test_classification_row_as_dict_keeps_field_order():
