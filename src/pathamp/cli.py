@@ -11,7 +11,7 @@ bit for bit.  Curves go to CSV via --csv; nothing is ever plotted.
 The subcommands live in pathamp.commands, one module per pathamp module
 they drive.  _COMMANDS names each subcommand's module, and a run imports
 only the module of the subcommand it runs, which in turn imports only the
-pathamp modules it calls (and numpy only where it builds an array).
+pathamp modules it calls (and numpy only where an oracle computes).
 """
 
 from __future__ import annotations

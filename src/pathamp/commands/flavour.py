@@ -24,10 +24,9 @@ def _ydse(args):
                    "spread_coeff": res.spread_coeff,
                    "reference_coeffs": list(flavour.ELECTRON_SLIT_REFERENCE_DAMPING)}
     if args.curve:
-        # numpy's exp differs from math.exp in the last bit on some doubles
-        import numpy as np
-        y = np.linspace(-5, 5, 801) * res.fringe_spacing
-        args.write_csv(args.curve, ["y_m", "probability"], list(zip(y, res.probability(y))))
+        grid = [v * res.fringe_spacing for v in linspace(-5.0, 5.0, 801)]
+        args.write_csv(args.curve, ["y_m", "probability"],
+                       [(y, res.probability(y)) for y in grid])
         outputs["curve_csv"] = args.curve
     return ({"kind": args.kind}, outputs, {"fringe_spacing_m": "computed"},
             [f.as_dict() for f in res.flags])

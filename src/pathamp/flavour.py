@@ -43,6 +43,11 @@ def combine_two_amplitudes(a: complex, b: complex) -> InterferenceBreakdown:
 # Young double slit
 
 
+def _cos(x: float) -> float:
+    """math.cos(x), or NaN where the phase x overflowed to inf."""
+    return math.cos(x) if math.isfinite(x) else math.nan
+
+
 class SlitGeometry(Record):
     """Double-slit layout: source-to-slits distance ``l``, slits-to-screen
     distance ``r_prime``, half separation ``d`` between inner slit edges,
@@ -71,15 +76,12 @@ class PhotonSlitResult(Record):
     __slots__ = ("geometry", "kappa", "tau_s", "fringe_spacing",
                  "damping_per_fringe", "flags")
 
-    def probability(self, y):
-        """Detection probability (arbitrary scale) at screen position y."""
-        import numpy as np
-        y = np.asarray(y, dtype=float)
+    def probability(self, y: float) -> float:
+        """Detection probability (arbitrary scale) at screen position y (m)."""
         dr = self.geometry.path_difference(y)
-        # an exponent past the double range is a damping of exactly 0
-        with np.errstate(over="ignore"):
-            damp = np.exp(-np.abs(dr) / (2.0 * CONSTANTS.c * self.tau_s))
-        return 1.0 + damp * np.cos(self.kappa * dr)
+        # an exponent past the double range is inf, a damping of exactly 0
+        damp = math.exp(-abs(dr) / (2.0 * CONSTANTS.c * self.tau_s))
+        return 1.0 + damp * _cos(self.kappa * dr)
 
 
 def photon_double_slit(geom: SlitGeometry, kappa: float,
@@ -175,18 +177,17 @@ class ElectronSlitResult(Record):
         "flags",
     )
 
-    def probability(self, y):
-        """Detection probability (scale 1/(sqrt(pi) sigma_p)) at position y."""
-        import numpy as np
-        y = np.asarray(y, dtype=float)
+    def probability(self, y: float) -> float:
+        """Detection probability (scale 1/(sqrt(pi) sigma_p)) at screen
+        position y (m)."""
         dr = self.geometry.path_difference(y)
-        n = np.abs(dr) / self.beam.de_broglie
-        # an exponent past the double range is a damping of exactly 0
-        with np.errstate(over="ignore"):
-            damp = np.exp(-((self.equal_time_coeff * n) ** 2
-                            + (self.spread_coeff * n) ** 2))
         lam = self.beam.de_broglie
-        return (1.0 + damp * np.cos(2.0 * math.pi * dr / lam)) \
+        n = abs(dr) / lam
+        # x * x gives inf where x ** 2 would raise OverflowError: an
+        # exponent past the double range is a damping of exactly 0
+        a, b = self.equal_time_coeff * n, self.spread_coeff * n
+        damp = math.exp(-(a * a + b * b))
+        return (1.0 + damp * _cos(2.0 * math.pi * dr / lam)) \
             / (math.sqrt(math.pi) * self.beam.sigma_p)
 
 
@@ -277,9 +278,13 @@ class KaonSystem(Record):
         return math.hypot(self.mean_mass, self.mean_p)
 
     def proper_time(self, distance: float) -> float:
-        """Proper flight time (s) to a detector at ``distance`` metres."""
+        """Proper flight time (s) to a detector at ``distance`` metres;
+        DomainError where it leaves the double range."""
         gamma_beta = self.mean_p / self.mean_mass
-        return distance / (gamma_beta * CONSTANTS.c)
+        tau = distance / (gamma_beta * CONSTANTS.c)
+        if not math.isfinite(tau):
+            raise DomainError(f"the proper time to {distance!r} m overflows a double")
+        return tau
 
 
 def kaon_detection_probability(sys: KaonSystem, charge: str, tau: float) -> float:
@@ -308,9 +313,11 @@ def kaon_detection_probability(sys: KaonSystem, charge: str, tau: float) -> floa
 def kaon_oscillation_phase_lab(sys: KaonSystem, distance: float) -> float:
     """Interference phase in lab variables, mbar c^2 dm L/(hbar p c):
     identical to dm c^2 tau/hbar under the equal-velocity proper-time map
-    and to the d(m^2)/2p structure of the standard oscillation formula."""
-    return sys.mean_mass * sys.dm * distance \
-        / (CONSTANTS.hbar_mev_s * sys.mean_p * CONSTANTS.c)
+    and to the d(m^2)/2p structure of the standard oscillation formula.
+    DomainError where it overflows a double."""
+    return finite_phase(sys.mean_mass * sys.dm * distance
+                        / (CONSTANTS.hbar_mev_s * sys.mean_p * CONSTANTS.c),
+                        "mbar c^2 dm L/(hbar p c)")
 
 
 def kaon_oscillation_period(sys: KaonSystem) -> float:

@@ -28,6 +28,9 @@ batches by one sequential loop into one reused buffer of at most
 order * _MC_BATCH doubles, and the hit count is an exact integer sum, so a
 fixed seed and sample count always give the same estimate, whatever the
 batch size.
+
+Each function imports numpy only once its arguments are checked, so
+importing this module, or a call it refuses, loads no numpy.
 """
 
 from __future__ import annotations
@@ -37,8 +40,6 @@ import math
 import operator
 import sys
 from collections.abc import Callable
-
-import numpy as np
 
 from pathamp.core_num import ConvergenceError, DomainError, PreconditionError, Record
 
@@ -90,7 +91,7 @@ def _count(name: str, value, most: int | None = None, least: int = 1) -> int:
 
 
 @functools.lru_cache(maxsize=16)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _leggauss(n: int) -> tuple:
     """The n-point Gauss-Legendre nodes and weights on [-1, 1], read-only.
 
     Building a rule solves an n x n eigenproblem, O(n^3), so each size is
@@ -98,18 +99,20 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     shared rule.  The default paths use at most 64 points; numpy tests
     its rule only up to degree 100.
     """
+    import numpy as np
     x, w = np.polynomial.legendre.leggauss(n)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
 
 
-def _gauss_segments(f, edges: np.ndarray, nodes: int):
+def _gauss_segments(f, edges, nodes: int):
     """Sum integral over consecutive segments with an n-point Gauss rule.
 
     Returns (complex total, per-segment complex values).  f must accept a
     numpy array and return an array of complex values.
     """
+    import numpy as np
     x, w = _leggauss(nodes)
     lo = edges[:-1]
     half = 0.5 * np.diff(edges)
@@ -169,14 +172,6 @@ def quad_oscillatory(f: Callable, a: float, b: float, kappa: float,
     to 50 (the fine rule takes 2*nodes points, and numpy tests its rule
     only up to degree 100) raises DomainError.
     """
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return _quad_oscillatory(f, a, b, kappa, damping_scale, nodes)
-    except FloatingPointError as exc:
-        raise ConvergenceError(f"oscillatory quadrature left float64: {exc}") from None
-
-
-def _quad_oscillatory(f, a, b, kappa, damping_scale, nodes):
     # the fine rule takes 2 * nodes points
     nodes = _count("nodes", nodes, _MAX_RULE // 2)
     if not (math.isfinite(kappa) and math.isfinite(a)) or math.isnan(b):
@@ -185,7 +180,6 @@ def _quad_oscillatory(f, a, b, kappa, damping_scale, nodes):
     if kappa <= 0:
         raise DomainError("kappa must be positive")
     seg_len = math.pi / kappa
-
     if b == math.inf:
         if damping_scale is None:
             raise PreconditionError(
@@ -196,6 +190,25 @@ def _quad_oscillatory(f, a, b, kappa, damping_scale, nodes):
         # so the 64 segments span 64 e-folds and not 64 pi/kappa
         seg_len = min(seg_len, damping_scale)
         n_seg = 64
+    else:
+        if b <= a:
+            raise DomainError("need b > a")
+        n_seg = max(1, math.ceil((b - a) / seg_len))
+        if n_seg > _MAX_SEGMENTS:
+            raise PreconditionError(f"{n_seg} segments exceed budget {_MAX_SEGMENTS}")
+    import numpy as np
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _quad_oscillatory(f, a, b, seg_len, n_seg, damping_scale, nodes)
+    except FloatingPointError as exc:
+        raise ConvergenceError(f"oscillatory quadrature left float64: {exc}") from None
+
+
+def _quad_oscillatory(f, a, b, seg_len, n_seg, damping_scale, nodes):
+    """quad_oscillatory over n_seg segments of seg_len (the tail) or from a
+    to b, once its arguments are checked."""
+    import numpy as np
+    if b == math.inf:
         edges = a + seg_len * np.arange(n_seg + 1)
         if not np.all(edges[1:] > edges[:-1]):
             # a segment below the spacing of doubles at a: the edges
@@ -224,11 +237,6 @@ def _quad_oscillatory(f, a, b, kappa, damping_scale, nodes):
                 partials=(complex(acc_prev), complex(acc_full)))
         return OracleResult(complex(acc_full), err, n_seg * 3 * nodes)
 
-    if b <= a:
-        raise DomainError("need b > a")
-    n_seg = max(1, math.ceil((b - a) / seg_len))
-    if n_seg > _MAX_SEGMENTS:
-        raise PreconditionError(f"{n_seg} segments exceed budget {_MAX_SEGMENTS}")
     edges = np.linspace(a, b, n_seg + 1)
     coarse, _ = _gauss_segments(f, edges, nodes)
     fine, _ = _gauss_segments(f, edges, 2 * nodes)
@@ -300,6 +308,7 @@ def quad_nested(order: int, kappa: float, delta_s: float,
     if len(x) != order:
         raise DomainError("need one x per integration level")
     xs = (*x, 0.0)
+    import numpy as np
 
     def run(n_nodes: int) -> complex:
         glx, glw = _leggauss(n_nodes)
@@ -392,6 +401,7 @@ def mc_ordered_volume(order: int, length: float, samples: int,
     seed = _count("seed", seed, least=0)
     if order == 1:
         return OracleResult(complex(length), 0.0, 0)
+    import numpy as np
     rng = np.random.Generator(np.random.Philox(seed))
     # one batch buffer and two masks, reused: a C-contiguous row slice of
     # buf takes the same doubles from the stream as a fresh (n, order) draw
@@ -434,6 +444,7 @@ def gaussian_ratio_integral(weight: Callable, phase: Callable,
         raise DomainError(f"a and b must be finite, got {a!r}, {b!r}")
     if b <= a:
         raise DomainError("need b > a")
+    import numpy as np
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             fine = _ratio(weight, phase, a, b, _RATIO_NODES)
@@ -445,13 +456,14 @@ def gaussian_ratio_integral(weight: Callable, phase: Callable,
 
 
 @functools.lru_cache(maxsize=2)
-def _panel_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def _panel_rule(nodes: int) -> tuple:
     """The nodes-point rule on each of _RATIO_PANELS equal panels, read-only.
 
     Node j of panel k is (2k + 1 - _RATIO_PANELS) + x_j: its offset from
     the window's centre in panel half-widths.  The weights are the rule's,
     panel after panel.
     """
+    import numpy as np
     x, w = _leggauss(nodes)
     t = np.add.outer(np.arange(1.0 - _RATIO_PANELS, _RATIO_PANELS, 2.0), x).ravel()
     wt = np.tile(w, _RATIO_PANELS)
@@ -462,6 +474,7 @@ def _panel_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _ratio(weight, phase, a, b, nodes: int) -> complex:
     """The ratio on the composite rule of nodes points per panel."""
+    import numpy as np
     t, w = _panel_rule(nodes)
     half = 0.5 * (b - a) / _RATIO_PANELS
     # each node is rounded once, from the window's centre: nodes placed

@@ -478,6 +478,8 @@ class TestTypedRefusals:
          "DomainError"),
         (["ydse", "--kind", "electron", "--screen-distance", "1e-300mm",
           "--sigma-p", "1e-300MeV"], "DomainError"),
+        (["kaon", "--p", "1e-300MeV/c", "--distance", "1e300m"], "DomainError"),
+        (["kaon", "--p", "1e-10MeV/c", "--distance", "1e300m"], "DomainError"),
     ], ids=["diffraction", "michelson", "ydse", "half-zone", "propagator-beta", "kaon",
             "neutrino-beta-p", "subnormal-wavelength", "subnormal-kaon-p",
             "half-zone-far", "half-zone-overflow", "half-zone-unconverged-tail",
@@ -492,7 +494,8 @@ class TestTypedRefusals:
             "covariant-phase-overflow", "kaon-phase-overflow",
             "neutrino-phase-overflow", "film-phase-overflow",
             "michelson-phase-overflow", "half-zone-phase-overflow",
-            "ydse-electron-damping-underflow"])
+            "ydse-electron-damping-underflow", "kaon-proper-time-overflow",
+            "kaon-lab-phase-overflow"])
     def test_refused(self, capsys, argv, kind):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -506,17 +509,21 @@ class TestTypedRefusals:
     def test_michelson_curve_starting_on_the_arrival_refused(self, capsys, tmp_path):
         # at --tau 0.1ns the 400 gates are 3e-3 ns apart, below the spacing
         # of doubles at the long-arm arrival of these arms, so gate times
-        # would repeat (at 5e13 m the first would also be the arrival itself)
+        # would repeat (at 5e13 m the first would also be the arrival itself);
+        # at --tau 1e-220s all 12 tau lie within one spacing of doubles
         path = tmp_path / "curve.csv"
-        for arm, spacing in (("2e12m", "0.00390625"), ("5e13m", "0.125")):
+        for arm, tau, spacing, span in (("2e12m", "0.1ns", "0.00390625", "1.2"),
+                                        ("5e13m", "0.1ns", "0.125", "1.2"),
+                                        ("0.5m", "1e-220s", "1.77636e-15", "1.2e-210")):
             code, out, err = run_cli(["michelson", "--L", arm, "--d", "1m",
-                                      "--tau", "0.1ns", "--curve", str(path)], capsys)
+                                      "--tau", tau, "--curve", str(path)], capsys)
             assert code == 2
             assert out == ""
             payload = json.loads(err)
             assert payload["error"] == "DomainError"
             assert f"a {float(arm[:-1]):g} m arm" in payload["message"]
             assert f"{spacing} ns apart" in payload["message"]
+            assert f"12 tau = {span} ns" in payload["message"]
             assert not path.exists()
 
     @pytest.mark.parametrize("arm", ["1e14m", "5e13m"])
@@ -535,6 +542,24 @@ class TestTypedRefusals:
         long_path = json.loads(out)["outputs"]["long_path_m"]
         assert gates[0] * 1e-9 > long_path / pathamp.CONSTANTS.c
         assert all(0.0 < float(v) < 1.0 for _, v in rows)
+
+    @pytest.mark.parametrize("tau", ["1ps", "4ps"])
+    def test_michelson_curve_at_a_short_lifetime_runs_forward(self, capsys, tmp_path,
+                                                              tau):
+        # 0.05 ns after the arrival is past the last gate, 12 tau after
+        # it, so the first gate must come sooner
+        path = tmp_path / "curve.csv"
+        code, out, _ = run_cli(["michelson", "--L", "50cm", "--d", "1mm",
+                                "--tau", tau, "--curve", str(path)], capsys)
+        assert code == 0
+        gates = [float(line.split(",")[0])
+                 for line in path.read_text().splitlines()[1:]]
+        assert len(gates) == 400
+        assert all(a < b for a, b in zip(gates, gates[1:]))
+        arrival = json.loads(out)["outputs"]["long_path_m"] / pathamp.CONSTANTS.c
+        assert gates[0] * 1e-9 > arrival
+        assert gates[-1] * 1e-9 == pytest.approx(arrival + 12 * float(tau[:-2]) * 1e-12,
+                                                 rel=1e-12)
 
     @pytest.mark.parametrize("dphi", ["0", "-0", "0.0"])
     def test_nested_oracle_at_zero_budget_refused(self, capsys, dphi):
@@ -726,6 +751,10 @@ _SCALAR_ARGV = [
                   "--curve", "{csv}"], id="michelson-curve"),
     pytest.param(["ydse", "--kind", "photon"], id="ydse-photon"),
     pytest.param(["ydse", "--kind", "electron"], id="ydse-electron"),
+    pytest.param(["ydse", "--kind", "photon", "--curve", "{csv}"], id="ydse-curve"),
+    pytest.param(["ydse", "--kind", "electron", "--curve", "{csv}"],
+                 id="ydse-electron-curve"),
+    pytest.param(["oracle", "--op", "mc-volume", "--order", "1"], id="oracle-mc-order-1"),
     pytest.param(["kaon", "--tau", "1ns", "--distance", "1cm"], id="kaon"),
     pytest.param(["kaon", "--curve", "{csv}"], id="kaon-curve"),
     pytest.param(["neutrino", "--dm2", "2e-3eV2", "--L", "100m"], id="neutrino"),
@@ -798,9 +827,25 @@ class TestImportGuard:
         assert not modules & _INTROSPECTION
 
     @pytest.mark.parametrize("argv", [
+        pytest.param(["oracle", "--op", "nested", "--order", "5"], id="nested-order-5"),
+        pytest.param(["oracle", "--op", "mc-volume", "--order", "9"],
+                     id="mc-volume-order-9"),
+        pytest.param(["oracle", "--op", "mc-volume", "--samples", "0"],
+                     id="mc-volume-no-samples"),
+        pytest.param(["oracle", "--op", "nested", "--order", "2.5"],
+                     id="nested-fractional-order"),
+    ])
+    def test_oracle_refusal_loads_no_numpy(self, argv):
+        # the oracle checks its arguments before it imports numpy
+        code, modules = _loaded_modules(argv)
+        assert code == 2
+        assert not modules & _HEAVY
+
+    @pytest.mark.parametrize("argv", [
         pytest.param(["oracle", "--op", "nested", "--order", "2"],
                      id="oracle-nested"),
-        pytest.param(["ydse", "--kind", "photon", "--curve", "{csv}"], id="ydse-curve"),
+        pytest.param(["oracle", "--op", "half-zone"], id="half-zone"),
+        pytest.param(["oracle", "--op", "mc-volume"], id="mc-volume"),
     ])
     def test_array_work_still_loads_numpy(self, argv, tmp_path):
         code, modules = _loaded_modules(argv, tmp_path)

@@ -68,7 +68,7 @@ class TestPhotonSlit:
 
     def test_centre_is_a_maximum(self):
         res = photon_double_slit(GEOM, self.KAPPA, CONSTANTS.tau_na_fringe)
-        p = res.probability(np.array([0.0, 0.25, 0.5]) * res.fringe_spacing)
+        p = [res.probability(v * res.fringe_spacing) for v in (0.0, 0.25, 0.5)]
         assert p[0] == pytest.approx(2.0, rel=1e-12)
         assert p[0] > p[1] > p[2]
 
@@ -90,7 +90,7 @@ class TestPhotonSlit:
         res = photon_double_slit(GEOM, 2 * math.pi / 500e-9, 5e-324)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            p = res.probability(np.array([0.0, 5.0 * res.fringe_spacing]))
+            p = [res.probability(y) for y in (0.0, 5.0 * res.fringe_spacing)]
         assert p[0] == 2.0
         assert p[1] == 1.0
 
@@ -168,7 +168,7 @@ class TestElectronSlit:
         res = electron_double_slit(GEOM, beam)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            p = res.probability(np.array([0.0, res.fringe_spacing]))
+            p = [res.probability(y) for y in (0.0, res.fringe_spacing)]
         scale = math.sqrt(math.pi) * beam.sigma_p
         assert p[0] * scale == pytest.approx(2.0, rel=1e-12)
         assert p[1] * scale == pytest.approx(1.0, rel=1e-12)
@@ -186,8 +186,9 @@ class TestElectronSlit:
         assert electron.fringe_spacing \
             == pytest.approx(photon.fringe_spacing, rel=1e-12)
         y = np.linspace(-3, 3, 101) * photon.fringe_spacing
-        fringe_gamma = photon.probability(y) - 1.0
-        fringe_e = electron.probability(y) * math.sqrt(math.pi) * beam.sigma_p - 1.0
+        fringe_gamma = [photon.probability(v) - 1.0 for v in y]
+        fringe_e = [electron.probability(v) * math.sqrt(math.pi) * beam.sigma_p - 1.0
+                    for v in y]
         assert np.allclose(fringe_e, fringe_gamma, rtol=1e-6, atol=1e-12)
 
 
@@ -254,6 +255,15 @@ class TestKaons:
         assert kaon_oscillation_phase_lab(self.SYS, distance) \
             == pytest.approx(self.SYS.dm * tau / CONSTANTS.hbar_mev_s,
                              rel=1e-12)
+
+    def test_overflowing_proper_time_or_lab_phase_refused(self):
+        # an overflow is refused, not returned as inf
+        with pytest.raises(DomainError, match="proper time"):
+            KaonSystem(mean_p=1e-300).proper_time(1e300)
+        slow = KaonSystem(mean_p=1e-10)
+        assert math.isfinite(slow.proper_time(1e300))
+        with pytest.raises(DomainError, match="phase"):
+            kaon_oscillation_phase_lab(slow, 1e300)
 
     def test_equal_velocity_momentum_offset(self):
         rep = kaon_equal_velocity_report(self.SYS)
