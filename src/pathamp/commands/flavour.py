@@ -71,7 +71,7 @@ def _neutrino(args):
     else:
         exp = flavour.NeutrinoExperiment(
             CONSTANTS.m_pi, CONSTANTS.hbar_mev_s / CONSTANTS.tau_pi,
-            CONSTANTS.m_mu, dm2, theta, baseline, mode="beta",
+            CONSTANTS.m_mu, dm2, theta, baseline,
             beta_energy_mev=args.quantity("--beta-energy"),
             neutrino_p_mev=args.quantity("--p-nu"))
     d = flavour.neutrino_oscillation(exp).as_dict()

@@ -32,7 +32,7 @@ def _oracle(args):
         x1 = args.quantity("--x1")
         rho = kappa * args.quantity("--rho-over-kappa")
         analytic = wave_optics.huygens_zone_value(kappa, x1)
-        damped = wave_optics.damped_radial_integral(kappa, x1, rho)
+        damped = oracle.damped_radial_integral(kappa, x1, rho)
         if damped == 0:
             raise DomainError("the damped integral is 0, so the relative "
                               "difference is undefined")

@@ -27,7 +27,7 @@ def _refract_series(args):
     outputs = {
         "factor": complex_out(factor.value),
         "n_terms": factor.n_terms,
-        "kernel_route": complex_out(factor.kernel_route),
+        "kernel_route": complex_out(factor.value),
         "trig_route": complex_out(factor.trig_route),
         "regime": refraction.regime_classification(dphi, beta_l),
     }

@@ -69,6 +69,10 @@ class SlitGeometry(Record):
         """Small-angle path-length difference between the two slits."""
         return 2.0 * self.effective_separation * y / self.l
 
+    def fringe_spacing(self, wavelength: float) -> float:
+        """Fringe spacing lambda l/(2(d + h/2)) on the screen (m)."""
+        return wavelength * self.l / (2.0 * self.effective_separation)
+
 
 class PhotonSlitResult(Record):
     """Photon double-slit pattern with source-lifetime damping."""
@@ -97,7 +101,7 @@ def photon_double_slit(geom: SlitGeometry, kappa: float,
     if kappa <= 0 or tau_s <= 0:
         raise DomainError("kappa and tau_s must be positive")
     lam = 2.0 * math.pi / kappa
-    spacing = lam * geom.l / (2.0 * geom.effective_separation)
+    spacing = geom.fringe_spacing(lam)
     per_fringe = lam / (2.0 * CONSTANTS.c * tau_s)
     if math.isinf(spacing) or math.isinf(per_fringe):
         raise DomainError("the fringe spacing or damping overflows a double")
@@ -209,8 +213,7 @@ def electron_double_slit(geom: SlitGeometry, beam: ElectronBeam) -> ElectronSlit
     """
     if beam.sigma_p / beam.mean_p > 0.1:
         raise DomainError("Gaussian treatment needs sigma_p << p")
-    lam = beam.de_broglie
-    spacing = lam * geom.l / (2.0 * geom.effective_separation)
+    spacing = geom.fringe_spacing(beam.de_broglie)
     h_mev_m = 2.0 * math.pi * CONSTANTS.hbarc_ev_m * 1e-6  # MeV m (h c / c)
     # the denominator underflows to 0 for a tiny sigma_p and r'
     denominator = 2.0 * beam.sigma_p * (geom.r_prime + geom.r_prime)
@@ -279,7 +282,10 @@ class KaonSystem(Record):
 
     def proper_time(self, distance: float) -> float:
         """Proper flight time (s) to a detector at ``distance`` metres;
-        DomainError where it leaves the double range."""
+        DomainError for a negative distance or where it leaves the double
+        range."""
+        if distance < 0:
+            raise DomainError("distance must be >= 0")
         gamma_beta = self.mean_p / self.mean_mass
         tau = distance / (gamma_beta * CONSTANTS.c)
         if not math.isfinite(tau):
@@ -314,7 +320,9 @@ def kaon_oscillation_phase_lab(sys: KaonSystem, distance: float) -> float:
     """Interference phase in lab variables, mbar c^2 dm L/(hbar p c):
     identical to dm c^2 tau/hbar under the equal-velocity proper-time map
     and to the d(m^2)/2p structure of the standard oscillation formula.
-    DomainError where it overflows a double."""
+    DomainError for a negative distance or where it overflows a double."""
+    if distance < 0:
+        raise DomainError("distance must be >= 0")
     return finite_phase(sys.mean_mass * sys.dm * distance
                         / (CONSTANTS.hbar_mev_s * sys.mean_p * CONSTANTS.c),
                         "mbar c^2 dm L/(hbar p c)")
@@ -374,17 +382,17 @@ class NeutrinoExperiment(Record):
 
     source_mass/source_width in MeV; recoil_mass is the effective mass of
     everything recoiling against the neutrino (the muon for pi -> mu nu);
-    dm2_ev2 = m_1^2 - m_2^2 in (eV/c^2)^2; baseline in m.  mode="two-body"
-    derives the monochromatic momentum from the decay kinematics;
-    mode="beta" needs the neutrino momentum and total energy release
-    explicitly.
+    dm2_ev2 = m_1^2 - m_2^2 in (eV/c^2)^2; baseline in m.  Given
+    beta_energy_mev and neutrino_p_mev (MeV and MeV/c, both or neither),
+    the source is a beta decay of that total energy release and neutrino
+    momentum, and the masses take no part in its kinematics; without them
+    it is a two-body decay at rest, whose kinematics give the
+    monochromatic momentum.
     """
 
     __slots__ = ("source_mass", "source_width", "recoil_mass", "dm2_ev2",
-                 "theta_12", "baseline", "mode", "beta_energy_mev",
-                 "neutrino_p_mev")
+                 "theta_12", "baseline", "beta_energy_mev", "neutrino_p_mev")
     _defaults = {
-        "mode": "two-body",
         "beta_energy_mev": None,
         "neutrino_p_mev": None,
     }
@@ -404,7 +412,7 @@ class NeutrinoExperiment(Record):
         if self.source_width < 0:
             # a negative width would amplify the interference term
             raise DomainError("source width must be >= 0")
-        if self.mode == "two-body":
+        if self.beta_energy_mev is None and self.neutrino_p_mev is None:
             if not 0.0 < self.recoil_mass < self.source_mass:
                 raise DomainError(
                     "kinematically forbidden: need 0 < recoil mass < source mass")
@@ -424,9 +432,10 @@ class NeutrinoExperiment(Record):
                     f"recoil mass {self.recoil_mass!r} MeV against source mass"
                     f" {self.source_mass!r} MeV: the path oscillation length"
                     " leaves the double range")
-        elif self.mode == "beta":
+        else:
             if self.beta_energy_mev is None or self.neutrino_p_mev is None:
-                raise DomainError("beta mode needs beta_energy_mev and neutrino_p_mev")
+                raise DomainError("beta kinematics need both beta_energy_mev and"
+                                  " neutrino_p_mev")
             if not (math.isfinite(self.beta_energy_mev)
                     and math.isfinite(self.neutrino_p_mev)):
                 raise DomainError("beta_energy_mev and neutrino_p_mev must be finite")
@@ -435,8 +444,6 @@ class NeutrinoExperiment(Record):
             if not (p_ev > 0 and p_ev * p_ev > 0):
                 raise DomainError("neutrino momentum must be positive and not"
                                   " vanishingly small")
-        else:
-            raise DomainError(f"unknown mode {self.mode!r}")
 
     @property
     def mass_ratio(self) -> float:
@@ -447,16 +454,16 @@ class NeutrinoExperiment(Record):
     def source_energy(self) -> float:
         """E_S (MeV), the energy the source state carries into the phase
         chain: m_S for a two-body decay at rest, the explicit total energy
-        release in beta mode."""
-        if self.mode == "beta":
+        release of a beta decay."""
+        if self.beta_energy_mev is not None:
             return self.beta_energy_mev
         return self.source_mass
 
     @property
     def p0(self) -> float:
         """Neutrino momentum (MeV/c): two-body value (m_S^2 - m_R^2)/(2 m_S)
-        or the explicit beta-mode momentum."""
-        if self.mode == "beta":
+        or the explicit momentum of a beta decay."""
+        if self.neutrino_p_mev is not None:
             return self.neutrino_p_mev
         return (self.source_mass ** 2 - self.recoil_mass ** 2) \
             / (2.0 * self.source_mass)
@@ -515,13 +522,25 @@ def neutrino_oscillation(exp: NeutrinoExperiment) -> NeutrinoOscillationResult:
     hbarc = CONSTANTS.hbarc_ev_m
     l = exp.baseline
     dm2 = exp.dm2_ev2
-    phi_path, damping, prob = _path_oscillation(exp, l)
+    phi_path, damping, prob, _inter = _path_oscillation(exp, l)
     phi_standard = dm2 * l / (2.0 * p0_ev * hbarc)
-    if exp.mode == "two-body":
+    gamma_ev = exp.source_width * 1e6
+    unit_phase_exponent = gamma_ev / (4.0 * p0_ev)
+    flags = (DiscrepancyFlag(
+        "damping_exponent_unit_phase", unit_phase_exponent,
+        NEUTRINO_REFERENCE_DAMPING_EXP,
+        "quoted benchmark exponent is ~2x the computed"
+        " Gamma/(4 p0) at unit reduced phase"),)
+    if exp.beta_energy_mev is None:
         rm = exp.mass_ratio
         ms_ev = exp.source_mass * 1e6
         phi_compact = (dm2 / ms_ev) * (rm / (1.0 - rm ** 2)) ** 2 * l / hbarc
         losc_path = _compact_length(exp)
+        flags = (DiscrepancyFlag(
+            "phi_compact/phi_path", 0.5, 1.0,
+            "compact published coefficient is exactly half the full phase"
+            " chain for two-body decay at rest; unresolved, both reported"),
+            *flags)
     else:
         # the compact two-body coefficient has no beta-decay analogue;
         # the oscillation length then follows the full phase chain
@@ -531,31 +550,18 @@ def neutrino_oscillation(exp: NeutrinoExperiment) -> NeutrinoOscillationResult:
                               " gives no oscillation length")
         losc_path = 2.0 * math.pi * l / abs(phi_path)
     losc_standard = 4.0 * math.pi * hbarc * p0_ev / dm2
-
-    gamma_ev = exp.source_width * 1e6
     dt21 = (l / CONSTANTS.c) * dm2 / (2.0 * p0_ev ** 2)
-
-    unit_phase_exponent = gamma_ev / (4.0 * p0_ev)
-    flags = (
-        DiscrepancyFlag(
-            "phi_compact/phi_path", 0.5, 1.0,
-            "compact published coefficient is exactly half the full phase"
-            " chain for two-body decay at rest; unresolved, both reported"),
-        DiscrepancyFlag(
-            "damping_exponent_unit_phase", unit_phase_exponent,
-            NEUTRINO_REFERENCE_DAMPING_EXP,
-            "quoted benchmark exponent is ~2x the computed"
-            " Gamma/(4 p0) at unit reduced phase"),
-    )
     return NeutrinoOscillationResult(prob, phi_path, phi_standard,
                                      phi_compact, losc_path, losc_standard,
                                      dt21, damping, unit_phase_exponent, flags)
 
 
-def _path_oscillation(exp: NeutrinoExperiment, l: float) -> tuple[float, float, float]:
+def _path_oscillation(exp: NeutrinoExperiment,
+                      l: float) -> tuple[float, float, float, float]:
     """Path-chain phase phi_path = (dm^2/p0)(E_S/(2 p0) - 1) l/(hbar c)
-    (rad), source-lifetime damping of the interference term and appearance
-    probability at baseline l (m)."""
+    (rad), source-lifetime damping D of the interference term, appearance
+    probability and its interference term -2 sin^2 cos^2(theta) D
+    cos(phi_path) at baseline l (m)."""
     p0_ev = exp.p0 * 1e6
     hbarc = CONSTANTS.hbarc_ev_m
     dm2 = exp.dm2_ev2
@@ -566,8 +572,10 @@ def _path_oscillation(exp: NeutrinoExperiment, l: float) -> tuple[float, float, 
     damping_exponent = gamma_ev * dm2 * l / (4.0 * hbarc * p0_ev ** 2)
     damping = math.exp(-damping_exponent)
     # normalised so that zero damping gives sin^2(2 theta) sin^2(phi/2)
-    s2, c2 = math.sin(exp.theta_12) ** 2, math.cos(exp.theta_12) ** 2
-    return phi_path, damping, 2.0 * s2 * c2 * (1.0 - damping * math.cos(phi_path))
+    s2c2 = math.sin(exp.theta_12) ** 2 * math.cos(exp.theta_12) ** 2
+    cos_phi = math.cos(phi_path)
+    return (phi_path, damping, 2.0 * s2c2 * (1.0 - damping * cos_phi),
+            -2.0 * s2c2 * damping * cos_phi)
 
 
 def half_oscillation_distance(exp: NeutrinoExperiment) -> float:
@@ -583,7 +591,8 @@ def emission_time_offset_closed_form(exp: NeutrinoExperiment) -> tuple[float, tu
     """Emission-time offset at the half-oscillation baseline, which depends
     only on the production kinematics: h/(4 c (m_S c/2 - p0)) in natural
     units.  The commonly quoted figure for the pion benchmark is smaller by
-    a factor pi and is flagged."""
+    a factor pi and is flagged.  DomainError for a beta experiment."""
+    _require_two_body(exp, "the emission-time offset closed form")
     p0_ev = exp.p0 * 1e6
     ms_ev = exp.source_mass * 1e6
     h_ev_s = CONSTANTS.h_ev_s
@@ -602,9 +611,19 @@ def oscillation_length_ratio(exp_a: NeutrinoExperiment,
         [m_S ((1-R_m^2)/R_m)^2 / p0]_A / [same]_B
 
     ~28 for a kaon source versus a pion source; the standard kinematic
-    formula instead predicts 1 at equal momentum.
+    formula instead predicts 1 at equal momentum.  DomainError if either is
+    a beta experiment.
     """
+    for exp in (exp_a, exp_b):
+        _require_two_body(exp, "the oscillation length ratio")
     return _length_figure(exp_a) / _length_figure(exp_b)
+
+
+def _require_two_body(exp: NeutrinoExperiment, figure: str) -> None:
+    """DomainError unless exp is a two-body decay at rest."""
+    if exp.beta_energy_mev is not None:
+        raise DomainError(f"{figure} is defined only for two-body decay at rest,"
+                          " not for a beta experiment")
 
 
 def _compact_length(exp: NeutrinoExperiment) -> float:
@@ -625,14 +644,12 @@ def _length_figure(exp: NeutrinoExperiment) -> float:
 def neutrino_curve(exp: NeutrinoExperiment, baselines) -> list[tuple]:
     """Rows (L_m, P_appear, P_survive, interference_term) over baselines (m),
     each as ``neutrino_oscillation`` gives it for exp at that baseline."""
-    s2c2 = math.sin(exp.theta_12) ** 2 * math.cos(exp.theta_12) ** 2
     rows = []
     for l in baselines:
         l = float(l)
         if l <= 0:
             raise DomainError("baseline must be positive")
-        phi_path, damping, prob = _path_oscillation(exp, l)
-        inter = -2.0 * s2c2 * damping * math.cos(phi_path)
+        _phi, _damping, prob, inter = _path_oscillation(exp, l)
         rows.append((l, prob, 1.0 - prob, inter))
     return rows
 

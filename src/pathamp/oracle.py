@@ -1,13 +1,13 @@
 """Independent brute-force numerical machinery.
 
 Everything here is deliberately dumb: period-segmented Gauss-Legendre sums
-for oscillatory integrals, nested Gauss-Legendre quadrature for nested
-integrals (vectorised level by level, with no array holding more than
-2**18 innermost points; the innermost level pairs the symmetric nodes
-+-x_k, so it takes n/2 real cosines and one phase factor per outer point,
-and the outer levels write e^{i kappa r} as cos/sin in place, which gives
-exactly the bits of the complex exp at a fraction of its cost), Monte
-Carlo for ordered volumes,
+for oscillatory integrals (the damped half-zone radial integral among
+them), nested Gauss-Legendre quadrature for nested integrals (vectorised
+level by level, with no array holding more than 2**18 innermost points;
+the innermost level pairs the symmetric nodes +-x_k, so it takes n/2 real
+cosines and one phase factor per outer point, and the outer levels write
+e^{i kappa r} as cos/sin in place, which gives exactly the bits of the
+complex exp at a fraction of its cost), Monte Carlo for ordered volumes,
 arbitrary-precision series summation (term by term, in fixed-point Python
 integers scaled by 2**P, with P at least the decimal working precision in
 bits plus 64 guard bits).  These routines know nothing about the closed
@@ -246,6 +246,28 @@ def _quad_oscillatory(f, a, b, seg_len, n_seg, damping_scale, nodes):
             f"oscillatory quadrature did not converge: error {err:.3e}",
             partials=(coarse, fine))
     return OracleResult(fine, err, n_seg * 3 * nodes)
+
+
+def damped_radial_integral(kappa: float, x1: float, rho: float) -> complex:
+    """Brute-force value of int_{x1}^{inf} e^{i kappa r1} e^{-rho (r1-x1)} dr1,
+    by quad_oscillatory with the declared damping length 1/rho.
+
+    The physical regularisation: relative to the direct path, a detour of
+    extra length (r1 - x1) forces the source to decay earlier, damping the
+    amplitude by e^{-rho (r1-x1)}.  For rho << kappa this checks the
+    half-period-zone rule (``wave_optics.huygens_zone_value``), which it
+    agrees with to O(rho/kappa).  A rho that is not > 0 raises DomainError.
+    """
+    if rho <= 0:
+        raise DomainError("rho must be positive (declared damping envelope)")
+
+    def integrand(r):
+        import numpy as np
+        return np.exp(1j * kappa * r - rho * (r - x1))
+
+    res = quad_oscillatory(integrand, x1, math.inf, kappa,
+                           damping_scale=1.0 / rho)
+    return res.value
 
 
 def quad_nested(order: int, kappa: float, delta_s: float,

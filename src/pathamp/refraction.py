@@ -320,7 +320,11 @@ def _factor_trig_route(delta_phi: float, beta_l: float, n_terms: int) -> complex
 
 
 class MediumFactor(Record):
-    __slots__ = ("value", "n_terms", "kernel_route", "trig_route")
+    """The time-budget factor: ``value`` from the complex order kernels,
+    ``trig_route`` from the trigonometric series that checks it, and the
+    ``n_terms`` both routes summed."""
+
+    __slots__ = ("value", "n_terms", "trig_route")
 
 
 def time_budget_factor(delta_phi: float, beta_l: float) -> MediumFactor:
@@ -350,7 +354,7 @@ def time_budget_factor(delta_phi: float, beta_l: float) -> MediumFactor:
     if scale > 0 and abs(kernel_val - trig_val) / scale > ROUTE_TOLERANCE:
         raise SeriesDisagreement(
             f"independent routes disagree: {kernel_val!r} vs {trig_val!r}")
-    return MediumFactor(kernel_val, n_used, kernel_val, trig_val)
+    return MediumFactor(kernel_val, n_used, trig_val)
 
 
 def regime_classification(delta_phi: float, beta_l: float) -> str:

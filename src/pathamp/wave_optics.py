@@ -92,28 +92,6 @@ def huygens_zone_value(kappa: float, x1: float) -> complex:
     return 0.5 * half_period_zone_integral(kappa, x1)
 
 
-def damped_radial_integral(kappa: float, x1: float, rho: float) -> complex:
-    """Brute-force value of int_{x1}^{inf} e^{i kappa r1} e^{-rho (r1-x1)} dr1.
-
-    The physical regularisation: relative to the direct path, a detour of
-    extra length (r1 - x1) forces the source to decay earlier, damping the
-    amplitude by e^{-rho (r1-x1)}.  For rho << kappa this agrees with
-    ``huygens_zone_value`` to O(rho/kappa).
-    """
-    from pathamp.oracle import quad_oscillatory
-
-    if rho <= 0:
-        raise DomainError("rho must be positive (declared damping envelope)")
-
-    def integrand(r):
-        import numpy as np
-        return np.exp(1j * kappa * r - rho * (r - x1))
-
-    res = quad_oscillatory(integrand, x1, math.inf, kappa,
-                           damping_scale=1.0 / rho)
-    return res.value
-
-
 def hole_path_amplitude(emitter: EmitterSpec, geom: DiffractionGeometry,
                         t_d: float) -> complex:
     """Path amplitude (1/m) for source -> hole -> detector at detection
@@ -145,7 +123,7 @@ def plane_sum_factor(kappa: float, x1: float) -> complex:
     half-period-zone rule gives exactly e^{i kappa x1}: the plane of
     secondary sources reproduces direct rectilinear propagation over the
     remaining distance.  Its brute-force check replaces the rule's radial
-    value ``huygens_zone_value`` by ``damped_radial_integral``.
+    value ``huygens_zone_value`` by ``oracle.damped_radial_integral``.
     """
     adiff = diffraction_amplitude(kappa, 0.0, 0.0)
     return 2.0 * math.pi * adiff * huygens_zone_value(kappa, x1)

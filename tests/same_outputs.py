@@ -1,0 +1,78 @@
+"""Same outputs: run one argv deck against two source trees and report
+every argv whose exit code, stdout, stderr or CSV differs.
+
+    python tests/same_outputs.py PARENT_TREE CHANGE_TREE
+
+Each tree is a checkout of this repository.  The deck is
+``perfbench.inputs.cli_deck`` at seeds 1 and 2 for 3 cycles (read from
+PARENT_TREE's perfbench/, which is left unchanged), plus every
+``reproduce`` recipe with ``--csv``: 186 argv.  Each argv runs in a fresh
+``python -m pathamp.cli`` process with the tree's src/ on PYTHONPATH and
+PYTHONDONTWRITEBYTECODE=1, in a temporary directory that receives its CSV,
+so neither tree gains files.  A CSV is compared by its sha256.  Exits 1 if
+any argv differs, 0 otherwise.
+"""
+
+import argparse
+import hashlib
+import importlib.util
+import os
+import subprocess
+import sys
+import tempfile
+
+RECIPES = ("fig9", "table1", "table2-ratios", "table3", "eq7.8", "eq9.65")
+CSV = "out.csv"  # relative, so the stdout that names it is the same for both trees
+
+
+def deck(tree: str) -> list:
+    """The argv to compare, with "{csv}" replaced by CSV."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", os.path.join(tree, "perfbench", "inputs.py"))
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    argvs = [argv for seed in (1, 2) for argv, _valid in inputs.cli_deck(seed, 3)]
+    argvs += [["reproduce", "--recipe", r, "--csv", "{csv}"] for r in RECIPES]
+    return [[CSV if a == "{csv}" else a for a in argv] for argv in argvs]
+
+
+def run(tree: str, argv: list, work: str) -> dict:
+    """Exit code, stdout, stderr and CSV sha256 (None if none was written)
+    of one fresh process running argv from tree's src/ in work."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-m", "pathamp.cli", *argv], cwd=work,
+                          env=env, capture_output=True, text=True)
+    path = os.path.join(work, CSV)
+    digest = None
+    if os.path.exists(path):
+        with open(path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        os.remove(path)
+    return {"exit code": proc.returncode, "stdout": proc.stdout,
+            "stderr": proc.stderr, "csv sha256": digest}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_tree")
+    parser.add_argument("change_tree")
+    args = parser.parse_args()
+    # loading perfbench/inputs.py must not leave its bytecode in the tree
+    sys.dont_write_bytecode = True
+    argvs = deck(args.parent_tree)
+    differ = 0
+    with tempfile.TemporaryDirectory() as work:
+        for argv in argvs:
+            before = run(args.parent_tree, argv, work)
+            after = run(args.change_tree, argv, work)
+            fields = [k for k in before if before[k] != after[k]]
+            if fields:
+                differ += 1
+                print(f"{' '.join(argv)}: {', '.join(fields)} differ")
+    print(f"{differ} of {len(argvs)} argv differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -480,6 +480,7 @@ class TestTypedRefusals:
           "--sigma-p", "1e-300MeV"], "DomainError"),
         (["kaon", "--p", "1e-300MeV/c", "--distance", "1e300m"], "DomainError"),
         (["kaon", "--p", "1e-10MeV/c", "--distance", "1e300m"], "DomainError"),
+        (["kaon", "--distance=-2m"], "DomainError"),
     ], ids=["diffraction", "michelson", "ydse", "half-zone", "propagator-beta", "kaon",
             "neutrino-beta-p", "subnormal-wavelength", "subnormal-kaon-p",
             "half-zone-far", "half-zone-overflow", "half-zone-unconverged-tail",
@@ -495,7 +496,7 @@ class TestTypedRefusals:
             "neutrino-phase-overflow", "film-phase-overflow",
             "michelson-phase-overflow", "half-zone-phase-overflow",
             "ydse-electron-damping-underflow", "kaon-proper-time-overflow",
-            "kaon-lab-phase-overflow"])
+            "kaon-lab-phase-overflow", "kaon-negative-distance"])
     def test_refused(self, capsys, argv, kind):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -265,6 +265,15 @@ class TestKaons:
         with pytest.raises(DomainError, match="phase"):
             kaon_oscillation_phase_lab(slow, 1e300)
 
+    def test_negative_distance_refused(self):
+        # it gave a negative proper time and lab phase, where a negative
+        # tau is refused
+        for call in (self.SYS.proper_time,
+                     lambda d: kaon_oscillation_phase_lab(self.SYS, d)):
+            with pytest.raises(DomainError, match="distance must be >= 0"):
+                call(-2.0)
+            assert call(0.0) == 0.0
+
     def test_equal_velocity_momentum_offset(self):
         rep = kaon_equal_velocity_report(self.SYS)
         assert rep.dp_over_p == pytest.approx(1.8e-14, rel=0.01)
@@ -411,13 +420,43 @@ class TestNeutrinos:
         exp = NeutrinoExperiment(CONSTANTS.m_pi,
                                  CONSTANTS.hbar_mev_s / CONSTANTS.tau_pi,
                                  CONSTANTS.m_mu, self.DM2, math.pi / 4, 100.0,
-                                 mode="beta", beta_energy_mev=1.0,
-                                 neutrino_p_mev=0.3)
+                                 beta_energy_mev=1.0, neutrino_p_mev=0.3)
         res = neutrino_oscillation(exp)
         p_nu_ev = 0.3e6
         expected = (self.DM2 / p_nu_ev) * (1.0e6 / (2 * p_nu_ev) - 1.0) \
             * 100.0 / CONSTANTS.hbarc_ev_m
         assert res.phi_path == pytest.approx(expected, rel=1e-12)
+
+    def beta_exp(self):
+        """A beta decay with the pion masses the neutrino command passes."""
+        return NeutrinoExperiment(CONSTANTS.m_pi,
+                                  CONSTANTS.hbar_mev_s / CONSTANTS.tau_pi,
+                                  CONSTANTS.m_mu, self.DM2, 0.7, 100.0,
+                                  beta_energy_mev=3.0, neutrino_p_mev=2.0)
+
+    def test_beta_fields_set_the_kinematics(self):
+        # given beta fields make a beta experiment: with a mode string that
+        # defaulted to two-body they were ignored and p0 was 29.79 MeV/c
+        exp = self.beta_exp()
+        assert exp.p0 == 2.0
+        assert exp.source_energy == 3.0
+
+    def test_two_body_figures_refuse_a_beta_experiment(self):
+        # both read the source and recoil masses, which a beta decay leaves
+        # out of its kinematics: they answered 14.9 and 1.53e-23 s here
+        beta = self.beta_exp()
+        for a, b in ((beta, self.exp()), (self.exp(), beta)):
+            with pytest.raises(DomainError, match="two-body"):
+                oscillation_length_ratio(a, b)
+        with pytest.raises(DomainError, match="two-body"):
+            emission_time_offset_closed_form(beta)
+
+    def test_beta_result_flags_only_the_damping_exponent(self):
+        res = neutrino_oscillation(self.beta_exp())
+        assert math.isnan(res.phi_compact)
+        assert [f.quantity for f in res.flags] == ["damping_exponent_unit_phase"]
+        assert [f.quantity for f in neutrino_oscillation(self.exp()).flags] \
+            == ["phi_compact/phi_path", "damping_exponent_unit_phase"]
 
     def test_forbidden_decay_rejected(self):
         with pytest.raises(DomainError):
@@ -439,7 +478,7 @@ class TestNeutrinos:
         beta = dict(beta_energy_mev=1.0, neutrino_p_mev=0.3)
         with pytest.raises(DomainError, match="finite"):
             NeutrinoExperiment(139.57, 2.5e-14, 105.66, self.DM2, 0.7, 100.0,
-                               mode="beta", **dict(beta, **{field: value}))
+                               **dict(beta, **{field: value}))
 
     def test_negative_source_width_refused(self):
         # it gave a damping factor above 1
@@ -482,7 +521,7 @@ class TestNeutrinos:
         for l in baselines:
             e = NeutrinoExperiment(exp.source_mass, exp.source_width,
                                    exp.recoil_mass, exp.dm2_ev2, exp.theta_12,
-                                   float(l), exp.mode, exp.beta_energy_mev,
+                                   float(l), exp.beta_energy_mev,
                                    exp.neutrino_p_mev)
             res = neutrino_oscillation(e)
             s2c2 = math.sin(e.theta_12) ** 2 * math.cos(e.theta_12) ** 2
@@ -497,7 +536,7 @@ class TestNeutrinos:
     def test_curve_equals_one_experiment_per_point(self, source, grid):
         if source == "beta":
             exp = NeutrinoExperiment(CONSTANTS.m_pi, CONSTANTS.hbar_mev_s / CONSTANTS.tau_pi,
-                                     CONSTANTS.m_mu, self.DM2, 0.3, 100.0, mode="beta",
+                                     CONSTANTS.m_mu, self.DM2, 0.3, 100.0,
                                      beta_energy_mev=3.0, neutrino_p_mev=2.0)
         elif source == "kaon":
             exp = kaon_neutrino_experiment(self.DM2, 0.6, 100.0)
@@ -549,7 +588,7 @@ class TestOscillationLengthProperties:
         pion = pion_neutrino_experiment(self.DM2, math.pi / 4, 100.0)
         same_p_beta = NeutrinoExperiment(
             CONSTANTS.m_pi, CONSTANTS.hbar_mev_s / CONSTANTS.tau_pi,
-            CONSTANTS.m_mu, self.DM2, math.pi / 4, 100.0, mode="beta",
+            CONSTANTS.m_mu, self.DM2, math.pi / 4, 100.0,
             beta_energy_mev=50.0, neutrino_p_mev=pion.p0)
         l_pion = neutrino_oscillation(pion).losc_standard
         l_beta = neutrino_oscillation(same_p_beta).losc_standard

@@ -1,5 +1,7 @@
+import ast
 import cmath
 import math
+import pathlib
 import random
 import tracemalloc
 import warnings
@@ -11,13 +13,14 @@ from pathamp.core_num import ConvergenceError, DomainError, PreconditionError
 from pathamp.oracle import (
     OracleResult,
     _leggauss,
+    damped_radial_integral,
     gaussian_ratio_integral,
     mc_ordered_volume,
     quad_nested,
     quad_oscillatory,
     series_sum_highprec,
 )
-from pathamp import flavour, oracle, refraction, wave_optics
+from pathamp import flavour, oracle, refraction
 from pathamp.refraction import scattering_order_kernel
 
 
@@ -109,7 +112,7 @@ class TestQuadOscillatory:
         # be an exact 0 (huygens_zone_value gives ~9.4e-8 in modulus)
         kappa = 2.0 * math.pi / 589.3e-9
         with pytest.raises(ConvergenceError, match="spacing of doubles"):
-            wave_optics.damped_radial_integral(kappa, 1e147, kappa * 1e-7)
+            damped_radial_integral(kappa, 1e147, kappa * 1e-7)
 
     def test_negative_infinite_upper_limit_refused(self):
         # b = -inf lies below a; it is not the damped tail to +inf
@@ -725,3 +728,33 @@ class TestHighPrecisionSeries:
             assert float(mp_arg(val)) == pytest.approx(phase_pin, abs=1e-9)
             assert float(mp_log10(mp_fabs(val))) \
                 == pytest.approx(logmag_pin, abs=1e-4)
+
+
+def _imported_modules(path: pathlib.Path, package: str) -> set:
+    """Every module an import statement in the file at path names, with
+    relative imports resolved against package; ``from m import n`` names
+    both m and m.n, since n may be a submodule."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parts = package.split(".")[:len(package.split(".")) - node.level + 1]
+                base = ".".join(parts + ([node.module] if node.module else []))
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_only_the_oracle_command_imports_the_oracle():
+    # the closed forms stay separate from the brute force that checks them
+    src = pathlib.Path(oracle.__file__).parent
+    importers = []
+    for path in sorted(src.rglob("*.py")):
+        rel = path.relative_to(src.parent)
+        package = ".".join(rel.parent.parts)
+        if "pathamp.oracle" in _imported_modules(path, package):
+            importers.append(rel.as_posix())
+    assert importers == ["pathamp/commands/oracle.py"]

@@ -36,7 +36,7 @@ CASES = {
     flavour.KaonSystem: ((), {"mean_p": 194.0}),
     flavour.NeutrinoExperiment: (
         (CONSTANTS.m_pi, 2.5e-14, CONSTANTS.m_mu, 2e-3, math.pi / 4, 100.0),
-        {"mode": "two-body", "beta_energy_mev": None, "neutrino_p_mev": None}),
+        {"beta_energy_mev": None, "neutrino_p_mev": None}),
     flavour.NeutrinoOscillationResult: (tuple(float(i) for i in range(9)) + ((),), {}),
     flavour.ClassificationRow: (("kaon", False, False, False, False, True, "f", "1"), {}),
     flavour.EqualVelocityReport: ((7e-15, 6.3e-25, (_FLAG,)), {}),
@@ -58,7 +58,7 @@ CASES = {
     refraction.AnnulmentReport: ((6e-4, 6.6e3, 2.1e6, 2e-12, 4e-5, (_FLAG,)), {}),
     refraction.EffectiveVelocity: ((2.9e8, 2.8e8, 0.01, "thick-block"), {}),
     refraction.SeriesValue: ((0.5 + 0.8j, 17), {}),
-    refraction.MediumFactor: ((1.0 + 0.1j, 12, 1.0 + 0.1j, 1.0 + 0.1j), {}),
+    refraction.MediumFactor: ((1.0 + 0.1j, 12, 1.0 + 0.1j), {}),
 }
 
 # the refusals of __post_init__: {id: (class, positional arguments, keyword
@@ -78,10 +78,7 @@ REFUSED = {
                               (100.0, 2.5e-14, 120.0, 2e-3, 0.5, 10.0), {}),
     "NeutrinoExperiment-11": (flavour.NeutrinoExperiment,                       # neutrino_p_mev
                               (139.6, 2.5e-14, 105.7, 2e-3, 0.5, 10.0),
-                              {"mode": "beta", "beta_energy_mev": 1.0}),
-    "NeutrinoExperiment-12": (flavour.NeutrinoExperiment,
-                              (139.6, 2.5e-14, 105.7, 2e-3, 0.5, 10.0),
-                              {"mode": "three-body"}),
+                              {"beta_energy_mev": 1.0}),
     "InterferometerSpec-13": (michelson.InterferometerSpec,                     # imbalance
                               (0.5, 0.0, 1e-8, 1e7), {}),
     "InterferometerSpec-14": (michelson.InterferometerSpec,                     # kappa

@@ -171,8 +171,8 @@ class TestTimeBudgetFactor:
     @pytest.mark.parametrize("dphi", [0.0, 0.5, 2.0, 10.0])
     def test_route_agreement_on_grid(self, beta_l, dphi):
         f = time_budget_factor(dphi, beta_l)
-        scale = abs(f.kernel_route)
-        assert abs(f.kernel_route - f.trig_route) <= 1e-10 * scale
+        scale = abs(f.value)
+        assert abs(f.value - f.trig_route) <= 1e-10 * scale
 
     @pytest.mark.parametrize("beta_l,dphi", [(1.0, 0.5), (5.0, 2.0), (10.0, 10.0)])
     def test_against_high_precision_oracle(self, beta_l, dphi):

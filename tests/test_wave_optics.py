@@ -4,10 +4,10 @@ import math
 import pytest
 
 from pathamp.core_num import CONSTANTS, DomainError, PreconditionError
+from pathamp.oracle import damped_radial_integral
 from pathamp.propagators import EmitterSpec
 from pathamp.wave_optics import (
     DiffractionGeometry,
-    damped_radial_integral,
     diffraction_amplitude,
     direct_factor,
     half_period_zone_integral,
