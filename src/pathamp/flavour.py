@@ -439,6 +439,8 @@ class NeutrinoExperiment(Record):
             if not (math.isfinite(self.beta_energy_mev)
                     and math.isfinite(self.neutrino_p_mev)):
                 raise DomainError("beta_energy_mev and neutrino_p_mev must be finite")
+            if self.beta_energy_mev <= 0:
+                raise DomainError("beta energy release must be positive")
             # the phase and the damping divide by the momentum in eV, squared
             p_ev = self.neutrino_p_mev * 1e6
             if not (p_ev > 0 and p_ev * p_ev > 0):

@@ -22,7 +22,8 @@ up to degree 100): the Gaussian-ratio average takes a composite
 20-point rule over equal panels, with the embedded 10-point rule for its
 error estimate, not one dense rule over the whole window.
 
-Monte Carlo uses the counter-based Philox generator, so a fixed seed gives
+Monte Carlo uses numpy's PCG64 generator, constructed by name (not through
+default_rng, whose choice numpy may change), so a fixed seed gives
 bit-identical results across platforms.  Samples are drawn in fixed-size
 batches by one sequential loop into one reused buffer of at most
 order * _MC_BATCH doubles, and the hit count is an exact integer sum, so a
@@ -405,7 +406,7 @@ def mc_ordered_volume(order: int, length: float, samples: int,
 
     The points are drawn batch by batch into one reused buffer of at most
     order * _MC_BATCH doubles (2 MB at order 8), and the ordering test is
-    formed in two reused boolean masks.  Philox fills the buffer's rows
+    formed in two reused boolean masks.  PCG64 fills the buffer's rows
     with the same doubles, in the same order, as one draw of all samples,
     so the estimate does not depend on the batch size.
 
@@ -424,7 +425,7 @@ def mc_ordered_volume(order: int, length: float, samples: int,
     if order == 1:
         return OracleResult(complex(length), 0.0, 0)
     import numpy as np
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.PCG64(seed))
     # one batch buffer and two masks, reused: a C-contiguous row slice of
     # buf takes the same doubles from the stream as a fresh (n, order) draw
     batch = min(_MC_BATCH, samples)

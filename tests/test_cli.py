@@ -481,6 +481,10 @@ class TestTypedRefusals:
         (["kaon", "--p", "1e-300MeV/c", "--distance", "1e300m"], "DomainError"),
         (["kaon", "--p", "1e-10MeV/c", "--distance", "1e300m"], "DomainError"),
         (["kaon", "--distance=-2m"], "DomainError"),
+        (["neutrino", "--source", "beta", "--dm2", "2e-3eV2", "--L", "100m",
+          "--beta-energy=-1MeV", "--p-nu", "0.3MeV/c"], "DomainError"),
+        (["neutrino", "--source", "beta", "--dm2", "2e-3eV2", "--L", "100m",
+          "--beta-energy", "0MeV", "--p-nu", "0.3MeV/c"], "DomainError"),
     ], ids=["diffraction", "michelson", "ydse", "half-zone", "propagator-beta", "kaon",
             "neutrino-beta-p", "subnormal-wavelength", "subnormal-kaon-p",
             "half-zone-far", "half-zone-overflow", "half-zone-unconverged-tail",
@@ -496,7 +500,8 @@ class TestTypedRefusals:
             "neutrino-phase-overflow", "film-phase-overflow",
             "michelson-phase-overflow", "half-zone-phase-overflow",
             "ydse-electron-damping-underflow", "kaon-proper-time-overflow",
-            "kaon-lab-phase-overflow", "kaon-negative-distance"])
+            "kaon-lab-phase-overflow", "kaon-negative-distance",
+            "neutrino-beta-negative-energy", "neutrino-beta-zero-energy"])
     def test_refused(self, capsys, argv, kind):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

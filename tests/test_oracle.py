@@ -435,7 +435,7 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("order", [1, 3])
     @pytest.mark.parametrize("seed", [None, -1, 1.5, "3"])
     def test_refuses_seed_that_is_not_a_non_negative_integer(self, order, seed):
-        # None would seed Philox from OS entropy, so no fixed seed
+        # None would seed PCG64 from OS entropy, so no fixed seed
         with pytest.raises(DomainError, match="seed"):
             mc_ordered_volume(order, 1.0, 100, seed=seed)
 
@@ -467,51 +467,52 @@ class TestMonteCarlo:
         with pytest.raises(DomainError, match="length"):
             mc_ordered_volume(order, length, 100)
 
-    # hit counts for seeds 0, 1, 2, recorded with a batch of 262144
-    # samples: below it, equal to it, and above it but not a multiple of
-    # it.  The rows at 32768 and 40000 sit at the batch of 32768 and just
-    # above it, so they show the counts do not depend on the batch size.
+    # hit counts for seeds 0, 1, 2, each recorded from one unbatched
+    # Generator(PCG64(seed)).random((samples, order)) draw.  The rows at
+    # 32768 and 40000 sit at the batch of 32768 and just above it, and the
+    # larger rows span several batches, so they show the counts do not
+    # depend on the batch size.
     SEED_HITS = {
-        (2, 32_768): (16386, 16535, 16291),
-        (2, 40_000): (19974, 20130, 19856),
-        (2, 100_000): (50077, 50001, 49799),
-        (2, 262_144): (131047, 131241, 130919),
-        (2, 300_000): (149813, 150258, 149997),
-        (3, 32_768): (5367, 5520, 5491),
-        (3, 40_000): (6590, 6703, 6733),
-        (3, 100_000): (16442, 16834, 16721),
-        (3, 262_144): (43443, 44064, 43914),
-        (3, 300_000): (49702, 50336, 50193),
-        (4, 32_768): (1296, 1356, 1303),
-        (4, 40_000): (1573, 1658, 1622),
-        (4, 100_000): (4087, 4076, 4112),
-        (4, 262_144): (10746, 10732, 10829),
-        (4, 300_000): (12350, 12258, 12404),
-        (5, 32_768): (266, 271, 275),
-        (5, 40_000): (333, 336, 329),
-        (5, 100_000): (821, 828, 800),
-        (5, 262_144): (2180, 2199, 2116),
-        (5, 300_000): (2514, 2501, 2437),
-        (6, 32_768): (49, 42, 51),
-        (6, 40_000): (59, 52, 61),
-        (6, 100_000): (146, 133, 159),
-        (6, 262_144): (378, 363, 371),
-        (6, 300_000): (428, 422, 417),
-        (7, 32_768): (7, 8, 6),
-        (7, 40_000): (8, 10, 6),
-        (7, 100_000): (25, 18, 22),
-        (7, 262_144): (69, 51, 59),
-        (7, 300_000): (74, 62, 63),
-        (8, 32_768): (0, 0, 0),
-        (8, 40_000): (0, 0, 0),
-        (8, 100_000): (0, 1, 1),
-        (8, 262_144): (7, 4, 4),
-        (8, 300_000): (8, 5, 4),
+        (2, 32_768): (16326, 16260, 16332),
+        (2, 40_000): (19930, 19878, 19901),
+        (2, 100_000): (49918, 49810, 49963),
+        (2, 262_144): (130980, 131040, 131295),
+        (2, 300_000): (149858, 149952, 150332),
+        (3, 32_768): (5544, 5462, 5442),
+        (3, 40_000): (6762, 6650, 6632),
+        (3, 100_000): (16637, 16560, 16673),
+        (3, 262_144): (43603, 43830, 43666),
+        (3, 300_000): (49902, 50101, 49928),
+        (4, 32_768): (1345, 1427, 1330),
+        (4, 40_000): (1652, 1735, 1635),
+        (4, 100_000): (4188, 4365, 4166),
+        (4, 262_144): (10912, 11143, 10801),
+        (4, 300_000): (12520, 12697, 12349),
+        (5, 32_768): (265, 281, 287),
+        (5, 40_000): (341, 341, 331),
+        (5, 100_000): (861, 872, 841),
+        (5, 262_144): (2220, 2222, 2256),
+        (5, 300_000): (2527, 2536, 2579),
+        (6, 32_768): (56, 40, 37),
+        (6, 40_000): (66, 48, 47),
+        (6, 100_000): (164, 133, 143),
+        (6, 262_144): (386, 326, 363),
+        (6, 300_000): (442, 390, 418),
+        (7, 32_768): (9, 7, 4),
+        (7, 40_000): (11, 10, 5),
+        (7, 100_000): (29, 16, 14),
+        (7, 262_144): (67, 50, 42),
+        (7, 300_000): (76, 58, 51),
+        (8, 32_768): (0, 0, 1),
+        (8, 40_000): (0, 0, 1),
+        (8, 100_000): (1, 2, 1),
+        (8, 262_144): (3, 6, 4),
+        (8, 300_000): (4, 7, 4),
     }
 
     @pytest.mark.parametrize("order,samples", sorted(SEED_HITS))
     def test_seed_contract_pins_hit_counts(self, order, samples):
-        # a fixed seed fixes the Philox stream, hence the exact hit count
+        # a fixed seed fixes the PCG64 stream, hence the exact hit count
         length = 2.0
         for seed, hits in enumerate(self.SEED_HITS[order, samples]):
             res = mc_ordered_volume(order, length, samples, seed=seed)

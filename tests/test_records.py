@@ -79,6 +79,12 @@ REFUSED = {
     "NeutrinoExperiment-11": (flavour.NeutrinoExperiment,                       # neutrino_p_mev
                               (139.6, 2.5e-14, 105.7, 2e-3, 0.5, 10.0),
                               {"beta_energy_mev": 1.0}),
+    "NeutrinoExperiment-37": (flavour.NeutrinoExperiment,                       # beta_energy_mev
+                              (139.6, 2.5e-14, 105.7, 2e-3, 0.5, 10.0),
+                              {"beta_energy_mev": 0.0, "neutrino_p_mev": 0.3}),
+    "NeutrinoExperiment-38": (flavour.NeutrinoExperiment,                       # beta_energy_mev
+                              (139.6, 2.5e-14, 105.7, 2e-3, 0.5, 10.0),
+                              {"beta_energy_mev": -1.0, "neutrino_p_mev": 0.3}),
     "InterferometerSpec-13": (michelson.InterferometerSpec,                     # imbalance
                               (0.5, 0.0, 1e-8, 1e7), {}),
     "InterferometerSpec-14": (michelson.InterferometerSpec,                     # kappa
