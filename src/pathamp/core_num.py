@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 
 
 class DomainError(ValueError):
@@ -229,6 +230,20 @@ def linspace(start: float, stop: float, num: int) -> list[float]:
     points = [i * step + start for i in range(num)]
     points[-1] = stop
     return points
+
+
+def checked_int(name: str, value, most: int | None = None, least: int = 1) -> int:
+    """value as a Python int from least to most (no upper bound if None);
+    anything else, a float such as 2.0 included, raises DomainError."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, not {value!r}") from None
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}")
+    if most is not None and value > most:
+        raise DomainError(f"{name} must be <= {most}, not {value}")
+    return value
 
 
 def _check_finite(x: float, name: str) -> None:

@@ -2,12 +2,9 @@
 
 Everything here is deliberately dumb: period-segmented Gauss-Legendre sums
 for oscillatory integrals (the damped half-zone radial integral among
-them), nested Gauss-Legendre quadrature for nested integrals (vectorised
-level by level, with no array holding more than 2**18 innermost points;
-the innermost level pairs the symmetric nodes +-x_k, so it takes n/2 real
-cosines and one phase factor per outer point, and the outer levels write
-e^{i kappa r} as cos/sin in place, which gives exactly the bits of the
-complex exp at a fraction of its cost), Monte Carlo for ordered volumes,
+them), nested Gauss-Legendre quadrature for nested integrals (each inner
+level tabulated on Chebyshev points of the sum of the legs outside it and
+read back by Clenshaw's recurrence), Monte Carlo for ordered volumes,
 arbitrary-precision series summation (term by term, in fixed-point Python
 integers scaled by 2**P, with P at least the decimal working precision in
 bits plus 64 guard bits).  These routines know nothing about the closed
@@ -38,15 +35,11 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import sys
 from collections.abc import Callable
 
-from pathamp.core_num import ConvergenceError, DomainError, PreconditionError, Record
-
-# most innermost points one quad_nested array holds (4 MB of complex128;
-# the folded innermost level holds half as many, as real cosines)
-_NESTED_CAP = 2 ** 18
+from pathamp.core_num import (ConvergenceError, DomainError, PreconditionError, Record,
+                               checked_int)
 
 # most half-period segments quad_oscillatory takes over a finite range
 _MAX_SEGMENTS = 2_000_000
@@ -75,20 +68,6 @@ class OracleResult(Record):
     """A numerical estimate with its own error estimate and evaluation count."""
 
     __slots__ = ("value", "error_estimate", "evaluations")
-
-
-def _count(name: str, value, most: int | None = None, least: int = 1) -> int:
-    """value as a Python int from least to most (no upper bound if None);
-    anything else raises DomainError."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, not {value!r}") from None
-    if value < least:
-        raise DomainError(f"{name} must be >= {least}")
-    if most is not None and value > most:
-        raise DomainError(f"{name} must be <= {most}, not {value}")
-    return value
 
 
 @functools.lru_cache(maxsize=16)
@@ -174,7 +153,7 @@ def quad_oscillatory(f: Callable, a: float, b: float, kappa: float,
     only up to degree 100) raises DomainError.
     """
     # the fine rule takes 2 * nodes points
-    nodes = _count("nodes", nodes, _MAX_RULE // 2)
+    nodes = checked_int("nodes", nodes, _MAX_RULE // 2)
     if not (math.isfinite(kappa) and math.isfinite(a)) or math.isnan(b):
         raise DomainError(f"kappa and a must be finite and b not NaN, got "
                           f"{kappa!r}, {a!r}, {b!r}")
@@ -253,11 +232,15 @@ def damped_radial_integral(kappa: float, x1: float, rho: float) -> complex:
     """Brute-force value of int_{x1}^{inf} e^{i kappa r1} e^{-rho (r1-x1)} dr1,
     by quad_oscillatory with the declared damping length 1/rho.
 
-    The physical regularisation: relative to the direct path, a detour of
-    extra length (r1 - x1) forces the source to decay earlier, damping the
-    amplitude by e^{-rho (r1-x1)}.  For rho << kappa this checks the
-    half-period-zone rule (``wave_optics.huygens_zone_value``), which it
-    agrees with to O(rho/kappa).  A rho that is not > 0 raises DomainError.
+    The factor e^{-rho (r1-x1)} is a mathematical (Abel) regulator of the
+    half-zone value: it makes the integral to infinite radius converge, and
+    for rho << kappa the result checks the half-period-zone rule
+    (``wave_optics.huygens_zone_value``), which it agrees with to
+    O(rho/kappa).  It is not the source's decay.  At a fixed detection
+    time a longer detour was emitted earlier, so the package's own path
+    amplitude (``wave_optics.hole_path_amplitude``) is larger for it, by
+    e^{+rho (extra length)}, not smaller.  A rho that is not > 0 raises
+    DomainError.
     """
     if rho <= 0:
         raise DomainError("rho must be positive (declared damping envelope)")
@@ -269,6 +252,16 @@ def damped_radial_integral(kappa: float, x1: float, rho: float) -> complex:
     res = quad_oscillatory(integrand, x1, math.inf, kappa,
                            damping_scale=1.0 / rho)
     return res.value
+
+
+def _clenshaw(coef, u):
+    """The Chebyshev series sum_k coef[k] T_k(u), elementwise in the real
+    array u, by Clenshaw's recurrence (Math. Comp. 9 (1955) 118)."""
+    b1 = b2 = 0.0
+    u2 = 2.0 * u
+    for c in coef[:0:-1]:
+        b1, b2 = c + u2 * b1 - b2, b1
+    return coef[0] + u * b1 - b2
 
 
 def quad_nested(order: int, kappa: float, delta_s: float,
@@ -285,115 +278,100 @@ def quad_nested(order: int, kappa: float, delta_s: float,
     arbitrary decreasing sequence x_k = NESTED_X_START - 0.1 (k - 1); the
     result depends on it only through an overall factor exp(i kappa x_1).
 
-    Each inner level is evaluated for all of its outer partial sums at
-    once.  The outer nodes are taken in chunks so that no array holds more
-    than max(2**18, nodes) innermost points.
+    Level j (1 innermost, n outermost) depends on the legs outside it only
+    through their sum s, which lies in [x_{j+1}, delta_s + x_{j+1}], with
+    x_{n+1} = 0.  So each inner level is tabulated once, not summed again
+    for every outer node.  With s = x_{j+1} + delta_s (1 + t)/2, level j is
+    summed by the nodes-point Gauss rule at M Chebyshev points t, and its
+    values there become the coefficients of its Chebyshev interpolant.
+    Level j + 1 reads that series by Clenshaw's recurrence at its own Gauss
+    nodes g, which in level j's variable sit at u = t + (1 - t)(1 + g)/2:
+    they depend on M and nodes only.  The outermost level has s = 0, so
+    t = -1 and u = g.  Each level is an entire function of s that turns
+    through about |kappa| delta_s radians over its range, and
+    M = ceil(|kappa| delta_s) + 16 resolves it to rounding at every
+    |kappa| delta_s up to 50 (Trefethen, Approximation Theory and
+    Approximation Practice, SIAM 2013, ch. 8).  The work is
+    O(order M^2 nodes), not O(nodes^order).  Only quadrature and
+    polynomial interpolation are used, never a closed form of the integral.
 
-    The innermost level (order 1's only level) has no inner factor, so it
-    folds the rule's symmetric pairs.  numpy builds every Gauss-Legendre
-    rule exactly symmetric (x == -x[::-1] and w == w[::-1] bit for bit,
-    and an odd rule's middle node is 0.0), so with mid = lo + half and
-    theta = kappa * half
+    The check run takes nodes // 2 Gauss points (2 when nodes is 1) and
+    M - 4 Chebyshev points, coarser in both.  error_estimate is the
+    difference of the two runs plus a bound on their rounding,
+    8 u (|kappa| (delta_s + max |x_k|) + M) times the sum of the moduli of
+    the outermost level's terms, with u = 2**-53: the phases round in
+    proportion to their size, and each Chebyshev sum takes M terms.  On
+    1200 seeded points (orders 1 to 4, kappa of either sign, x drawn from
+    [-1.5, 1.5]) the actual rounding error stayed below 3.5 u times the
+    same product.
+    evaluations counts the phase factors both runs take, nodes (1 +
+    (order - 1) M) each.
 
-        sum_k w_k exp(i kappa (mid + half x_k))
-            = exp(i kappa mid) * (sum_{x_k > 0} 2 w_k cos(theta x_k) + w_0),
-
-    with w_0 the middle weight of an odd rule (0 for an even one).  This
-    is the same Gauss sum, taking n/2 real cosines and one cos/sin pair
-    per outer point instead of n complex exponentials; it uses only the
-    symmetry of the rule and of exp(i theta x), never a closed form of
-    the integral.  The cosines are summed row by row (not by a BLAS
-    product), so the bits do not depend on the chunk size.  The result
-    agrees with the unfolded sum to within 1e-15 relative.
-
-    At the outer levels the phase factor exp(i kappa r) is computed as
-    cos(kappa r) and sin(kappa r), written in place into the real and
-    imaginary parts of one complex buffer.  This gives the same bits as
-    exp(1j*kappa*r): the real part of that argument is always +-0, and
-    the complex exp of +-0 + iy is exp(+-0) = 1 times cos(y) + i sin(y)
-    (glibc's cexp is sincos scaled by exp of the real part).
-
-    A non-finite kappa or delta_s, a negative delta_s, or a nodes that is
-    not an integer from 1 to 100 (numpy tests its rule only up to degree
-    100) raises DomainError before any quadrature.
+    An order that is not an integer >= 1, a non-finite kappa, delta_s or
+    x_k, a negative delta_s, or a nodes that is not an integer from 1 to
+    100 (numpy tests its rule only up to degree 100) raises DomainError
+    before any quadrature.  An order above 4, or |kappa| delta_s above 50,
+    the envelope in which the tabulation was measured, raises
+    PreconditionError.
     """
-    if not 1 <= order <= 4:
+    order = checked_int("order", order)
+    if order > 4:
         raise PreconditionError("order must be between 1 and 4")
-    nodes = _count("nodes", nodes, _MAX_RULE)
+    nodes = checked_int("nodes", nodes, _MAX_RULE)
     if not (math.isfinite(kappa) and math.isfinite(delta_s)):
         raise DomainError(f"kappa and delta_s must be finite, got {kappa!r}, {delta_s!r}")
     if delta_s < 0:
         raise DomainError(f"delta_s must be >= 0, got {delta_s!r}")
     if abs(kappa) * delta_s > 50:
-        raise PreconditionError("kappa*delta_s above cost bound 50")
+        raise PreconditionError("kappa*delta_s above 50, the measured accuracy envelope")
     if x is None:
         x = tuple(NESTED_X_START - 0.1 * k for k in range(order))
     if len(x) != order:
         raise DomainError("need one x per integration level")
+    if not all(map(math.isfinite, x)):
+        raise DomainError(f"x must be finite, got {x!r}")
     xs = (*x, 0.0)
+    cheb_points = math.ceil(abs(kappa) * delta_s) + 16
     import numpy as np
 
-    def run(n_nodes: int) -> complex:
-        glx, glw = _leggauss(n_nodes)
-        # the rule is symmetric bit for bit (tests/test_oracle.py checks
-        # it), so the innermost level takes only the positive nodes, their
-        # doubled weights, and w0, the weight of an odd rule's middle node
-        # 0.0 (0.0 for an even rule)
-        pos = n_nodes - n_nodes // 2
-        xpos, wpos = glx[pos:], 2.0 * glw[pos:]
-        w0 = glw[n_nodes // 2] if n_nodes % 2 else 0.0
+    def run(n_nodes: int, m: int) -> tuple:
+        # (I_n, sum of the moduli of the outermost level's terms)
+        g, w = _leggauss(n_nodes)
 
-        def innermost(lo: float, half: np.ndarray) -> np.ndarray:
-            # half * sum_k glw_k exp(i kappa (lo + half + half x_k)) per
-            # outer point, folded as in the docstring
-            c = np.multiply.outer(kappa * half, xpos)
-            np.cos(c, out=c)
-            c *= wpos
-            s = np.sum(c, axis=-1)
-            s += w0
-            phase = kappa * (lo + half)
-            out = np.empty(phase.shape, complex)
-            np.cos(phase, out=out.real)
-            np.sin(phase, out=out.imag)
-            out *= half * s
-            return out
+        def level(j, t, u, coef):
+            # half-width and Gauss terms of level j at the points t of its
+            # variable; its nodes sit at u in the variable of the level
+            # below, whose Chebyshev coefficients are coef
+            half = 0.25 * delta_s * (1.0 - t)
+            r = (xs[j - 1] - xs[j]) + np.multiply.outer(half, 1.0 + g)
+            terms = w * np.exp(1j * kappa * r)
+            if coef is not None:
+                terms *= _clenshaw(coef, u)
+            return half, terms
 
-        def level(j: int, rsum: np.ndarray) -> np.ndarray:
-            # level j for each outer partial sum r_{j+1}+...+r_n (0 at
-            # the outermost level, where xs[order] = 0 makes lo = x_n)
-            step = max(1, _NESTED_CAP // n_nodes ** j)
-            if len(rsum) > step:
-                return np.concatenate([level(j, rsum[i:i + step])
-                                       for i in range(0, len(rsum), step)])
-            lo = xs[j - 1] - xs[j]
-            hi = delta_s - rsum + xs[j - 1]
-            half = 0.5 * (hi - lo)
-            if j == 1:
-                return innermost(lo, half)
-            r = np.multiply.outer(half, glx)
-            r += (lo + half)[:, None]
-            inner = level(j - 1, (rsum[:, None] + r).ravel()).reshape(r.shape)
-            # glw * exp(1j*kappa*r) * inner, scaling r by kappa in place.
-            # The argument's real part is +-0 and exp(+-0) = 1, so cos/sin
-            # give the complex exp's bits (tests/test_oracle.py checks it).
-            r *= kappa
-            terms = np.empty(r.shape, complex)
-            np.cos(r, out=terms.real)
-            np.sin(r, out=terms.imag)
-            terms *= glw
-            terms *= inner
-            return half * np.sum(terms, axis=-1)
+        coef = None
+        if order > 1:
+            # m Chebyshev points, and the discrete cosine transform that
+            # takes the values there to the interpolant's coefficients
+            theta = np.pi * (np.arange(m) + 0.5) / m
+            cheb = np.cos(theta)
+            to_coef = np.cos(np.multiply.outer(np.arange(m), theta)) * (2.0 / m)
+            to_coef[0] *= 0.5
+            u = cheb[:, None] + np.multiply.outer(0.5 * (1.0 - cheb), 1.0 + g)
+            for j in range(1, order):
+                half, terms = level(j, cheb, u, coef)
+                coef = (to_coef * (half * terms.sum(axis=1))).sum(axis=1)
+        half, terms = level(order, np.array([-1.0]), g, coef)
+        return complex(half[0] * terms.sum()), half[0] * float(np.abs(terms).sum())
 
-        return level(order, np.zeros(1))[0]
-
-    def evaluations(n_nodes: int) -> int:
-        # n nodes at the outer level, n at each of its n inner levels, ...
-        return sum(n_nodes ** k for k in range(1, order + 1))
-
-    check_nodes = max(nodes // 2, 8)
-    value, check = run(nodes), run(check_nodes)
-    return OracleResult(value, abs(value - check),
-                        evaluations(nodes) + evaluations(check_nodes))
+    check_nodes, check_points = nodes // 2 or 2, cheb_points - 4
+    value, moduli = run(nodes, cheb_points)
+    check, _ = run(check_nodes, check_points)
+    rounding = 8 * 2.0 ** -53 * moduli \
+        * (abs(kappa) * (delta_s + max(map(abs, x))) + cheb_points)
+    return OracleResult(value, abs(value - check) + rounding,
+                        sum(n * (1 + (order - 1) * m) for n, m in
+                            ((nodes, cheb_points), (check_nodes, check_points))))
 
 
 def mc_ordered_volume(order: int, length: float, samples: int,
@@ -411,17 +389,19 @@ def mc_ordered_volume(order: int, length: float, samples: int,
     so the estimate does not depend on the batch size.
 
     A seed that is not an integer >= 0 (None included, which would seed
-    from OS entropy) raises DomainError, as does a non-finite or
-    non-positive length or a samples that is not an integer >= 1.
+    from OS entropy) raises DomainError, as does an order that is not an
+    integer >= 1, a non-finite or non-positive length or a samples that is
+    not an integer >= 1.  An order above 8 raises PreconditionError.
     """
-    if not 1 <= order <= 8:
+    order = checked_int("order", order)
+    if order > 8:
         raise PreconditionError("order must be between 1 and 8")
     if not math.isfinite(length):
         raise DomainError("length must be finite")
     if length <= 0:
         raise DomainError("length must be positive")
-    samples = _count("samples", samples)
-    seed = _count("seed", seed, least=0)
+    samples = checked_int("samples", samples)
+    seed = checked_int("seed", seed, least=0)
     if order == 1:
         return OracleResult(complex(length), 0.0, 0)
     import numpy as np

@@ -27,6 +27,8 @@ from pathamp.core_num import (
     DomainError,
     PreconditionError,
     Record,
+    checked_int,
+    phase_exp,
     truncated_cos,
     truncated_sin,
 )
@@ -172,14 +174,21 @@ def effective_velocity(filling_fraction: float, n: float) -> EffectiveVelocity:
 
 def nested_volume_integral(order: int, length: float) -> float:
     """Volume L^n/n! of the ordered region x_1 >= x_2 >= ... >= x_n in a
-    block of thickness L; computed in log space above order 20."""
-    if order < 1:
-        raise DomainError("order must be >= 1")
+    block of thickness L; computed in log space above order 20.  An order
+    that is not an integer >= 1, a length that is not finite and > 0, or a
+    volume beyond float64 raises DomainError."""
+    order = checked_int("order", order)
+    if not math.isfinite(length):
+        raise DomainError("length must be finite")
     if length <= 0:
         raise DomainError("length must be positive")
-    if order <= 20:
-        return length ** order / math.factorial(order)
-    return math.exp(order * math.log(length) - math.lgamma(order + 1))
+    try:
+        if order <= 20:
+            return length ** order / math.factorial(order)
+        return math.exp(order * math.log(length) - math.lgamma(order + 1))
+    except OverflowError:
+        raise DomainError(f"the order-{order} volume of length {length!r}"
+                          " overflows float64") from None
 
 
 class SeriesValue(Record):
@@ -225,18 +234,48 @@ def scattering_order_kernel(order: int, delta_phi: float) -> complex:
     nested radial integrals; the subtracted partial exponential collects
     their upper limits.  At dphi = 0 the kernel vanishes for every order:
     with no spare path length, scattered paths cannot contribute and the
-    medium has no effect.
+    medium has no effect.  An order that is not an integer >= 1, a dphi
+    that is not finite and >= 0, or a kernel beyond float64 raises
+    DomainError.
     """
-    if order < 1:
-        raise DomainError("order must be >= 1")
+    order = checked_int("order", order)
+    if not math.isfinite(delta_phi):
+        raise DomainError("delta_phi must be finite")
     if delta_phi < 0:
         raise DomainError("delta_phi must be >= 0")
-    esum = 0.0 + 0.0j
-    epow = 1.0 + 0.0j
-    for k in range(order):
-        esum += epow
-        epow *= -1j * delta_phi / (k + 1)
-    return 1.0 - cmath.exp(1j * delta_phi) * esum
+    kernel = _order_kernel(order, delta_phi)
+    if not cmath.isfinite(kernel):
+        raise DomainError(f"the order-{order} kernel at delta_phi = {delta_phi!r}"
+                          " overflows float64")
+    return kernel
+
+
+def _order_kernel(order: int, delta_phi: float) -> complex:
+    """K_n(dphi) for an integer n >= 1 and a finite dphi >= 0.
+
+    Above floor(dphi) the kernel is the tail e^{i dphi} sum_{k>=n}
+    (-i dphi)^k / k!.  Its terms then fall from the first, so it is summed
+    from its smallest term back to its first, with no cancellation: the
+    forward form 1 - e^{i dphi} sum_{k<n} loses every digit there once
+    |K_n| < 1e-16.  At or below floor(dphi) the forward form is kept."""
+    if order <= delta_phi:  # order <= floor(dphi), as order is an integer
+        esum = 0.0 + 0.0j
+        epow = 1.0 + 0.0j
+        for k in range(order):
+            esum += epow
+            epow *= -1j * delta_phi / (k + 1)
+        return 1.0 - cmath.exp(1j * delta_phi) * esum
+    term = 1.0 + 0.0j
+    for k in range(1, order + 1):
+        term *= -1j * delta_phi / k
+    tail = [term]
+    k = order
+    # the ratio of successive terms, dphi/k, is below 1 from here on
+    while abs(term) > 1e-17 * abs(tail[0]):
+        k += 1
+        term *= -1j * delta_phi / k
+        tail.append(term)
+    return cmath.exp(1j * delta_phi) * sum(reversed(tail))
 
 
 def nested_phase_integral(order: int, kappa: float, delta_s: float,
@@ -246,11 +285,22 @@ def nested_phase_integral(order: int, kappa: float, delta_s: float,
 
         e^{i kappa x1} (i/kappa)^n K_n(kappa delta_s)
 
-    with K_n the ``scattering_order_kernel`` of order n."""
-    if kappa <= 0:
-        raise DomainError("kappa must be positive")
-    return cmath.exp(1j * kappa * x1) * (1j / kappa) ** order \
-        * scattering_order_kernel(order, kappa * delta_s)
+    with K_n the ``scattering_order_kernel`` of order n.  A kappa that is not
+    finite and > 0, a non-finite x1, or a value beyond float64 (as (i/kappa)^n
+    is for a tiny kappa) raises DomainError."""
+    if not math.isfinite(kappa) or kappa <= 0:
+        raise DomainError("kappa must be finite and positive")
+    if not math.isfinite(x1):
+        raise DomainError("x1 must be finite")
+    kernel = scattering_order_kernel(order, kappa * delta_s)
+    phase = phase_exp(1j * kappa * x1, "kappa*x1")
+    try:
+        value = phase * (1j / kappa) ** order * kernel
+        if cmath.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise DomainError(f"(i/kappa)^{order} at kappa = {kappa!r} overflows float64")
 
 
 def _factor_kernel_route(delta_phi: float, beta_l: float, cap: int):

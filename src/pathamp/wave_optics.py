@@ -123,7 +123,10 @@ def plane_sum_factor(kappa: float, x1: float) -> complex:
     half-period-zone rule gives exactly e^{i kappa x1}: the plane of
     secondary sources reproduces direct rectilinear propagation over the
     remaining distance.  Its brute-force check replaces the rule's radial
-    value ``huygens_zone_value`` by ``oracle.damped_radial_integral``.
+    value ``huygens_zone_value`` by ``oracle.damped_radial_integral``, whose
+    factor e^{-rho (r1-x1)} is a mathematical (Abel) regulator of the
+    half-zone value, not the source's decay: at a fixed detection time a
+    longer detour makes ``hole_path_amplitude`` larger, not smaller.
     """
     adiff = diffraction_amplitude(kappa, 0.0, 0.0)
     return 2.0 * math.pi * adiff * huygens_zone_value(kappa, x1)

@@ -600,6 +600,14 @@ class TestTypedRefusals:
         assert code == 0
         assert json.loads(out)["outputs"]["relative_difference"] < 1e-6
 
+    def test_nested_oracle_at_a_tiny_budget_agrees_to_rounding(self, capsys):
+        # K_4(1e-3) ~ 4e-14: the forward form 1 - e^{i dphi} sum_{k<4}
+        # was 8.0e-4 off there, and the printed difference was its error
+        code, out, _ = run_cli(["oracle", "--op", "nested", "--order", "4",
+                                "--dphi", "0.001"], capsys)
+        assert code == 0
+        assert json.loads(out)["outputs"]["relative_difference"] < 1e-13
+
     @pytest.mark.parametrize("argv", [
         ["michelson", "--L", "50cm", "--d", "25cm", "--tau=--"],
         ["classify", "--kind=--"],

@@ -6,6 +6,7 @@ import random
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,6 +23,7 @@ from pathamp.oracle import (
 )
 from pathamp import flavour, oracle, refraction
 from pathamp.refraction import scattering_order_kernel
+from test_refraction import kernel_tail
 
 
 class TestQuadOscillatory:
@@ -222,114 +224,38 @@ class TestQuadNested:
             quad_nested(1, -200.0, 1.0, x=(0.1,))
 
     @staticmethod
-    def _scalar_reference(order, kappa, delta_s, x, nodes):
-        """The nested quadrature as one Python call per inner level and
-        outer node, with the same floating-point expressions: the
-        innermost level folds the symmetric pairs +-x_k into real cosines
-        of the positive nodes, plus an odd rule's middle weight."""
-        def run(n_nodes):
-            glx, glw = np.polynomial.legendre.leggauss(n_nodes)
-            pos = n_nodes - n_nodes // 2
-            xpos, wpos = glx[pos:], 2.0 * glw[pos:]
-            w0 = glw[n_nodes // 2] if n_nodes % 2 else 0.0
-            evals = 0
+    def _tensor_reference(order, kappa, delta_s, x, nodes):
+        """The nested quadrature written out: the full tensor product of the
+        nodes-point Gauss rule over every level, with the phase factor from
+        complex exp and no tabulation."""
+        glx, glw = np.polynomial.legendre.leggauss(nodes)
+        xs = (*x, 0.0)
 
-            def level(j, rsum):
-                nonlocal evals
-                if j == order:
-                    lo, hi = x[order - 1], delta_s + x[order - 1]
-                else:
-                    lo = x[j - 1] - x[j]
-                    hi = delta_s - rsum + x[j - 1]
-                half = 0.5 * (hi - lo)
-                evals += n_nodes
-                if j == 1:
-                    s = np.sum(np.cos(kappa * half * xpos) * wpos) + w0
-                    phase = kappa * (lo + half)
-                    return complex(np.cos(phase), np.sin(phase)) * (half * s)
-                r = (lo + half) + half * glx
-                inner = np.array([level(j - 1, rsum + ri) for ri in r])
-                return half * np.sum(glw * np.exp(1j * kappa * r) * inner)
+        def level(j, rsum):
+            # level j at each outer partial sum r_{j+1}+...+r_n in rsum
+            if j == 0:
+                return 1.0
+            lo = xs[j - 1] - xs[j]
+            half = 0.5 * (delta_s - rsum + xs[j - 1] - lo)
+            r = lo + half[..., None] * (1.0 + glx)
+            terms = glw * np.exp(1j * kappa * r) * level(j - 1, rsum[..., None] + r)
+            return half * np.sum(terms, axis=-1)
 
-            return level(order, 0.0), evals
-
-        value, used = run(nodes)
-        check, used2 = run(max(nodes // 2, 8))
-        return OracleResult(value, abs(value - check), used + used2)
-
-    @pytest.mark.parametrize("seed", range(12))
-    def test_bit_identical_to_scalar_recursion(self, seed):
-        rng = random.Random(seed)
-        order = 1 + seed % 4
-        nodes = rng.randint(8, 32)
-        self._assert_bit_identical(rng, order, nodes)
-
-    @pytest.mark.parametrize("order,nodes", [(1, 9), (2, 15), (3, 33), (4, 9),
-                                             (1, 1), (2, 3)])
-    def test_bit_identical_to_scalar_recursion_at_odd_node_counts(self, order,
-                                                                  nodes):
-        # an odd rule's middle node x = 0 adds its weight w0 unpaired
-        self._assert_bit_identical(random.Random(100 + nodes), order, nodes)
-
-    def _assert_bit_identical(self, rng, order, nodes):
-        kappa = rng.uniform(0.1, 5.0)
-        delta_s = rng.uniform(0.0, 50.0 / kappa)
-        x = tuple(sorted((rng.uniform(-1.0, 1.0) for _ in range(order)),
-                         reverse=True))
-        got = quad_nested(order, kappa, delta_s, x=x, nodes=nodes)
-        ref = self._scalar_reference(order, kappa, delta_s, x, nodes)
-        assert got.value == ref.value
-        assert got.error_estimate == ref.error_estimate
-        assert got.evaluations == ref.evaluations
-
-    @pytest.mark.parametrize("cap", [1, 2 ** 6, 2 ** 11])
-    @pytest.mark.parametrize("order,nodes", [(2, 20), (3, 24), (4, 16),
-                                             (1, 33), (2, 15), (3, 9)])
-    def test_chunk_size_does_not_change_bits(self, monkeypatch, cap, order,
-                                             nodes):
-        x = tuple(0.3 - 0.2 * k for k in range(order))
-        ref = self._scalar_reference(order, 1.3, 4.0, x, nodes)
-        monkeypatch.setattr(oracle, "_NESTED_CAP", cap)
-        got = quad_nested(order, 1.3, 4.0, x=x, nodes=nodes)
-        assert got.value == ref.value
-        assert got.error_estimate == ref.error_estimate
+        # the outermost nodes one at a time, so that no array holds more
+        # than nodes**(order - 1) points
+        half = 0.5 * delta_s
+        r = xs[order - 1] + half * (1.0 + glx)
+        return complex(half * sum(w * np.exp(1j * kappa * ri)
+                                  * level(order - 1, np.array(ri))
+                                  for w, ri in zip(glw, r)))
 
     @staticmethod
-    def _exp_reference(order, kappa, delta_s, x, nodes):
-        """The unfolded vectorised kernel: every level sums all n nodes
-        with the phase factor from complex exp, exp(1j * kappa * r),
-        chunked under the same cap."""
-        def run(n_nodes):
-            glx, glw = np.polynomial.legendre.leggauss(n_nodes)
-
-            def level(j, rsum):
-                step = max(1, oracle._NESTED_CAP // n_nodes ** j)
-                if len(rsum) > step:
-                    return np.concatenate([level(j, rsum[i:i + step])
-                                           for i in range(0, len(rsum), step)])
-                lo = x[j - 1] - x[j]
-                hi = delta_s - rsum + x[j - 1]
-                half = 0.5 * (hi - lo)
-                r = (lo + half)[:, None] + half[:, None] * glx
-                terms = glw * np.exp(1j * kappa * r)
-                if j > 1:
-                    inner = level(j - 1, (rsum[:, None] + r).ravel())
-                    terms = terms * inner.reshape(r.shape)
-                return half * np.sum(terms, axis=-1)
-
-            lo, hi = x[order - 1], delta_s + x[order - 1]
-            half = 0.5 * (hi - lo)
-            r = (lo + half) + half * glx
-            terms = glw * np.exp(1j * kappa * r)
-            if order > 1:
-                terms = terms * level(order - 1, r)
-            return half * np.sum(terms)
-
-        check_nodes = max(nodes // 2, 8)
-        value, check = run(nodes), run(check_nodes)
-        return OracleResult(value, abs(value - check),
-                            sum(n ** k for n in (nodes, check_nodes)
-                                for k in range(1, order + 1)))
+    def _mp_reference(order, kappa, delta_s, x1):
+        """e^{i kappa x1} (i/kappa)^n K_n(kappa delta_s) at 60 digits."""
+        with mpmath.workdps(60):
+            kappa = mpmath.mpf(kappa)
+            return complex(mpmath.exp(1j * kappa * x1) * (1j / kappa) ** order
+                           * kernel_tail(order, kappa * delta_s))
 
     @pytest.mark.parametrize("order,kappa,delta_s,x,nodes", [
         (4, 1.0, 5.0, None, 64),
@@ -338,20 +264,22 @@ class TestQuadNested:
     ])
     def test_agrees_with_complex_exp_at_benchmark_sizes(
             self, order, kappa, delta_s, x, nodes):
-        # the folded innermost level rounds differently from the unfolded
-        # sum, so the two agree to rounding, not bit for bit
+        # the tabulated levels round differently from the tensor product,
+        # so the two agree to rounding, not bit for bit
         got = quad_nested(order, kappa, delta_s, x=x, nodes=nodes)
         if x is None:
             x = tuple(oracle.NESTED_X_START - 0.1 * k for k in range(order))
-        ref = self._exp_reference(order, kappa, delta_s, x, nodes)
-        assert abs(got.value - ref.value) <= 1e-15 * abs(ref.value)
-        assert abs(got.error_estimate - ref.error_estimate) \
-            <= 2e-15 * abs(ref.value)
-        assert got.evaluations == ref.evaluations
+        ref = self._tensor_reference(order, kappa, delta_s, x, nodes)
+        assert abs(got.value - ref) <= 1e-14 * abs(ref)
+        assert got.error_estimate >= abs(got.value - ref)
+        m = math.ceil(abs(kappa) * delta_s) + 16
+        assert got.evaluations == nodes * (1 + (order - 1) * m) \
+            + nodes // 2 * (1 + (order - 1) * (m - 4))
 
     def test_seeded_grid_matches_order_kernel_and_complex_exp(self):
         # 300 points, orders 1-4, budget phases 0.1-20, even and odd
-        # node counts; order 4 takes fewer nodes, for cost only
+        # node counts; order 4 takes fewer nodes, for the tensor
+        # product's cost only
         rng = random.Random(2024)
         for i in range(300):
             order = 1 + i % 4
@@ -362,37 +290,82 @@ class TestQuadNested:
             closed = cmath.exp(1j * x[0]) * (1j) ** order \
                 * scattering_order_kernel(order, dphi)
             assert abs(got - closed) <= 1e-6 * abs(closed)
-            ref = self._exp_reference(order, 1.0, dphi, x, nodes).value
-            # order 1 cancels to |I_1| = 2|sin(dphi/2)| near dphi = 2 pi k,
-            # so its rounding is measured against the sum of the moduli of
-            # its terms, dphi, not against |I_1|
-            scale = dphi if order == 1 else abs(ref)
-            assert abs(got - ref) <= 1e-15 * scale, (order, dphi, nodes)
+            exact = self._mp_reference(order, 1.0, dphi, x[0])
+            assert abs(got - exact) <= 1e-13 * abs(exact), (order, dphi, nodes)
+            tensor = self._tensor_reference(order, 1.0, dphi, x, nodes)
+            assert abs(got - tensor) <= 1e-13 * abs(tensor), (order, dphi, nodes)
 
-    def test_platform_cos_sin_equal_complex_exp(self):
-        # quad_nested writes cos/sin of kappa*r where it once took
-        # exp(1j*kappa*r); a libm or numpy that breaks this identity
-        # breaks the kernel's bits, and fails here first
-        y = np.random.default_rng(8).uniform(-60.0, 60.0, 200_000)
-        ref = np.exp(1j * y)
-        out = np.empty(y.shape, complex)
-        np.cos(y, out=out.real)
-        np.sin(y, out=out.imag)
-        assert np.array_equal(out.real, ref.real)
-        assert np.array_equal(out.imag, ref.imag)
+    def test_seeded_grid_matches_60_digit_reference(self):
+        # orders 1-4 at the default nodes and order 4 also at 48 (the
+        # benchmark's sizes), |kappa| delta_s log-uniform on [0.1, 50],
+        # kappa of either sign
+        rng = random.Random(21)
+        for i in range(250):
+            order = 1 + i % 4
+            nodes = 48 if i % 5 == 4 else 64
+            if nodes == 48:
+                order = 4
+            phase = math.exp(rng.uniform(math.log(0.1), math.log(50.0)))
+            kappa = rng.choice((-1.0, 1.0)) * math.exp(rng.uniform(-1.0, 1.0))
+            delta_s = phase / abs(kappa)
+            got = quad_nested(order, kappa, delta_s, nodes=nodes)
+            exact = self._mp_reference(order, kappa, delta_s,
+                                       oracle.NESTED_X_START)
+            err = abs(got.value - exact)
+            # order 1 cancels to |I_1| = 2|sin(kappa delta_s/2)|/|kappa|
+            # near kappa delta_s = 2 pi k, so its rounding is measured
+            # against delta_s, the sum of the moduli of its terms
+            scale = delta_s if order == 1 else abs(exact)
+            assert err <= 1e-13 * scale, (order, kappa, delta_s, nodes)
+            if err > 1e-14 * abs(exact):
+                assert got.error_estimate >= err, (order, kappa, delta_s, nodes)
+
+    def test_error_estimate_covers_an_unresolved_rule(self):
+        # 8 Gauss points over kappa delta_s = 30 are about 35 off in
+        # modulus; the check run must take a different rule, or the
+        # estimate reads 0
+        got = quad_nested(3, 1.0, 30.0, nodes=8)
+        exact = self._mp_reference(3, 1.0, 30.0, oracle.NESTED_X_START)
+        assert abs(got.value - exact) > 30.0
+        assert got.error_estimate >= abs(got.value - exact)
 
     def test_order4_memory_is_capped(self):
-        # unchunked, order 4 at 64 nodes holds 64**4 complex values at once
-        # (~270 MB with temporaries); the cap keeps each array at 2**18
+        # the tensor product at 64 nodes holds 64**4 complex values
+        # (~270 MB with temporaries); the tabulation holds M x nodes
         tracemalloc.start()
         try:
             res = quad_nested(4, 1.0, 5.0, nodes=64)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert res.evaluations == sum(n ** k for n in (64, 32)
-                                      for k in range(1, 5))
-        assert peak < 64 * 2 ** 20
+        assert res.evaluations == 64 * (1 + 3 * 21) + 32 * (1 + 3 * 17)
+        assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: quad_nested(2.0, 1.0, 1.0), id="quad-float-order"),
+    pytest.param(lambda: mc_ordered_volume(2.5, 1.0, 10), id="mc-float-order"),
+    pytest.param(lambda: scattering_order_kernel(2.5, 1.0), id="kernel-float-order"),
+    pytest.param(lambda: refraction.nested_volume_integral(2.5, 1.0),
+                 id="volume-float-order"),
+    pytest.param(lambda: quad_nested(2, 1.0, 1.0, x=(0.4, math.nan)), id="quad-nan-x"),
+    pytest.param(lambda: quad_nested(2, 1.0, 1.0, x=(0.4, math.inf)), id="quad-inf-x"),
+    pytest.param(lambda: scattering_order_kernel(2, math.inf), id="kernel-inf-dphi"),
+    pytest.param(lambda: scattering_order_kernel(300, 2000.0), id="kernel-overflow"),
+    pytest.param(lambda: refraction.nested_phase_integral(2, 1e-300, 1.0, 0.4),
+                 id="phase-integral-tiny-kappa"),
+    pytest.param(lambda: refraction.nested_phase_integral(2, 1e300, 1e-300, 1e10),
+                 id="phase-integral-phase-overflow"),
+    pytest.param(lambda: refraction.nested_volume_integral(2, math.inf),
+                 id="volume-inf-length"),
+    pytest.param(lambda: refraction.nested_volume_integral(2, 1e300),
+                 id="volume-overflow"),
+])
+def test_nested_entry_points_refuse_with_domain_error(call):
+    # each of these once raised a bare TypeError or OverflowError, or
+    # returned nan or inf
+    with pytest.raises(DomainError):
+        call()
 
 
 class TestMonteCarlo:
@@ -596,17 +569,6 @@ class TestGaussianRatio:
 
 
 class TestLegGauss:
-    def test_every_tested_rule_is_exactly_symmetric(self):
-        # quad_nested's innermost level folds the pairs +-x_k and takes an
-        # odd rule's middle node as 0.0; a numpy that stops symmetrising
-        # its rules must fail here first
-        for n in range(1, 101):
-            x, w = _leggauss(n)
-            assert np.array_equal(x, -x[::-1]), n
-            assert np.array_equal(w, w[::-1]), n
-            if n % 2:
-                assert x[n // 2] == 0.0, n
-
     def test_arrays_are_read_only(self):
         x, w = _leggauss(10)
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 import cmath
 import math
+import random
 import re
 
+import mpmath
 import pytest
 from mpmath import arg as mp_arg
 
@@ -133,6 +135,45 @@ class TestNestedVolume:
             res = mc_ordered_volume(n, 1.0, 400_000, seed=n)
             assert abs(res.value.real - nested_volume_integral(n, 1.0)) \
                 <= 3.0 * res.error_estimate
+
+
+def kernel_tail(order, delta_phi):
+    """K_n(dphi) = e^{i dphi} sum_{k>=n} (-i dphi)^k / k! in mpmath at the
+    working precision, summed as a tail: the form 1 - e^{i dphi} sum_{k<n}
+    cancels past every digit once |K_n| is below the precision."""
+    z = -1j * mpmath.mpf(delta_phi)
+    term = z ** order / mpmath.factorial(order)
+    tail, k = term, order
+    while abs(term) > mpmath.eps * abs(tail):
+        k += 1
+        term *= z / k
+        tail += term
+    return mpmath.exp(-z) * tail
+
+
+class TestOrderKernel:
+    def test_seeded_grid_matches_40_digit_tail(self):
+        # the form 1 - e^{i dphi} sum_{k<n} cancels once |K_n| << 1: on
+        # this grid it was up to 2.0e146 off, at (40, 1.2e-3), where the
+        # tail is now summed backward instead
+        rng = random.Random(600)
+        for _ in range(600):
+            order = rng.randint(1, 40)
+            dphi = math.exp(rng.uniform(math.log(1e-3), math.log(50.0)))
+            got = scattering_order_kernel(order, dphi)
+            with mpmath.workdps(40):
+                ref = kernel_tail(order, dphi)
+                assert abs(got - ref) <= 1e-13 * abs(ref), (order, dphi)
+
+    @pytest.mark.parametrize("order,dphi", [(4, 1e-3), (20, 1.5), (40, 1.3e-3),
+                                            (8, 8.0), (9, 8.0), (1, 0.5)])
+    def test_either_side_of_the_switch(self, order, dphi):
+        with mpmath.workdps(40):
+            ref = kernel_tail(order, dphi)
+            assert abs(scattering_order_kernel(order, dphi) - ref) <= 1e-14 * abs(ref)
+
+    def test_zero_budget_is_exactly_zero(self):
+        assert all(scattering_order_kernel(n, 0.0) == 0 for n in (1, 2, 5, 40))
 
 
 class TestUnconstrainedBlock:
