@@ -22,12 +22,7 @@ class PreconditionError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iteration failed to reach its tolerance; carries the last partial
-    results so the caller can inspect how far the computation got."""
-
-    def __init__(self, message: str, partials=()):
-        super().__init__(message)
-        self.partials = tuple(partials)
+    """An iteration or quadrature failed to reach its tolerance."""
 
 
 class ApproximationWarning(UserWarning):

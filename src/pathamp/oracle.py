@@ -13,11 +13,11 @@ tautology.
 
 Each Gauss-Legendre rule is built once per node count and kept: it
 depends only on the count, never on the integrand, so no result is cached.
-No default path builds a rule of more than 64 points, and no quadrature
-accepts a node count that needs one above 100 (numpy tests its rule only
-up to degree 100): the Gaussian-ratio average takes a composite
-20-point rule over equal panels, with the embedded 10-point rule for its
-error estimate, not one dense rule over the whole window.
+No default path builds a rule of more than 64 points, and only quad_nested
+takes a node count, refused above 100 (numpy tests its rule only up to
+degree 100).  quad_oscillatory and the Gaussian-ratio average take fixed
+20-point rules per segment or panel, with the embedded 10-point rule for
+their error estimates, not one dense rule over the whole range.
 
 Monte Carlo uses numpy's PCG64 generator, constructed by name (not through
 default_rng, whose choice numpy may change), so a fixed seed gives
@@ -48,8 +48,12 @@ _MAX_SEGMENTS = 2_000_000
 # absolute floor of 1e3 times it)
 _OSC_TOL = 1e-10
 
-# most points of a Gauss-Legendre rule the quadratures build: numpy tests
-# its rule only up to degree 100
+# points per segment of quad_oscillatory's coarse rule; its value rule
+# takes twice as many
+_OSC_NODES = 10
+
+# most points per level quad_nested accepts: numpy tests its Gauss-Legendre
+# rule only up to degree 100
 _MAX_RULE = 100
 
 # samples mc_ordered_volume draws at a time: one order-8 batch is 2 MB
@@ -89,8 +93,8 @@ def _leggauss(n: int) -> tuple:
 def _gauss_segments(f, edges, nodes: int):
     """Sum integral over consecutive segments with an n-point Gauss rule.
 
-    Returns (complex total, per-segment complex values).  f must accept a
-    numpy array and return an array of complex values.
+    Returns (complex total, per-segment complex values, the rule's integral
+    of |f|).  f must accept a numpy array and return complex values.
     """
     import numpy as np
     x, w = _leggauss(nodes)
@@ -100,7 +104,8 @@ def _gauss_segments(f, edges, nodes: int):
     pts = mid[:, None] + half[:, None] * x[None, :]
     vals = np.asarray(f(pts.ravel()), dtype=complex).reshape(pts.shape)
     seg = half * (vals @ w)
-    return complex(math.fsum(seg.real), math.fsum(seg.imag)), seg
+    return (complex(math.fsum(seg.real), math.fsum(seg.imag)), seg,
+            float(half @ (np.abs(vals) @ w)))
 
 
 def _aitken(seq):
@@ -120,15 +125,16 @@ def _aitken(seq):
 
 
 def quad_oscillatory(f: Callable, a: float, b: float, kappa: float,
-                     damping_scale: float | None = None,
-                     nodes: int = 10) -> OracleResult:
+                     damping_scale: float | None = None) -> OracleResult:
     """Integrate a rapidly oscillating complex integrand from a to b.
 
     kappa is the dominant local phase frequency; the range is split into
-    half-period segments of length pi/kappa, each integrated with embedded
-    Gauss rules (nodes and 2*nodes points) whose difference provides the
-    error estimate.  Over a finite range the two must agree to 1e-10
-    relative, or 1e-7 absolute, or ConvergenceError is raised.  The
+    half-period segments of length pi/kappa, each integrated with the
+    20-point Gauss rule; its difference from the embedded 10-point rule is
+    the error estimate.  Over a finite range the two must agree to 1e-10
+    relative, or 1e-7 absolute, or ConvergenceError is raised; the
+    estimate then adds a bound on rounding, 8 u (kappa max(|a|, |b|) + 20)
+    times the rule's integral of |f|, with u = 2**-53.  The
     integrand must accept a numpy array and return an array of complex
     values.
 
@@ -147,13 +153,9 @@ def quad_oscillatory(f: Callable, a: float, b: float, kappa: float,
     an exact 0.
 
     A numpy float64 overflow or invalid operation in the integrand or the
-    sums raises ConvergenceError.  A non-finite kappa or a, a NaN b,
-    b <= a (b = -inf included), or a nodes that is not an integer from 1
-    to 50 (the fine rule takes 2*nodes points, and numpy tests its rule
-    only up to degree 100) raises DomainError.
+    sums raises ConvergenceError.  A non-finite kappa or a, a NaN b, or
+    b <= a (b = -inf included) raises DomainError.
     """
-    # the fine rule takes 2 * nodes points
-    nodes = checked_int("nodes", nodes, _MAX_RULE // 2)
     if not (math.isfinite(kappa) and math.isfinite(a)) or math.isnan(b):
         raise DomainError(f"kappa and a must be finite and b not NaN, got "
                           f"{kappa!r}, {a!r}, {b!r}")
@@ -179,12 +181,12 @@ def quad_oscillatory(f: Callable, a: float, b: float, kappa: float,
     import numpy as np
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return _quad_oscillatory(f, a, b, seg_len, n_seg, damping_scale, nodes)
+            return _quad_oscillatory(f, a, b, seg_len, n_seg, damping_scale)
     except FloatingPointError as exc:
         raise ConvergenceError(f"oscillatory quadrature left float64: {exc}") from None
 
 
-def _quad_oscillatory(f, a, b, seg_len, n_seg, damping_scale, nodes):
+def _quad_oscillatory(f, a, b, seg_len, n_seg, damping_scale):
     """quad_oscillatory over n_seg segments of seg_len (the tail) or from a
     to b, once its arguments are checked."""
     import numpy as np
@@ -196,12 +198,12 @@ def _quad_oscillatory(f, a, b, seg_len, n_seg, damping_scale, nodes):
             raise ConvergenceError(
                 f"oscillatory tail unresolved: segment length {seg_len:.3e} is"
                 f" below the spacing of doubles at a = {a!r}")
-        coarse, _unused = _gauss_segments(f, edges, nodes)
-        fine, seg_f = _gauss_segments(f, edges, 2 * nodes)
-        partials = np.cumsum(seg_f)
+        coarse = _gauss_segments(f, edges, _OSC_NODES)[0]
+        fine, seg_f, _ = _gauss_segments(f, edges, 2 * _OSC_NODES)
+        running = np.cumsum(seg_f)
         # accelerate the tail of the partial-sum sequence
-        acc_full = _aitken(partials[-12:])
-        acc_prev = _aitken(partials[-13:-1])
+        acc_full = _aitken(running[-12:])
+        acc_prev = _aitken(running[-13:-1])
         # the node positions round to the spacing of doubles at a, which
         # moves the integrand by up to ulp(a)/damping_scale relative; neither
         # difference above sees it
@@ -213,19 +215,20 @@ def _quad_oscillatory(f, a, b, seg_len, n_seg, damping_scale, nodes):
             # pass its absolute floor of 1e3 * _OSC_TOL
             raise ConvergenceError(
                 f"oscillatory tail did not converge: error {err:.3e} against"
-                f" a value of modulus {abs(acc_full):.3e}",
-                partials=(complex(acc_prev), complex(acc_full)))
-        return OracleResult(complex(acc_full), err, n_seg * 3 * nodes)
+                f" a value of modulus {abs(acc_full):.3e}")
+        return OracleResult(complex(acc_full), err, n_seg * 3 * _OSC_NODES)
 
     edges = np.linspace(a, b, n_seg + 1)
-    coarse, _ = _gauss_segments(f, edges, nodes)
-    fine, _ = _gauss_segments(f, edges, 2 * nodes)
+    coarse = _gauss_segments(f, edges, _OSC_NODES)[0]
+    fine, _, moduli = _gauss_segments(f, edges, 2 * _OSC_NODES)
     err = abs(fine - coarse)
     if abs(fine) > 0 and err > max(_OSC_TOL * abs(fine), 1e3 * _OSC_TOL):
-        raise ConvergenceError(
-            f"oscillatory quadrature did not converge: error {err:.3e}",
-            partials=(coarse, fine))
-    return OracleResult(fine, err, n_seg * 3 * nodes)
+        raise ConvergenceError(f"oscillatory quadrature did not converge: error {err:.3e}")
+    # resolved rules differ by rounding noise only: bound the rounding of the
+    # phase, kappa |x| with kappa = pi/seg_len, and of each 20-term rule
+    rounding = 8 * 2.0 ** -53 * moduli \
+        * (math.pi / seg_len * max(abs(a), abs(b)) + 2 * _OSC_NODES)
+    return OracleResult(fine, err + rounding, n_seg * 3 * _OSC_NODES)
 
 
 def damped_radial_integral(kappa: float, x1: float, rho: float) -> complex:
@@ -501,14 +504,15 @@ def _mantissa(x: float) -> tuple[int, int]:
     return int(math.ldexp(frac, 53)), 53 - exp
 
 
-def series_sum_highprec(delta_phi: float, beta_l: float,
-                        n_max: int | None = None):
+def series_sum_highprec(delta_phi: float, beta_l: float):
     """Arbitrary-precision sum of the time-budgeted multiple-scattering
     series, for regimes where float64 summation is meaningless
     (beta_l up to a few thousand):
 
-        S = sum_{n=0}^{n_max} (i beta_l)^n / n!
+        S = sum_{n=0}^{N} (i beta_l)^n / n!
                 * (1 - e^{i dphi} sum_{k<n} (-i dphi)^k / k!)
+
+    with N = int(beta_l + dphi + 12 sqrt(beta_l + dphi) + 40) orders.
 
     Returns an mpmath complex; magnitudes can exceed float range.  mpmath
     is not a runtime dependency of the package (it comes with the ``test``
@@ -545,8 +549,7 @@ def series_sum_highprec(delta_phi: float, beta_l: float,
     if beta_l < 0 or delta_phi < 0:
         raise DomainError("beta_l and delta_phi must be >= 0")
     dps = int(30 + 1.1 * beta_l / math.log(10) + 0.7 * delta_phi / math.log(10))
-    if n_max is None:
-        n_max = int(beta_l + delta_phi + 12 * math.sqrt(beta_l + delta_phi) + 40)
+    n_max = int(beta_l + delta_phi + 12 * math.sqrt(beta_l + delta_phi) + 40)
     prec = math.ceil(dps * math.log2(10)) + 64
     mb, sb = _mantissa(beta_l)
     md, sd = _mantissa(delta_phi)

@@ -169,9 +169,7 @@ def _brentq(f, lo: float, hi: float, xtol: float) -> float:
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = fx(xcur)
-    raise ConvergenceError(
-        f"root search did not converge in {_BRENT_MAXITER} steps",
-        partials=(xcur, xblk))
+    raise ConvergenceError(f"root search did not converge in {_BRENT_MAXITER} steps")
 
 
 class StationaryPoint(Record):
@@ -238,9 +236,14 @@ def trajectory_spread(kappa: float, n2: float, r: float,
 
         dtheta = sqrt(lambda/(n2 r)),  dx = sqrt(lambda r / n2),
         dy = dx * sec(theta_o).
+
+    A kappa or r that is not finite and > 0, an n2 that is not finite and
+    >= 1, or a non-finite theta_o raises DomainError.
     """
-    if kappa <= 0 or n2 < 1.0 or r <= 0:
-        raise DomainError("kappa, r must be positive and n2 >= 1")
+    if not (0 < kappa < math.inf and 0 < r < math.inf and 1.0 <= n2 < math.inf
+            and math.isfinite(theta_o)):
+        raise DomainError("kappa, r must be finite and positive, n2 finite and >= 1"
+                          " and theta_o finite")
     lam = 2.0 * math.pi / kappa
     dtheta = math.sqrt(lam / (n2 * r))
     dx = math.sqrt(lam * r / n2)

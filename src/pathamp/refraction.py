@@ -159,12 +159,13 @@ class EffectiveVelocity(Record):
 
 def effective_velocity(filling_fraction: float, n: float) -> EffectiveVelocity:
     """Both closed forms of the effective velocity and which regime each
-    derivation covers; they agree to first order in (n-1)*f."""
+    derivation covers; they agree to first order in (n-1)*f.  An f outside
+    [0, 1] or an n that is not finite and >= 1 raises DomainError."""
     f = filling_fraction
     if not 0.0 <= f <= 1.0:
         raise DomainError("filling fraction must lie in [0, 1]")
-    if n < 1.0:
-        raise DomainError("n must be >= 1")
+    if not 1.0 <= n < math.inf:
+        raise DomainError(f"n must be finite and >= 1, got {n!r}")
     linear = (1.0 - f) * CONSTANTS.c + f * CONSTANTS.c / n
     reciprocal = CONSTANTS.c / (1.0 + (n - 1.0) * f)
     rel = abs(linear - reciprocal) / reciprocal
@@ -211,18 +212,14 @@ def unconstrained_block_amplitude(beta_l: float) -> SeriesValue:
         raise PreconditionError(
             f"beta_l = {beta_l:g} exceeds float64 summation limit"
             f" {BETA_L_SUMMATION_LIMIT:g}")
-    cap = _MAX_TERMS
     total = 1.0 + 0.0j
     term = 1.0 + 0.0j
-    n = 0
-    while n < cap:
-        n += 1
+    for n in range(1, _MAX_TERMS + 1):
         term *= 1j * beta_l / n
         total += term
         if abs(term) < 1e-12 * abs(total):
             return SeriesValue(total, n)
-    raise ConvergenceError(
-        f"no convergence after {cap} terms", partials=(total - term, total))
+    raise ConvergenceError(f"no convergence after {_MAX_TERMS} terms")
 
 
 def scattering_order_kernel(order: int, delta_phi: float) -> complex:
@@ -303,7 +300,7 @@ def nested_phase_integral(order: int, kappa: float, delta_s: float,
     raise DomainError(f"(i/kappa)^{order} at kappa = {kappa!r} overflows float64")
 
 
-def _factor_kernel_route(delta_phi: float, beta_l: float, cap: int):
+def _factor_kernel_route(delta_phi: float, beta_l: float):
     """Sum over orders of (i beta_l)^n/n! times the order kernel, with the
     kernel's partial exponential carried incrementally.  Terms are collected
     and reduced with exact summation (math.fsum).
@@ -319,8 +316,7 @@ def _factor_kernel_route(delta_phi: float, beta_l: float, cap: int):
     re = [1.0]
     im = [0.0]
     running = 1.0 + 0.0j
-    last = None
-    for n in range(1, cap + 1):
+    for n in range(1, _MAX_TERMS + 1):
         term *= 1j * beta_l / n
         esum += epow
         epow *= -1j * delta_phi / n
@@ -333,12 +329,9 @@ def _factor_kernel_route(delta_phi: float, beta_l: float, cap: int):
             if not cmath.isfinite(running):
                 raise ConvergenceError(
                     f"kernel-route series overflowed float64 by order {n}"
-                    f" (delta_phi = {delta_phi:g})", partials=last or ())
+                    f" (delta_phi = {delta_phi:g})")
             return complex(math.fsum(re), math.fsum(im)), n
-        last = (running - t, running)
-    raise ConvergenceError(
-        f"kernel-route series not converged after {cap} orders",
-        partials=last or ())
+    raise ConvergenceError(f"kernel-route series not converged after {_MAX_TERMS} orders")
 
 
 def _factor_trig_route(delta_phi: float, beta_l: float, n_terms: int) -> complex:
@@ -398,7 +391,7 @@ def time_budget_factor(delta_phi: float, beta_l: float) -> MediumFactor:
         raise PreconditionError(
             f"beta_l = {beta_l:g} exceeds float64 summation limit"
             f" {BETA_L_SUMMATION_LIMIT:g}; regime: {regime_classification(delta_phi, beta_l)}")
-    kernel_val, n_used = _factor_kernel_route(delta_phi, beta_l, _MAX_TERMS)
+    kernel_val, n_used = _factor_kernel_route(delta_phi, beta_l)
     trig_val = _factor_trig_route(delta_phi, beta_l, n_used)
     scale = max(abs(kernel_val), abs(trig_val))
     if scale > 0 and abs(kernel_val - trig_val) / scale > ROUTE_TOLERANCE:

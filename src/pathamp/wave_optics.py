@@ -66,10 +66,13 @@ def helmholtz_residual(kappa: float, r1: float, step: float) -> float:
 def diffraction_amplitude(kappa: float, alpha: float, alpha1: float) -> complex:
     """Forward diffraction amplitude -(i kappa/4 pi)(cos alpha + cos alpha1),
     in 1/m.  At normal incidence both cosines are 1 and the value reduces to
-    -i/lambda.
+    -i/lambda.  A kappa that is not finite and > 0, or a non-finite angle,
+    raises DomainError.
     """
     if kappa <= 0:
         raise DomainError("kappa must be positive")
+    if not (math.isfinite(kappa) and math.isfinite(alpha) and math.isfinite(alpha1)):
+        raise DomainError("kappa and both angles must be finite")
     return -1j * kappa / (4.0 * math.pi) * (math.cos(alpha) + math.cos(alpha1))
 
 

@@ -41,9 +41,8 @@ class TestQuadOscillatory:
     def test_unresolved_integrand_raises_shared_convergence_error(self):
         # the integrand oscillates 50 times faster than the declared kappa,
         # so the 10- and 20-point rules per segment disagree
-        with pytest.raises(ConvergenceError) as err:
+        with pytest.raises(ConvergenceError):
             quad_oscillatory(lambda x: np.exp(50j * x), 0.0, 10.0, 1.0)
-        assert len(err.value.partials) == 2
         assert refraction.ConvergenceError is ConvergenceError
 
     def test_infinite_limit_requires_envelope(self):
@@ -103,10 +102,9 @@ class TestQuadOscillatory:
         # a draw of perfbench oracle-validate (seed 8101) whose Aitken tail
         # came back 107% off huygens_zone_value, |v| ~ 4e-8 and error 2.3 |v|
         kappa, x1, rho = 12268699.552076137, 0.3366239658803526, 7.517647076342569
-        with pytest.raises(ConvergenceError, match="tail did not converge") as err:
+        with pytest.raises(ConvergenceError, match="tail did not converge"):
             quad_oscillatory(lambda r: np.exp(1j * kappa * r - rho * (r - x1)),
                              x1, math.inf, kappa, damping_scale=1.0 / rho)
-        assert len(err.value.partials) == 2
 
     def test_collapsed_tail_refused(self):
         # at x1 = 1e147 m a half period of 589.3 nm is below the spacing of
@@ -122,29 +120,19 @@ class TestQuadOscillatory:
             quad_oscillatory(lambda x: np.exp(1j * x - x), 0.0, -math.inf, 1.0,
                              damping_scale=1.0)
 
-    @pytest.mark.parametrize("nodes", [0, -3, 1.5, "10", None, 51, 1000])
-    def test_refuses_bad_node_count(self, nodes):
-        # above 50 the fine rule would pass the 100 points numpy tests
-        with pytest.raises(DomainError, match="nodes"):
-            quad_oscillatory(lambda x: np.exp(1j * x), 0.0, 1.0, 1.0, nodes=nodes)
-
-    def test_accepts_largest_node_count(self):
-        f = lambda x: np.exp(1j * x)
-        res = quad_oscillatory(f, 0.0, 1.0, 1.0, nodes=50)
-        assert abs(res.value - (cmath.exp(1j) - 1) / 1j) <= 1e-14
-
-    def test_accepts_numpy_integer_node_count(self):
-        f = lambda x: np.exp(1j * x) / (1.0 + x)
-        assert quad_oscillatory(f, 0.0, 10.0, 1.0, nodes=np.int64(12)) \
-            == quad_oscillatory(f, 0.0, 10.0, 1.0, nodes=12)
-
-    def test_error_estimate_validated_by_refinement(self):
-        kappa = 2000.0
-        f = lambda x: np.exp(1j * kappa * x) / (1.0 + x)
-        coarse = quad_oscillatory(f, 0.0, 1.0, kappa, nodes=6)
-        fine = quad_oscillatory(f, 0.0, 1.0, kappa, nodes=12)
-        assert abs(coarse.value - fine.value) \
-            <= 2.0 * max(coarse.error_estimate, 1e-15 * abs(fine.value))
+    @pytest.mark.parametrize("kappa", [2000.0, 340.0])
+    def test_error_estimate_covers_true_error(self, kappa):
+        # e^{2000ix}/(1 + x) on [0, 1]: at kappa = 2000 both rules are
+        # resolved and only rounding is left; at 340 each segment spans
+        # about six half periods, the fewest the 10-point rule resolves
+        # well enough to be accepted
+        f = lambda x: np.exp(2000j * x) / (1.0 + x)
+        res = quad_oscillatory(f, 0.0, 1.0, kappa)
+        with mpmath.workdps(30):
+            w = mpmath.mpf(2000)
+            # int_1^2 e^{iwt}/t dt = E1(-iw) - E1(-2iw), with t = 1 + x
+            exact = complex(mpmath.expj(-w) * (mpmath.e1(-1j * w) - mpmath.e1(-2j * w)))
+        assert abs(res.value - exact) <= res.error_estimate
 
 
 class TestQuadNested:
@@ -600,15 +588,14 @@ class TestLegGauss:
 
 class TestHighPrecisionSeries:
     @staticmethod
-    def _mpc_loop(delta_phi, beta_l, n_max=None):
+    def _mpc_loop(delta_phi, beta_l):
         """The series summed term by term in mpmath complex arithmetic at
-        the same dps: the reference the fixed-point sum must reproduce."""
+        the same dps and order count: the reference the fixed-point sum must
+        reproduce."""
         from mpmath import exp as mp_exp, mpc, mpf, workdps
         dps = int(30 + 1.1 * beta_l / math.log(10)
                   + 0.7 * delta_phi / math.log(10))
-        if n_max is None:
-            n_max = int(beta_l + delta_phi
-                        + 12 * math.sqrt(beta_l + delta_phi) + 40)
+        n_max = int(beta_l + delta_phi + 12 * math.sqrt(beta_l + delta_phi) + 40)
         with workdps(dps):
             dp = mpf(delta_phi)
             bl = mpf(beta_l)
@@ -635,16 +622,12 @@ class TestHighPrecisionSeries:
     SUITE_POINTS = [(0.5, 1.0), (2.0, 5.0), (10.0, 10.0), (15.0, 30.0),
                     (10.0, 1000.0), (10.0, 2000.0), (20.0, 2000.0)]
 
-    @pytest.mark.parametrize("dphi,bl,n_max", [
-        *((dphi, bl, None) for dphi, bl in SUITE_POINTS),
-        (0.0, 0.5, None), (0.0, 40.0, None), (0.0, 300.0, None),
-        (3.0, 0.0, None), (250.0, 0.0, None), (0.0, 0.0, None),
-        (2.0, 5.0, 0), (2.0, 5.0, 1), (2.0, 5.0, 7), (40.0, 300.0, 150),
-        (1e-300, 1e-300, None), (5e-324, 7.0, None)])
-    def test_matches_mpc_loop(self, dphi, bl, n_max):
-        got = series_sum_highprec(dphi, bl, n_max=n_max)
-        ref = self._mpc_loop(dphi, bl, n_max=n_max)
-        assert self._rel_diff(got, ref) <= 1e-25
+    @pytest.mark.parametrize("dphi,bl", [
+        *SUITE_POINTS, (0.0, 0.5), (0.0, 40.0), (0.0, 300.0), (3.0, 0.0),
+        (250.0, 0.0), (0.0, 0.0), (1e-300, 1e-300), (5e-324, 7.0)])
+    def test_matches_mpc_loop(self, dphi, bl):
+        got = series_sum_highprec(dphi, bl)
+        assert self._rel_diff(got, self._mpc_loop(dphi, bl)) <= 1e-25
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_mpc_loop_on_seeded_grid(self, seed):

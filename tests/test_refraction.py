@@ -112,6 +112,14 @@ class TestEffectiveVelocity:
         v = effective_velocity(0.5, 1.001)
         assert v.relative_difference < 2.5e-7
 
+    @pytest.mark.parametrize("f,n", [(0.5, math.inf), (0.0, math.inf),
+                                     (0.5, math.nan), (0.0, math.nan)])
+    def test_refuses_non_finite_index(self, f, n):
+        # n = inf with f > 0 would divide by zero; the others would give
+        # NaN fields
+        with pytest.raises(DomainError, match="finite"):
+            effective_velocity(f, n)
+
 
 class TestNestedVolume:
     def test_first_order(self):
@@ -236,11 +244,10 @@ class TestTimeBudgetFactor:
         closed = cmath.exp(0.4j) * 1j ** 4 * scattering_order_kernel(4, dphi)
         assert abs(res.value - closed) <= 1e-6 * abs(closed)
 
-    def test_convergence_error_carries_partials(self, monkeypatch):
+    def test_order_cap_raises_convergence_error(self, monkeypatch):
         monkeypatch.setattr(refraction, "_MAX_TERMS", 5)
-        with pytest.raises(ConvergenceError) as err:
+        with pytest.raises(ConvergenceError, match="after 5 orders"):
             time_budget_factor(2.0, 10.0)
-        assert len(err.value.partials) == 2
 
     def test_refusal_above_summation_limit_names_regime(self):
         with pytest.raises(PreconditionError) as err:
@@ -264,7 +271,6 @@ class TestTimeBudgetFactor:
             time_budget_factor(dphi, beta_l)
         stopped = int(re.search(r"order (\d+)", str(err.value)).group(1))
         assert stopped <= dphi + beta_l + 2
-        assert not all(cmath.isfinite(p) for p in err.value.partials)
 
 
 class TestAnnulmentRegime:
@@ -360,7 +366,7 @@ class TestBoundaryRadialLimit:
         swing = KAPPA * (boundary_radial_limit(b, x1, math.pi / 2)
                          - boundary_radial_limit(b, x1, 3 * math.pi / 2))
         res = quad_oscillatory(integrand, 0.0, 2 * math.pi,
-                               abs(swing) / 2.0, nodes=8)
+                               abs(swing) / 2.0)
         assert abs(res.value) < 0.05 * 2 * math.pi
 
     def test_interior_required(self):
@@ -373,11 +379,10 @@ class TestBoundaryRadialLimit:
 
 
 class TestUnconstrainedConvergenceGuard:
-    def test_term_cap_raises_with_partials(self, monkeypatch):
+    def test_term_cap_raises_convergence_error(self, monkeypatch):
         monkeypatch.setattr(refraction, "_MAX_TERMS", 4)
-        with pytest.raises(ConvergenceError) as err:
+        with pytest.raises(ConvergenceError, match="after 4 terms"):
             unconstrained_block_amplitude(20.0)
-        assert len(err.value.partials) == 2
 
 
 class TestOrderStructureSymbolically:

@@ -86,6 +86,16 @@ class TestDiffractionAmplitude:
         a = diffraction_amplitude(1.0e7, math.pi / 2, math.pi / 2)
         assert abs(a) < 1e-9
 
+    @pytest.mark.parametrize("kappa,alpha,alpha1", [
+        (math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0),
+        (1.0, math.inf, 0.0), (1.0, -math.inf, 0.0), (1.0, math.nan, 0.0),
+        (1.0, 0.0, math.inf), (1.0, 0.0, -math.inf), (1.0, 0.0, math.nan)])
+    def test_refuses_non_finite_input(self, kappa, alpha, alpha1):
+        # math.cos would raise a bare ValueError at an infinite angle, and
+        # a NaN would reach the result as nan+nanj
+        with pytest.raises(DomainError):
+            diffraction_amplitude(kappa, alpha, alpha1)
+
 
 class TestHalfPeriodZone:
     KAPPA, X1 = 1.0e7, 0.8
