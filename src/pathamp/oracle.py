@@ -15,9 +15,19 @@ Each Gauss-Legendre rule is built once per node count and kept: it
 depends only on the count, never on the integrand, so no result is cached.
 No default path builds a rule of more than 64 points, and only quad_nested
 takes a node count, refused above 100 (numpy tests its rule only up to
-degree 100).  quad_oscillatory and the Gaussian-ratio average take fixed
-20-point rules per segment or panel, with the embedded 10-point rule for
-their error estimates, not one dense rule over the whole range.
+degree 100).  quad_oscillatory and the Gaussian-ratio average take one
+composite rule, not one dense rule over the whole range: the 20-point
+rule on each segment or panel for the value and, for the error estimate,
+the 10-point rule on the same panels.  Gauss-Legendre rules are not
+nested, so the 10-point rule is a separate one, and f is evaluated at 30
+points per segment or panel.
+
+Sums are elementwise numpy products reduced by .sum or math.fsum, never
+matrix products, so no BLAS kernel takes part, and no complex product
+of two complex arrays is formed, whose AVX2 loop fuses multiply-adds.
+So a value keeps its bits whichever SIMD or BLAS kernels the CPU
+selects, as long as the integrand's values do.  An error estimate may
+move in its last bit: numpy's complex abs differs between its SIMD loops.
 
 Monte Carlo uses numpy's PCG64 generator, constructed by name (not through
 default_rng, whose choice numpy may change), so a fixed seed gives
@@ -48,8 +58,8 @@ _MAX_SEGMENTS = 2_000_000
 # absolute floor of 1e3 times it)
 _OSC_TOL = 1e-10
 
-# points per segment of quad_oscillatory's coarse rule; its value rule
-# takes twice as many
+# points per segment or panel of the coarse rule of quad_oscillatory and
+# gaussian_ratio_integral; their value rule takes twice as many
 _OSC_NODES = 10
 
 # most points per level quad_nested accepts: numpy tests its Gauss-Legendre
@@ -62,10 +72,8 @@ _MC_BATCH = 32768
 # first point of quad_nested's default x
 NESTED_X_START = 0.4
 
-# equal panels gaussian_ratio_integral splits its window into, and the
-# points per panel of its value rule (its error estimate takes half as many)
+# equal panels gaussian_ratio_integral splits its window into
 _RATIO_PANELS = 100
-_RATIO_NODES = 20
 
 
 class OracleResult(Record):
@@ -90,38 +98,33 @@ def _leggauss(n: int) -> tuple:
     return x, w
 
 
-def _gauss_segments(f, edges, nodes: int):
-    """Sum integral over consecutive segments with an n-point Gauss rule.
+def _composite(a: float, h: float, panels: int, nodes: int) -> tuple:
+    """The nodes-point Gauss-Legendre rule on each of `panels` panels of
+    width 2h from a: the points, panel after panel in one flat array, and
+    the weights of one panel's nodes.
 
-    Returns (complex total, per-segment complex values, the rule's integral
-    of |f|).  f must accept a numpy array and return complex values.
+    Node j of panel k is a + h (2k + 1 + x_j), rounded once from a, and its
+    weight is h w_j.  Nodes placed around rounded panel midpoints shift a
+    whole panel at a time, which made the worst error on strongly
+    oscillating Gaussian ratios ~3x larger.
     """
     import numpy as np
     x, w = _leggauss(nodes)
-    lo = edges[:-1]
-    half = 0.5 * np.diff(edges)
-    mid = lo + half
-    pts = mid[:, None] + half[:, None] * x[None, :]
-    vals = np.asarray(f(pts.ravel()), dtype=complex).reshape(pts.shape)
-    seg = half * (vals @ w)
-    return (complex(math.fsum(seg.real), math.fsum(seg.imag)), seg,
-            float(half @ (np.abs(vals) @ w)))
+    return (a + h * (np.arange(1.0, 2.0 * panels, 2.0)[:, None] + x)).ravel(), h * w
 
 
-def _aitken(seq):
-    """Iterated Aitken delta-squared acceleration of a complex sequence."""
-    s = list(seq)
-    while len(s) >= 3:
-        nxt = []
-        for i in range(len(s) - 2):
-            d1 = s[i + 1] - s[i]
-            d2 = s[i + 2] - 2 * s[i + 1] + s[i]
-            if abs(d2) < 1e-300:
-                nxt.append(s[i + 2])
-            else:
-                nxt.append(s[i] - d1 * d1 / d2)
-        s = nxt
-    return s[0] if s else 0.0
+def _fsum(z) -> complex:
+    """The correctly rounded sum of a complex array."""
+    return complex(math.fsum(z.real.tolist()), math.fsum(z.imag.tolist()))
+
+
+def _aitken(s) -> complex:
+    """One Aitken delta-squared step: the limit of the geometric sequence
+    through three partial sums s (the last itself if their second
+    difference is 0)."""
+    s0, s1, s2 = s
+    d2 = s2 - 2 * s1 + s0
+    return s2 if d2 == 0 else s2 - (s2 - s1) * (s2 - s1) / d2
 
 
 def quad_oscillatory(f: Callable, a: float, b: float, kappa: float,
@@ -130,31 +133,36 @@ def quad_oscillatory(f: Callable, a: float, b: float, kappa: float,
 
     kappa is the dominant local phase frequency; the range is split into
     half-period segments of length pi/kappa, each integrated with the
-    20-point Gauss rule; its difference from the embedded 10-point rule is
-    the error estimate.  Over a finite range the two must agree to 1e-10
-    relative, or 1e-7 absolute, or ConvergenceError is raised; the
-    estimate then adds a bound on rounding, 8 u (kappa max(|a|, |b|) + 20)
-    times the rule's integral of |f|, with u = 2**-53.  The
-    integrand must accept a numpy array and return an array of complex
-    values.
+    20-point Gauss rule, and the error estimate takes its difference from
+    the 10-point rule on the same segments.  Gauss-Legendre rules are not
+    nested, so f is evaluated at 30 points per segment.  Over a finite
+    range the two must agree to 1e-10 relative, or 1e-7 absolute, or
+    ConvergenceError is raised.  The integrand must accept a numpy array
+    and return an array of complex values.
 
     An infinite upper limit requires ``damping_scale`` > 0, the e-folding
     length of a declared exponential envelope of the integrand.  The tail
     takes 64 segments of length min(pi/kappa, damping_scale), so an
-    envelope shorter than a half period is resolved too.  The partial sums
-    then form a nearly geometric sequence which is accelerated with
-    iterated Aitken extrapolation, so slowly damped integrands
-    (damping_scale >> 1/kappa) are still cheap.  The tail's error estimate
-    adds |value| ulp(a)/damping_scale, the error of rounding the node
-    positions to doubles, to the two rule differences.  A tail whose nonzero error
-    estimate is not below the modulus of its value (not one correct digit)
-    raises ConvergenceError, as does a segment length below the spacing of
+    envelope shorter than a half period is resolved too.  Their partial
+    sums then form a nearly geometric sequence, whose limit one Aitken
+    step on the last three takes, so slowly damped integrands
+    (damping_scale >> 1/kappa) are still cheap; the step on the three
+    before checks it.  A tail whose nonzero error estimate is not below
+    the modulus of its value (not one correct digit) raises
+    ConvergenceError, as does a segment length below the spacing of
     doubles at a, where the segment edges collapse and the sums would be
     an exact 0.
 
+    Both error estimates add a bound on rounding, 8 u (r X + 20) times the
+    rule's integral of |f|, with u = 2**-53, X the larger modulus of the
+    two ends (a + 64 segments for the tail) and r = kappa, plus
+    1/damping_scale for the tail: a node rounded to the spacing of doubles
+    at X moves the phase and the envelope by u r X.
+
     A numpy float64 overflow or invalid operation in the integrand or the
-    sums raises ConvergenceError.  A non-finite kappa or a, a NaN b, or
-    b <= a (b = -inf included) raises DomainError.
+    sums, or an Aitken step that leaves float64, raises ConvergenceError.
+    A non-finite kappa or a, a NaN b, or b <= a (b = -inf included) raises
+    DomainError.
     """
     if not (math.isfinite(kappa) and math.isfinite(a)) or math.isnan(b):
         raise DomainError(f"kappa and a must be finite and b not NaN, got "
@@ -172,62 +180,56 @@ def quad_oscillatory(f: Callable, a: float, b: float, kappa: float,
         # so the 64 segments span 64 e-folds and not 64 pi/kappa
         seg_len = min(seg_len, damping_scale)
         n_seg = 64
+        if not all(a + seg_len * k < a + seg_len * (k + 1) for k in range(n_seg)):
+            # a segment below the spacing of doubles at a: the edges
+            # round onto each other, and the sums would be an exact 0
+            raise ConvergenceError(
+                f"oscillatory tail unresolved: segment length {seg_len:.3e} is"
+                f" below the spacing of doubles at a = {a!r}")
+        end, rate = a + n_seg * seg_len, kappa + 1.0 / damping_scale
     else:
         if b <= a:
             raise DomainError("need b > a")
         n_seg = max(1, math.ceil((b - a) / seg_len))
         if n_seg > _MAX_SEGMENTS:
             raise PreconditionError(f"{n_seg} segments exceed budget {_MAX_SEGMENTS}")
+        seg_len, end, rate = (b - a) / n_seg, b, kappa
     import numpy as np
+    sums = []
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return _quad_oscillatory(f, a, b, seg_len, n_seg, damping_scale)
+            for nodes in (_OSC_NODES, 2 * _OSC_NODES):
+                p, w = _composite(a, 0.5 * seg_len, n_seg, nodes)
+                vals = np.asarray(f(p), dtype=complex).reshape(n_seg, nodes)
+                sums.append((vals * w).sum(axis=1))
+            # the 20-point rule's integral of |f|
+            moduli = float((np.abs(vals) * w).sum())
     except FloatingPointError as exc:
         raise ConvergenceError(f"oscillatory quadrature left float64: {exc}") from None
-
-
-def _quad_oscillatory(f, a, b, seg_len, n_seg, damping_scale):
-    """quad_oscillatory over n_seg segments of seg_len (the tail) or from a
-    to b, once its arguments are checked."""
-    import numpy as np
+    coarse, fine = _fsum(sums[0]), _fsum(sums[1])
+    rounding = 8 * 2.0 ** -53 * moduli \
+        * (rate * max(abs(a), abs(end)) + 2 * _OSC_NODES)
     if b == math.inf:
-        edges = a + seg_len * np.arange(n_seg + 1)
-        if not np.all(edges[1:] > edges[:-1]):
-            # a segment below the spacing of doubles at a: the edges
-            # round onto each other, and the sums would be an exact 0
+        partial = [_fsum(sums[1][:n]) for n in range(n_seg - 3, n_seg)] + [fine]
+        value = _aitken(partial[1:])
+        err = abs(value - _aitken(partial[:3])) + abs(fine - coarse) + rounding
+        if not math.isfinite(err):
+            # Python's complex arithmetic overflows to inf or nan silently
             raise ConvergenceError(
-                f"oscillatory tail unresolved: segment length {seg_len:.3e} is"
-                f" below the spacing of doubles at a = {a!r}")
-        coarse = _gauss_segments(f, edges, _OSC_NODES)[0]
-        fine, seg_f, _ = _gauss_segments(f, edges, 2 * _OSC_NODES)
-        running = np.cumsum(seg_f)
-        # accelerate the tail of the partial-sum sequence
-        acc_full = _aitken(running[-12:])
-        acc_prev = _aitken(running[-13:-1])
-        # the node positions round to the spacing of doubles at a, which
-        # moves the integrand by up to ulp(a)/damping_scale relative; neither
-        # difference above sees it
-        err = abs(acc_full - acc_prev) + abs(fine - coarse) \
-            + abs(acc_full) * math.ulp(a) / damping_scale
-        if err > 0 and err >= abs(acc_full):
+                "oscillatory quadrature left float64: overflow in the Aitken step")
+        if err > 0 and err >= abs(value):
             # not one correct digit (an exact 0 with no error is a result);
             # _OSC_TOL is not used, as a tail of modulus near 1e-7 would
             # pass its absolute floor of 1e3 * _OSC_TOL
             raise ConvergenceError(
                 f"oscillatory tail did not converge: error {err:.3e} against"
-                f" a value of modulus {abs(acc_full):.3e}")
-        return OracleResult(complex(acc_full), err, n_seg * 3 * _OSC_NODES)
-
-    edges = np.linspace(a, b, n_seg + 1)
-    coarse = _gauss_segments(f, edges, _OSC_NODES)[0]
-    fine, _, moduli = _gauss_segments(f, edges, 2 * _OSC_NODES)
+                f" a value of modulus {abs(value):.3e}")
+        return OracleResult(value, err, n_seg * 3 * _OSC_NODES)
     err = abs(fine - coarse)
     if abs(fine) > 0 and err > max(_OSC_TOL * abs(fine), 1e3 * _OSC_TOL):
         raise ConvergenceError(f"oscillatory quadrature did not converge: error {err:.3e}")
-    # resolved rules differ by rounding noise only: bound the rounding of the
-    # phase, kappa |x| with kappa = pi/seg_len, and of each 20-term rule
-    rounding = 8 * 2.0 ** -53 * moduli \
-        * (math.pi / seg_len * max(abs(a), abs(b)) + 2 * _OSC_NODES)
+    # resolved rules differ by rounding noise only, so the estimate adds
+    # the bound on rounding
     return OracleResult(fine, err + rounding, n_seg * 3 * _OSC_NODES)
 
 
@@ -349,7 +351,12 @@ def quad_nested(order: int, kappa: float, delta_s: float,
             r = (xs[j - 1] - xs[j]) + np.multiply.outer(half, 1.0 + g)
             terms = w * np.exp(1j * kappa * r)
             if coef is not None:
-                terms *= _clenshaw(coef, u)
+                # from real parts: numpy's AVX2 complex multiply fuses
+                # multiply-adds, so its last bits depend on the CPU
+                c = _clenshaw(coef, u)
+                re = terms.real * c.real - terms.imag * c.imag
+                terms.imag = terms.real * c.imag + terms.imag * c.real
+                terms.real = re
             return half, terms
 
         coef = None
@@ -439,7 +446,9 @@ def gaussian_ratio_integral(weight: Callable, phase: Callable,
     cover the weight's support (e.g. mean +- 8 sigma for a Gaussian).  It
     is split into 100 equal panels: the value takes the 20-point
     Gauss-Legendre rule on each panel, and the error estimate is its
-    difference from the embedded 10-point rule on the same panels.
+    difference from the 10-point rule on the same panels.  The two rules
+    share no node, so weight and phase are evaluated at 30 points per
+    panel.
 
     A non-finite a or b, or b <= a, raises DomainError.  A weight integral
     that is 0, subnormal or not finite (a weight that vanishes on the
@@ -453,49 +462,26 @@ def gaussian_ratio_integral(weight: Callable, phase: Callable,
     import numpy as np
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            fine = _ratio(weight, phase, a, b, _RATIO_NODES)
-            coarse = _ratio(weight, phase, a, b, _RATIO_NODES // 2)
+            fine = _ratio(weight, phase, a, b, 2 * _OSC_NODES)
+            coarse = _ratio(weight, phase, a, b, _OSC_NODES)
     except FloatingPointError as exc:
         raise ConvergenceError(f"Gaussian-ratio quadrature left float64: {exc}") from None
-    return OracleResult(fine, abs(fine - coarse),
-                        _RATIO_PANELS * (_RATIO_NODES + _RATIO_NODES // 2))
-
-
-@functools.lru_cache(maxsize=2)
-def _panel_rule(nodes: int) -> tuple:
-    """The nodes-point rule on each of _RATIO_PANELS equal panels, read-only.
-
-    Node j of panel k is (2k + 1 - _RATIO_PANELS) + x_j: its offset from
-    the window's centre in panel half-widths.  The weights are the rule's,
-    panel after panel.
-    """
-    import numpy as np
-    x, w = _leggauss(nodes)
-    t = np.add.outer(np.arange(1.0 - _RATIO_PANELS, _RATIO_PANELS, 2.0), x).ravel()
-    wt = np.tile(w, _RATIO_PANELS)
-    t.flags.writeable = False
-    wt.flags.writeable = False
-    return t, wt
+    return OracleResult(fine, abs(fine - coarse), _RATIO_PANELS * 3 * _OSC_NODES)
 
 
 def _ratio(weight, phase, a, b, nodes: int) -> complex:
     """The ratio on the composite rule of nodes points per panel."""
     import numpy as np
-    t, w = _panel_rule(nodes)
-    half = 0.5 * (b - a) / _RATIO_PANELS
-    # each node is rounded once, from the window's centre: nodes placed
-    # around rounded panel midpoints shift a whole panel at a time, which
-    # made the worst error on strongly oscillating ratios ~3x larger
-    p = 0.5 * (a + b) + half * t
-    wt = (half * w) * weight(p)
-    den = np.sum(wt)
+    p, w = _composite(a, 0.5 * (b - a) / _RATIO_PANELS, _RATIO_PANELS, nodes)
+    wt = (weight(p).reshape(_RATIO_PANELS, nodes) * w).ravel()
+    den = wt.sum()
     if not sys.float_info.min <= abs(den) < math.inf:
         # below the smallest normal double the sums carry few digits: on
         # exp(-p^2) over [27, 28] the ratio came out 2e-4 off
         raise ConvergenceError(
             f"weight integral {float(den)!r} is 0, subnormal or not finite")
     ph = phase(p)
-    return complex(np.dot(wt, np.cos(ph)), np.dot(wt, np.sin(ph))) / den
+    return complex((wt * np.cos(ph)).sum(), (wt * np.sin(ph)).sum()) / den
 
 
 def _mantissa(x: float) -> tuple[int, int]:
