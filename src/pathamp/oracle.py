@@ -25,9 +25,11 @@ points per segment or panel.
 Sums are elementwise numpy products reduced by .sum or math.fsum, never
 matrix products, so no BLAS kernel takes part, and no complex product
 of two complex arrays is formed, whose AVX2 loop fuses multiply-adds.
-So a value keeps its bits whichever SIMD or BLAS kernels the CPU
-selects, as long as the integrand's values do.  An error estimate may
-move in its last bit: numpy's complex abs differs between its SIMD loops.
+The moduli behind the error estimates are taken by np.hypot of the real
+and imaginary parts, not by numpy's complex abs, whose SIMD loops round
+differently.  So a value and its error estimate keep their bits
+whichever SIMD or BLAS kernels the CPU selects, as long as the
+integrand's values do.
 
 Monte Carlo uses numpy's PCG64 generator, constructed by name (not through
 default_rng, whose choice numpy may change), so a fixed seed gives
@@ -203,7 +205,7 @@ def quad_oscillatory(f: Callable, a: float, b: float, kappa: float,
                 vals = np.asarray(f(p), dtype=complex).reshape(n_seg, nodes)
                 sums.append((vals * w).sum(axis=1))
             # the 20-point rule's integral of |f|
-            moduli = float((np.abs(vals) * w).sum())
+            moduli = float((np.hypot(vals.real, vals.imag) * w).sum())
     except FloatingPointError as exc:
         raise ConvergenceError(f"oscillatory quadrature left float64: {exc}") from None
     coarse, fine = _fsum(sums[0]), _fsum(sums[1])
@@ -372,7 +374,8 @@ def quad_nested(order: int, kappa: float, delta_s: float,
                 half, terms = level(j, cheb, u, coef)
                 coef = (to_coef * (half * terms.sum(axis=1))).sum(axis=1)
         half, terms = level(order, np.array([-1.0]), g, coef)
-        return complex(half[0] * terms.sum()), half[0] * float(np.abs(terms).sum())
+        moduli = np.hypot(terms.real, terms.imag).sum()
+        return complex(half[0] * terms.sum()), half[0] * float(moduli)
 
     check_nodes, check_points = nodes // 2 or 2, cheb_points - 4
     value, moduli = run(nodes, cheb_points)

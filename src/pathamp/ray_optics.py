@@ -13,22 +13,11 @@ around the classical ray.
 from __future__ import annotations
 
 import math
-import sys
 
-from pathamp.core_num import (CONSTANTS, ConvergenceError, DiscrepancyFlag, DomainError,
-                              Record)
+from pathamp.core_num import CONSTANTS, DiscrepancyFlag, DomainError, Record
 
-_THETA_EPS = 1e-12
-
-# detector-angle bracket of the stationary-point searches, and the
-# absolute tolerance of their root search
-_WINDOW = (_THETA_EPS, math.pi / 2 - 1e-6)
-_XTOL = 1e-12
-
-# Relative tolerance and iteration cap of the bracketed root search
-# (the defaults of scipy.optimize.brentq).
-_BRENT_RTOL = 4 * sys.float_info.epsilon
-_BRENT_MAXITER = 100
+# detector-angle bracket of the stationary-point searches
+_WINDOW = (0.0, math.pi / 2 - 1e-6)
 
 
 class TotalInternalReflection(DomainError):
@@ -109,15 +98,17 @@ def snell_angle(n1: float, n2: float, theta_i: float) -> float:
     return math.asin(s)
 
 
-def _brentq(f, lo: float, hi: float, xtol: float) -> float:
-    """Root of f in the bracket [lo, hi] by the Brent-Dekker method
-    (Brent 1973, *Algorithms for Minimization without Derivatives*, ch. 4).
+class StationaryPoint(Record):
+    __slots__ = ("theta", "residual")
 
-    The steps and their order are those of scipy.optimize.brentq, so the
-    roots agree with it to the last bit.  The search stops when half the
-    bracket is below (xtol + rtol |x|)/2.  Raises DomainError if f is NaN
-    or has the same sign at both ends, ConvergenceError after
-    ``_BRENT_MAXITER`` steps.
+
+def _window_root(f) -> float:
+    """Root of f over the detector-angle window ``_WINDOW``, by bisection
+    until the bracket's ends are adjacent doubles; returns the end where
+    |f| is smaller, or a point where f is exactly 0.
+
+    Raises DomainError if f is NaN where it is evaluated or has the same
+    sign at both ends of the window.
     """
 
     def fx(x: float) -> float:
@@ -126,73 +117,27 @@ def _brentq(f, lo: float, hi: float, xtol: float) -> float:
             raise DomainError(f"residual is NaN at {x!r}")
         return y
 
-    xpre, xcur = lo, hi
-    fpre, fcur = fx(xpre), fx(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise DomainError("residual has the same sign at both ends of the bracket")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0 and fcur != 0 \
-                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # secant interpolation
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # inverse quadratic extrapolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) \
-                    / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = fx(xcur)
-    raise ConvergenceError(f"root search did not converge in {_BRENT_MAXITER} steps")
-
-
-class StationaryPoint(Record):
-    __slots__ = ("theta", "residual")
-
-
-def _window_root(f) -> float:
-    """Root of f over the detector-angle window ``_WINDOW``.
-
-    At normal incidence the root lies below the window (cos(pi/2) is
-    not 0 in floating point, so it sits near 6e-17 rad); when the window
-    has no sign change but [0, lo] has, that interval is searched.
-    Raises DomainError when neither has a sign change.
-    """
     lo, hi = _WINDOW
-    flo, fhi = f(lo), f(hi)
-    if flo * fhi > 0:
-        if f(0.0) * flo > 0:
-            raise DomainError(
-                f"no stationary point in window ({lo:.4g}, {hi:.4g}):"
-                f" residuals {flo:.4g}, {fhi:.4g}")
-        lo, hi = 0.0, lo
-    return _brentq(f, lo, hi, _XTOL)
+    flo, fhi = fx(lo), fx(hi)
+    if flo == 0:
+        return lo
+    if fhi == 0:
+        return hi
+    if (flo > 0) == (fhi > 0):
+        raise DomainError(
+            f"no stationary point in window ({lo:.4g}, {hi:.4g}):"
+            f" residuals {flo:.4g}, {fhi:.4g}")
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        fmid = fx(mid)
+        if fmid == 0:
+            return mid
+        if (fmid > 0) == (flo > 0):
+            lo, flo = mid, fmid
+        else:
+            hi, fhi = mid, fmid
+        mid = 0.5 * (lo + hi)
+    return lo if abs(flo) <= abs(fhi) else hi
 
 
 def stationary_phase_angle(geom: InterfaceGeometry) -> StationaryPoint:

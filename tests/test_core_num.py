@@ -11,6 +11,7 @@ from pathamp.core_num import (
     phase,
     truncated_cos,
     truncated_sin,
+    wavenumber,
 )
 
 
@@ -22,6 +23,24 @@ def test_constants_positive_and_consistent():
     assert abs(CONSTANTS.h_ev_s - 2 * math.pi * CONSTANTS.hbar_ev_s) \
         <= 1e-9 * CONSTANTS.h_ev_s
     assert CONSTANTS.hbar_mev_s == CONSTANTS.hbar_ev_s * 1e-6
+
+
+def test_wavenumber():
+    assert wavenumber(CONSTANTS.lambda_na_d) == 2.0 * math.pi / CONSTANTS.lambda_na_d
+
+
+@pytest.mark.parametrize("wavelength", [math.inf, -math.inf, math.nan])
+def test_wavenumber_refuses_non_finite_wavelength(wavelength):
+    # these gave a wavenumber of 0.0, -0.0 and nan
+    with pytest.raises(DomainError, match="wavelength must be finite"):
+        wavenumber(wavelength)
+
+
+@pytest.mark.parametrize("wavelength", [0.0, 5e-324])
+def test_wavenumber_refuses_overflow(wavelength):
+    with pytest.raises(DomainError, match=f"^wavelength {wavelength!r} gives no finite"
+                                          " wavenumber$"):
+        wavenumber(wavelength)
 
 
 def test_truncated_sin_low_orders():

@@ -143,6 +143,20 @@ class TestQuadOscillatory:
             if i < len(drawn):
                 assert abs(res.value - exact) <= 1e-6 * abs(exact), (kappa, x1, rho)
 
+    @pytest.mark.parametrize("wavelength, x1, rho_over_kappa, estimate", [
+        (589.3e-9, 0.5, 1e-7, "0x1.9354541d689dep-44"),
+        (400e-9, 0.5, 1e-6, "0x1.9250fa8e1f60fp-44")])
+    def test_tail_estimate_same_bits_on_every_kernel_set(self, wavelength, x1,
+                                                         rho_over_kappa, estimate):
+        # numpy's complex abs rounds differently in its AVX2 and pre-AVX2
+        # loops, which gave these estimates' last bits as ...9dep-44 and
+        # ...610p-44 on the one and ...9dcp-44 and ...60fp-44 on the other
+        kappa = 2.0 * math.pi / wavelength
+        rho = rho_over_kappa * kappa
+        res = quad_oscillatory(lambda r: np.exp(1j * kappa * r - rho * (r - x1)),
+                               x1, math.inf, kappa, damping_scale=1.0 / rho)
+        assert res.error_estimate.hex() == estimate
+
     def test_collapsed_tail_refused(self):
         # at x1 = 1e147 m a half period of 589.3 nm is below the spacing of
         # doubles, so every segment edge rounds to x1 and the sums would

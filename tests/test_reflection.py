@@ -106,6 +106,12 @@ class TestThinFilm:
         assert min(vals) >= 0.0
         assert np.mean(vals) == pytest.approx(2.0 * rho0, rel=1e-3)
 
+    @pytest.mark.parametrize("wavelength", [math.inf, math.nan])
+    def test_non_finite_wavelength_refused(self, wavelength):
+        # an infinite wavelength gave a coefficient of 0.0, a NaN one nan
+        with pytest.raises(DomainError, match="wavelength must be finite"):
+            thin_film_coeff(self.N, wavelength, 1e-7)
+
 
 class TestHalfZoneDerivation:
     def test_depth_integral_reproduces_coefficient(self):
