@@ -191,11 +191,12 @@ class _LazyParser:
     def __init__(self, **kwargs):
         self.kwargs = kwargs      # prog, from add_parser
         self.name = None
-        self.defaults = {}
 
-    def parse_known_args(self, args=None, namespace=None):
+    def parse_known_args(self, args, namespace=None):
+        # args are the tokens argparse routed to this subcommand, so the
+        # summary's argv starts at the subcommand and holds no global option
         parser = _Parser(**self.kwargs)
-        parser.set_defaults(**self.defaults)
+        parser.set_defaults(argv=[self.name, *args])
         for names, _unit, options in _command(self.name)[1]:
             parser.add_argument(*names.split(), **options)
         return parser.parse_known_args(args, namespace)
@@ -221,9 +222,8 @@ def _load_replay(path: str) -> tuple[list[str], int]:
     return argv, 0 if seed is None else seed
 
 
-def build_parser(seed: int) -> argparse.ArgumentParser:
-    """The command-line parser, one subparser per _COMMANDS entry; `seed`
-    is the default of `oracle --seed`."""
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, one subparser per _COMMANDS entry."""
     p = _Parser(
         prog="pathamp",
         description="Path-amplitude optics and flavour-oscillation calculator")
@@ -232,7 +232,6 @@ def build_parser(seed: int) -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="subcommand", parser_class=_LazyParser)
     for name in _COMMANDS:
         sub.add_parser(name).name = name
-    sub.choices["oracle"].defaults["seed"] = seed
     return p
 
 
@@ -250,19 +249,20 @@ def _run(argv: list[str], seed: int, replayed: bool) -> int:
     for a in argv:
         if a.startswith("-") and a.endswith("=--"):
             return _error_exit("ArgumentError", f"argument {a[:-3]}: expected one argument")
-    parser = build_parser(seed)
+    parser = build_parser()
     try:
         args = parser.parse_args(argv, _Args())
     except _ArgumentError as exc:
         return _error_exit("ArgumentError", str(exc))
+    if getattr(args, "seed", 0) is None:
+        # oracle without --seed takes the run's seed: 0, or the seed a
+        # replayed summary stores although its argv does not name it
+        args.seed = seed
 
     if args.config:
         if replayed:
             raise ConfigError("--config: a replayed summary cannot name another --config")
         replay, stored_seed = _load_replay(args.config)
-        # the stored seed becomes the default, so the summary's argv is
-        # replayed unchanged, and a summary that stores a seed its argv
-        # does not name replays with that seed
         return _run((["--out", args.out] if args.out else []) + replay,
                     stored_seed, replayed=True)
 
@@ -270,16 +270,11 @@ def _run(argv: list[str], seed: int, replayed: bool) -> int:
         parser.print_help()
         return 1
 
-    # raw argv without the global output options, so a stored summary
-    # replays the physics arguments exactly
-    raw = [a for i, a in enumerate(argv)
-           if not (a in ("--out", "--config")
-                   or (i > 0 and argv[i - 1] in ("--out", "--config")))]
     try:
         inputs, outputs, provenance, flags = _command(args.subcommand)[0](args)
         summary = {
             "command": args.subcommand,
-            "argv": raw,
+            "argv": args.argv,
             "inputs": inputs,
             "outputs": outputs,
             "provenance": ({k: "computed" for k in outputs}

@@ -59,8 +59,6 @@ def _oracle(args):
 
 
 COMMANDS = {
-    # the default of --seed is the run's seed: 0, or a replayed summary's
-    # stored seed (see cli.build_parser)
     "oracle": (_oracle, (
         ("--op", None, {"choices": ("mc-volume", "half-zone", "nested"),
                         "required": True}),

@@ -143,10 +143,12 @@ def complex_out(z: complex) -> dict:
 
 def wavenumber(wavelength: float) -> float:
     """2 pi / wavelength; DomainError for a wavelength that is not finite
-    (it would give 0 or NaN) and when 2 pi / wavelength is not a finite
-    double, as for a zero or subnormal wavelength."""
+    (it would give 0 or NaN) or is negative, and when 2 pi / wavelength is
+    not a finite double, as for a zero or subnormal wavelength."""
     if not math.isfinite(wavelength):
         raise DomainError(f"wavelength must be finite, got {wavelength!r}")
+    if wavelength < 0:
+        raise DomainError(f"wavelength must be positive, got {wavelength!r}")
     kappa = 2.0 * math.pi / wavelength if wavelength else math.inf
     if math.isinf(kappa):
         raise DomainError(f"wavelength {wavelength!r} gives no finite wavenumber")

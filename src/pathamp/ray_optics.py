@@ -60,23 +60,23 @@ class InterfaceGeometry(Record):
         return self.d / math.cos(theta)
 
 
-def displaced_lengths(geom: InterfaceGeometry, theta: float, phi: float,
+def displaced_lengths(geom: InterfaceGeometry, theta: float,
                       big_r: float, phi1: float) -> tuple[float, float]:
     """Leg lengths (r', l') after displacing the interface crossing by
-    (big_r, phi1) in the interface plane, for a detector at (theta, phi)."""
+    (big_r, phi1) in the interface plane, for a detector at polar angle
+    theta in the plane of incidence."""
     t = geom.d * math.tan(theta)
-    rp2 = ((t * math.cos(phi) - big_r * math.cos(phi1)) ** 2
-           + (t * math.sin(phi) - big_r * math.sin(phi1)) ** 2
+    rp2 = ((t - big_r * math.cos(phi1)) ** 2
+           + (big_r * math.sin(phi1)) ** 2
            + geom.d ** 2)
     lp = geom.segment + big_r * math.cos(phi1) * math.cos(geom.alpha)
     return math.sqrt(rp2), lp
 
 
 def path_phase(geom: InterfaceGeometry, kappa: float, theta: float,
-               phi: float = 0.0, big_r: float = 0.0,
-               phi1: float = 0.0) -> float:
+               big_r: float = 0.0, phi1: float = 0.0) -> float:
     """Optical phase kappa (n2 r' + n1 l') of the displaced trajectory."""
-    rp, lp = displaced_lengths(geom, theta, phi, big_r, phi1)
+    rp, lp = displaced_lengths(geom, theta, big_r, phi1)
     return kappa * (geom.n2 * rp + geom.n1 * lp)
 
 
@@ -166,7 +166,7 @@ def phase_curvature(geom: InterfaceGeometry, kappa: float, theta: float) -> floa
     in-plane (phi1 = 0), with step 1e-4 d; closed form
     kappa n2 cos^2(theta)/r."""
     step = 1e-4 * geom.d
-    f = lambda R: path_phase(geom, kappa, theta, 0.0, R, 0.0)
+    f = lambda R: path_phase(geom, kappa, theta, R)
     return (f(step) - 2.0 * f(0.0) + f(-step)) / step ** 2
 
 
@@ -228,7 +228,7 @@ def fermat_stationary_angle(geom: InterfaceGeometry) -> float:
         h = 1e-6 * geom.d
 
         def t_of_r(big_r: float) -> float:
-            rp, lp = displaced_lengths(geom, theta, 0.0, big_r, 0.0)
+            rp, lp = displaced_lengths(geom, theta, big_r, 0.0)
             return (lp * geom.n1 + rp * geom.n2) / CONSTANTS.c
 
         return (t_of_r(h) - t_of_r(-h)) / (2.0 * h)

@@ -88,8 +88,6 @@ def thin_film_coeff(n: float, wavelength: float, thickness: float) -> float:
     """
     if thickness <= 0:
         raise DomainError("thickness must be positive")
-    if wavelength <= 0:
-        raise DomainError("wavelength must be positive")
     kappa = wavenumber(wavelength)
     rho = reflection_coeff_path(1.0, n)
     return rho * abs(1.0 - phase_exp(2j * kappa * n * thickness, "2 kappa n thickness")) ** 2

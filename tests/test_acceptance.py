@@ -133,7 +133,7 @@ def test_criterion_06_refraction_series():
     t0 = time.perf_counter()
     kappa = 2.0
     for ds in (1.0, 5.0, 10.0):  # kappa*ds up to 20
-        res = quad_nested(3, kappa, ds, x=(0.4, 0.3, 0.2))
+        res = quad_nested(3, kappa, ds)
         closed = cmath.exp(1j * kappa * 0.4) * (1j / kappa) ** 3 \
             * refraction.scattering_order_kernel(3, kappa * ds)
         assert abs(res.value - closed) <= 1e-6 * abs(closed)

@@ -127,6 +127,27 @@ class TestRoundTrip:
         assert second == first
         assert replay_file.read_bytes() == first_file.read_bytes()
 
+    @pytest.mark.parametrize("out_form,config_form", [
+        (lambda p: [f"--out={p}"], lambda p: ["--config", p]),
+        (lambda p: ["--ou", p], lambda p: ["--config", p]),
+        (lambda p: ["--out", p], lambda p: [f"--config={p}"]),
+    ], ids=["out-equals", "out-abbreviated", "config-equals"])
+    def test_stored_argv_starts_at_the_subcommand(self, capsys, tmp_path,
+                                                  out_form, config_form):
+        # the stored argv once kept "--out=PATH" and "--ou PATH", so the
+        # replay wrote over PATH and never wrote the file --out named
+        first_file, replay_file = str(tmp_path / "s.json"), str(tmp_path / "t.json")
+        physics = ["reflect", "--n2", "1.5"]
+        code, first, err = run_cli(out_form(first_file) + physics, capsys)
+        assert code == 0, err
+        assert json.loads(first)["argv"] == physics
+        code, second, err = run_cli(config_form(first_file) + ["--out", replay_file],
+                                    capsys)
+        assert code == 0, err
+        assert second == first
+        with open(replay_file, "rb") as a, open(first_file, "rb") as b:
+            assert a.read() == b.read()
+
     def test_seed_changes_output(self, capsys):
         _, a, _ = run_cli(["oracle", "--op", "mc-volume", "--order", "4",
                            "--length", "1m", "--samples", "20000",

@@ -36,7 +36,14 @@ def test_wavenumber_refuses_non_finite_wavelength(wavelength):
         wavenumber(wavelength)
 
 
-@pytest.mark.parametrize("wavelength", [0.0, 5e-324])
+@pytest.mark.parametrize("wavelength", [-5e-7, -1.0, -5e-324])
+def test_wavenumber_refuses_negative_wavelength(wavelength):
+    # -5e-7 gave a wavenumber of -1.2566e7
+    with pytest.raises(DomainError, match=f"^wavelength must be positive, got {wavelength!r}$"):
+        wavenumber(wavelength)
+
+
+@pytest.mark.parametrize("wavelength", [0.0, -0.0, 5e-324])
 def test_wavenumber_refuses_overflow(wavelength):
     with pytest.raises(DomainError, match=f"^wavelength {wavelength!r} gives no finite"
                                           " wavenumber$"):

@@ -188,10 +188,10 @@ class TestQuadOscillatory:
 
 class TestQuadNested:
     def test_single_level_closed_form(self):
-        kappa, ds, x3 = 1.0, 2.0, 0.1
-        res = quad_nested(1, kappa, ds, x=(x3,))
+        kappa, ds, x1 = 1.0, 2.0, 0.1
+        res = quad_nested(1, kappa, ds, x1=x1)
         expected = (cmath.exp(1j * kappa * ds) - 1) \
-            * cmath.exp(1j * kappa * x3) / (1j * kappa)
+            * cmath.exp(1j * kappa * x1) / (1j * kappa)
         assert abs(res.value - expected) <= 1e-12 * abs(expected)
 
     @pytest.mark.parametrize("kappa,delta_s", [
@@ -210,7 +210,7 @@ class TestQuadNested:
             quad_nested(2, 1.0, 1.0, nodes=nodes)
 
     def test_accepts_largest_node_count(self):
-        res = quad_nested(1, 1.0, 2.0, x=(0.1,), nodes=100)
+        res = quad_nested(1, 1.0, 2.0, x1=0.1, nodes=100)
         expected = (cmath.exp(2j) - 1) * cmath.exp(0.1j) / 1j
         assert abs(res.value - expected) <= 1e-14 * abs(expected)
 
@@ -225,23 +225,21 @@ class TestQuadNested:
     @pytest.mark.parametrize("order,dphi", [(1, 2.0), (2, 2.0), (3, 2.0),
                                             (3, 7.5), (4, 5.0)])
     def test_matches_order_kernel(self, order, dphi):
-        kappa = 1.0
-        x = tuple(0.4 - 0.1 * k for k in range(order))
-        res = quad_nested(order, kappa, dphi / kappa, x=x)
-        closed = cmath.exp(1j * kappa * x[0]) * (1j / kappa) ** order \
+        kappa, x1 = 1.0, 0.4
+        res = quad_nested(order, kappa, dphi / kappa, x1=x1)
+        closed = cmath.exp(1j * kappa * x1) * (1j / kappa) ** order \
             * scattering_order_kernel(order, dphi)
         assert abs(res.value - closed) <= 1e-6 * abs(closed)
 
     @pytest.mark.parametrize("order,kappa,delta_s", [(1, 2.0, 1.5), (2, 0.5, 6.0),
                                                      (3, 1.7, 2.5), (4, 1.0, 5.0)])
     def test_nested_phase_integral_closed_form(self, order, kappa, delta_s):
-        # the default x starts at NESTED_X_START, the closed form's x1
+        # the default x1 is NESTED_X_START
         res = quad_nested(order, kappa, delta_s)
         closed = refraction.nested_phase_integral(order, kappa, delta_s,
                                                   oracle.NESTED_X_START)
         assert abs(res.value - closed) <= 1e-6 * abs(closed)
-        x = tuple(oracle.NESTED_X_START - 0.1 * k for k in range(order))
-        assert quad_nested(order, kappa, delta_s, x=x).value == res.value
+        assert quad_nested(order, kappa, delta_s, oracle.NESTED_X_START) == res
 
     def test_nested_phase_integral_at_unit_kappa_is_the_cli_form(self):
         for order in (1, 2, 3, 4):
@@ -260,31 +258,30 @@ class TestQuadNested:
         with pytest.raises(PreconditionError):
             quad_nested(5, 1.0, 1.0)
         with pytest.raises(PreconditionError):
-            quad_nested(1, -200.0, 1.0, x=(0.1,))
+            quad_nested(1, -200.0, 1.0, x1=0.1)
 
     @staticmethod
-    def _tensor_reference(order, kappa, delta_s, x, nodes):
+    def _tensor_reference(order, kappa, delta_s, x1, nodes):
         """The nested quadrature written out: the full tensor product of the
         nodes-point Gauss rule over every level, with the phase factor from
-        complex exp and no tabulation."""
+        complex exp and no tabulation.  The outermost leg starts at x1 and
+        every inner leg at 0."""
         glx, glw = np.polynomial.legendre.leggauss(nodes)
-        xs = (*x, 0.0)
 
         def level(j, rsum):
             # level j at each outer partial sum r_{j+1}+...+r_n in rsum
             if j == 0:
                 return 1.0
-            lo = xs[j - 1] - xs[j]
-            half = 0.5 * (delta_s - rsum + xs[j - 1] - lo)
-            r = lo + half[..., None] * (1.0 + glx)
+            half = 0.5 * (delta_s - rsum)
+            r = half[..., None] * (1.0 + glx)
             terms = glw * np.exp(1j * kappa * r) * level(j - 1, rsum[..., None] + r)
             return half * np.sum(terms, axis=-1)
 
         # the outermost nodes one at a time, so that no array holds more
         # than nodes**(order - 1) points
         half = 0.5 * delta_s
-        r = xs[order - 1] + half * (1.0 + glx)
-        return complex(half * sum(w * np.exp(1j * kappa * ri)
+        r = half * (1.0 + glx)
+        return complex(half * sum(w * np.exp(1j * kappa * (x1 + ri))
                                   * level(order - 1, np.array(ri))
                                   for w, ri in zip(glw, r)))
 
@@ -296,19 +293,23 @@ class TestQuadNested:
             return complex(mpmath.exp(1j * kappa * x1) * (1j / kappa) ** order
                            * kernel_tail(order, kappa * delta_s))
 
-    @pytest.mark.parametrize("order,kappa,delta_s,x,nodes", [
+    # x1 None takes the default start; the ids are spelt out so that they
+    # stay put when a value changes
+    @pytest.mark.parametrize("order,kappa,delta_s,x1,nodes", [
         (4, 1.0, 5.0, None, 64),
-        (4, 2.7, 1.9, (0.3, -0.1, -0.4, -0.9), 48),
-        (3, 2.7, 7.3, (0.2, -0.3, -0.5), 64),
-    ])
+        (4, 2.7, 1.9, 0.3, 48),
+        (3, 2.7, 7.3, 0.2, 64),
+    ], ids=["4-1.0-5.0-None-64", "4-2.7-1.9-x1-48", "3-2.7-7.3-x2-64"])
     def test_agrees_with_complex_exp_at_benchmark_sizes(
-            self, order, kappa, delta_s, x, nodes):
+            self, order, kappa, delta_s, x1, nodes):
         # the tabulated levels round differently from the tensor product,
         # so the two agree to rounding, not bit for bit
-        got = quad_nested(order, kappa, delta_s, x=x, nodes=nodes)
-        if x is None:
-            x = tuple(oracle.NESTED_X_START - 0.1 * k for k in range(order))
-        ref = self._tensor_reference(order, kappa, delta_s, x, nodes)
+        if x1 is None:
+            got = quad_nested(order, kappa, delta_s, nodes=nodes)
+            x1 = oracle.NESTED_X_START
+        else:
+            got = quad_nested(order, kappa, delta_s, x1, nodes)
+        ref = self._tensor_reference(order, kappa, delta_s, x1, nodes)
         assert abs(got.value - ref) <= 1e-14 * abs(ref)
         assert got.error_estimate >= abs(got.value - ref)
         m = math.ceil(abs(kappa) * delta_s) + 16
@@ -324,20 +325,20 @@ class TestQuadNested:
             order = 1 + i % 4
             dphi = math.exp(rng.uniform(math.log(0.1), math.log(20.0)))
             nodes = rng.randint(12, 24) if order == 4 else rng.randint(16, 64)
-            x = tuple(0.4 - 0.1 * k for k in range(order))
-            got = quad_nested(order, 1.0, dphi, x=x, nodes=nodes).value
-            closed = cmath.exp(1j * x[0]) * (1j) ** order \
+            got = quad_nested(order, 1.0, dphi, nodes=nodes).value
+            closed = cmath.exp(0.4j) * (1j) ** order \
                 * scattering_order_kernel(order, dphi)
             assert abs(got - closed) <= 1e-6 * abs(closed)
-            exact = self._mp_reference(order, 1.0, dphi, x[0])
+            exact = self._mp_reference(order, 1.0, dphi, 0.4)
             assert abs(got - exact) <= 1e-13 * abs(exact), (order, dphi, nodes)
-            tensor = self._tensor_reference(order, 1.0, dphi, x, nodes)
+            tensor = self._tensor_reference(order, 1.0, dphi, 0.4, nodes)
             assert abs(got - tensor) <= 1e-13 * abs(tensor), (order, dphi, nodes)
 
     def test_seeded_grid_matches_60_digit_reference(self):
         # orders 1-4 at the default nodes and order 4 also at 48 (the
         # benchmark's sizes), |kappa| delta_s log-uniform on [0.1, 50],
-        # kappa of either sign
+        # kappa of either sign; every other point draws x1 from
+        # [-1.5, 1.5], so large start phases stay covered
         rng = random.Random(21)
         for i in range(250):
             order = 1 + i % 4
@@ -347,17 +348,17 @@ class TestQuadNested:
             phase = math.exp(rng.uniform(math.log(0.1), math.log(50.0)))
             kappa = rng.choice((-1.0, 1.0)) * math.exp(rng.uniform(-1.0, 1.0))
             delta_s = phase / abs(kappa)
-            got = quad_nested(order, kappa, delta_s, nodes=nodes)
-            exact = self._mp_reference(order, kappa, delta_s,
-                                       oracle.NESTED_X_START)
+            x1 = rng.uniform(-1.5, 1.5) if i % 2 else oracle.NESTED_X_START
+            got = quad_nested(order, kappa, delta_s, x1, nodes)
+            exact = self._mp_reference(order, kappa, delta_s, x1)
             err = abs(got.value - exact)
             # order 1 cancels to |I_1| = 2|sin(kappa delta_s/2)|/|kappa|
             # near kappa delta_s = 2 pi k, so its rounding is measured
             # against delta_s, the sum of the moduli of its terms
             scale = delta_s if order == 1 else abs(exact)
-            assert err <= 1e-13 * scale, (order, kappa, delta_s, nodes)
+            assert err <= 1e-13 * scale, (order, kappa, delta_s, x1, nodes)
             if err > 1e-14 * abs(exact):
-                assert got.error_estimate >= err, (order, kappa, delta_s, nodes)
+                assert got.error_estimate >= err, (order, kappa, delta_s, x1, nodes)
 
     def test_error_estimate_covers_an_unresolved_rule(self):
         # 8 Gauss points over kappa delta_s = 30 are about 35 off in
@@ -387,8 +388,8 @@ class TestQuadNested:
     pytest.param(lambda: scattering_order_kernel(2.5, 1.0), id="kernel-float-order"),
     pytest.param(lambda: refraction.nested_volume_integral(2.5, 1.0),
                  id="volume-float-order"),
-    pytest.param(lambda: quad_nested(2, 1.0, 1.0, x=(0.4, math.nan)), id="quad-nan-x"),
-    pytest.param(lambda: quad_nested(2, 1.0, 1.0, x=(0.4, math.inf)), id="quad-inf-x"),
+    pytest.param(lambda: quad_nested(2, 1.0, 1.0, x1=math.nan), id="quad-nan-x1"),
+    pytest.param(lambda: quad_nested(2, 1.0, 1.0, x1=math.inf), id="quad-inf-x1"),
     pytest.param(lambda: scattering_order_kernel(2, math.inf), id="kernel-inf-dphi"),
     pytest.param(lambda: scattering_order_kernel(300, 2000.0), id="kernel-overflow"),
     pytest.param(lambda: refraction.nested_phase_integral(2, 1e-300, 1.0, 0.4),

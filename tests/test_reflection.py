@@ -112,6 +112,13 @@ class TestThinFilm:
         with pytest.raises(DomainError, match="wavelength must be finite"):
             thin_film_coeff(self.N, wavelength, 1e-7)
 
+    @pytest.mark.parametrize("wavelength,message", [
+        (0.0, "wavelength 0.0 gives no finite wavenumber"),
+        (-6e-7, "wavelength must be positive, got -6e-07")], ids=["zero", "negative"])
+    def test_zero_or_negative_wavelength_refused_as_by_wavenumber(self, wavelength, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            thin_film_coeff(self.N, wavelength, 1e-7)
+
 
 class TestHalfZoneDerivation:
     def test_depth_integral_reproduces_coefficient(self):

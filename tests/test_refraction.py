@@ -232,7 +232,7 @@ class TestTimeBudgetFactor:
 
     def test_order3_kernel_against_nested_quadrature(self):
         dphi = 2.0
-        res = quad_nested(3, 1.0, dphi, x=(0.4, 0.3, 0.2))
+        res = quad_nested(3, 1.0, dphi)
         closed = cmath.exp(0.4j) * 1j ** 3 * scattering_order_kernel(3, dphi)
         assert abs(res.value - closed) <= 1e-6 * abs(closed)
 
@@ -240,7 +240,7 @@ class TestTimeBudgetFactor:
         # closed-form kernel sign pattern at fourth order, checked against
         # the recursive integral directly
         dphi = 5.0
-        res = quad_nested(4, 1.0, dphi, x=(0.4, 0.3, 0.2, 0.1), nodes=48)
+        res = quad_nested(4, 1.0, dphi, nodes=48)
         closed = cmath.exp(0.4j) * 1j ** 4 * scattering_order_kernel(4, dphi)
         assert abs(res.value - closed) <= 1e-6 * abs(closed)
 
