@@ -216,6 +216,12 @@ def _load_replay(path: str) -> tuple[list[str], int]:
     argv = stored.get("argv")
     if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
         raise ConfigError(f"--config: {path!r} has no 'argv' list of strings")
+    first = argv[0] if argv else ""
+    if first.startswith("--config"):
+        raise ConfigError("--config: a replayed summary cannot name another --config")
+    if first not in _COMMANDS:
+        raise ConfigError(f"--config: {path!r} stores an argv that starts at {first!r},"
+                          " not at a subcommand")
     seed = stored.get("seed")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise ConfigError(f"--config: {path!r} has a non-integer 'seed'")
@@ -238,12 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        return _run(argv, 0, replayed=False)
+        return _run(argv, 0)
     except ConfigError as exc:
         return _error_exit(type(exc).__name__, str(exc))
 
 
-def _run(argv: list[str], seed: int, replayed: bool) -> int:
+def _run(argv: list[str], seed: int) -> int:
     # argparse (3.11) turns the value of "--flag=--" into [] and skips its
     # type and choices checks
     for a in argv:
@@ -260,11 +266,12 @@ def _run(argv: list[str], seed: int, replayed: bool) -> int:
         args.seed = seed
 
     if args.config:
-        if replayed:
-            raise ConfigError("--config: a replayed summary cannot name another --config")
+        if args.subcommand:
+            raise ConfigError(f"--config replays a whole run: drop the {args.subcommand!r}"
+                              " subcommand given beside it")
         replay, stored_seed = _load_replay(args.config)
-        return _run((["--out", args.out] if args.out else []) + replay,
-                    stored_seed, replayed=True)
+        # the replayed argv starts at its subcommand, so it names no --config
+        return _run((["--out", args.out] if args.out else []) + replay, stored_seed)
 
     if not args.subcommand:
         parser.print_help()

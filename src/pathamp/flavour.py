@@ -28,17 +28,6 @@ NEUTRINO_REFERENCE_DAMPING_EXP = 4.0e-16  # quoted lifetime damping at unit phas
 PHOTON_SLIT_REFERENCE_DAMPING = 1.8e-11   # quoted per-fringe damping coefficient
 
 
-class InterferenceBreakdown(Record):
-    __slots__ = ("probability", "direct_a", "direct_b", "interference")
-
-
-def combine_two_amplitudes(a: complex, b: complex) -> InterferenceBreakdown:
-    """|a + b|^2 decomposed into |a|^2 + |b|^2 + 2|a||b|cos(phi_b - phi_a)."""
-    pa, pb = abs(a) ** 2, abs(b) ** 2
-    inter = 2.0 * (a.conjugate() * b).real
-    return InterferenceBreakdown(abs(a + b) ** 2, pa, pb, inter)
-
-
 # --------------------------------------------------------------------------
 # Young double slit
 

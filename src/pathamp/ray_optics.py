@@ -162,12 +162,11 @@ def stationary_phase_angle(geom: InterfaceGeometry) -> StationaryPoint:
 
 
 def phase_curvature(geom: InterfaceGeometry, kappa: float, theta: float) -> float:
-    """Finite-difference d^2(phase)/d(big_r)^2 at the stationary point,
-    in-plane (phi1 = 0), with step 1e-4 d; closed form
-    kappa n2 cos^2(theta)/r."""
-    step = 1e-4 * geom.d
-    f = lambda R: path_phase(geom, kappa, theta, R)
-    return (f(step) - 2.0 * f(0.0) + f(-step)) / step ** 2
+    """In-plane curvature d^2(phase)/d(big_r)^2 of ``path_phase`` at zero
+    displacement: kappa n2 cos^2(theta)/r with r = d/cos(theta).  Only the
+    outgoing leg r' = sqrt((d tan(theta) - big_r)^2 + d^2) bends, and
+    d^2 r'/d big_r^2 = d^2/r^3 there, at any theta."""
+    return kappa * geom.n2 * math.cos(theta) ** 2 / geom.detector_r(theta)
 
 
 class TrajectorySpread(Record):

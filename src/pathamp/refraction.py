@@ -94,18 +94,6 @@ class MediumSpec(Record):
         if self.density <= 0 or self.thickness <= 0:
             raise DomainError("density and thickness must be positive")
 
-    def index(self, wavelength: float) -> float:
-        """Refractive index at the given vacuum wavelength."""
-        return refractive_index(self.density, self.scattering_length, wavelength)
-
-    def beta_coefficient(self, kappa: float) -> float:
-        """Scattering strength per unit length, 2 pi N a / kappa (1/m)."""
-        return 2.0 * math.pi * self.density * self.scattering_length / kappa
-
-    def beta_l(self, kappa: float) -> float:
-        """Dimensionless scattering strength of the full thickness."""
-        return self.beta_coefficient(kappa) * self.thickness
-
 
 def thin_sheet_phase_shift(medium: MediumSpec, kappa: float) -> float:
     """Phase advance 2 pi N a delta / kappa from single forward scattering
@@ -470,43 +458,25 @@ def boundary_radial_limit(boundary, x1: float, phi1: float) -> float:
     phi1 leaves the medium, for a detection plane x1 past the scattering
     plane.  Small-angle form x1 + R1(phi1)^2/(2 x1).
 
-    For a rectangle the azimuth selects which side is hit (sectors bounded
-    by the corner directions); for a circle displaced by y the limit loses
-    its phi1 dependence only when y = 0.
+    phi1 is measured anticlockwise from +z towards +y.  For a rectangle the
+    signs of cos phi1 and sin phi1 pick the z side and the y side the ray
+    heads for, and it leaves through the nearer of the two; for a circle
+    displaced by y the limit loses its phi1 dependence only when y = 0.
     """
     if x1 <= 0:
         raise DomainError("x1 must be positive")
-    phi = math.fmod(phi1, 2.0 * math.pi)
-    if phi < 0:
-        phi += 2.0 * math.pi
-
+    c, s = math.cos(phi1), math.sin(phi1)
     if isinstance(boundary, CircularBoundary):
-        rad = boundary.radius ** 2 - (boundary.y * math.cos(phi)) ** 2
-        transverse = math.sqrt(rad) - boundary.y * math.sin(phi)
-        if transverse <= 0:
-            raise DomainError("boundary point behind the axis plane")
-        return x1 + transverse ** 2 / (2.0 * x1)
-
-    if isinstance(boundary, RectangularBoundary):
-        hz_plus = boundary.l_z / 2 - boundary.z
-        hz_minus = boundary.l_z / 2 + boundary.z
-        hy_plus = boundary.l_y / 2 - boundary.y
-        hy_minus = boundary.l_y / 2 + boundary.y
-        # corner azimuths, anticlockwise from the +z direction
-        c1 = math.atan2(hy_plus, hz_plus)
-        c2 = math.atan2(hy_plus, -hz_minus)
-        c3 = math.atan2(-hy_minus, -hz_minus) + 2.0 * math.pi
-        c4 = math.atan2(-hy_minus, hz_plus) + 2.0 * math.pi
-        if c1 <= phi < c2:
-            transverse = hy_plus / math.sin(phi)
-        elif c2 <= phi < c3:
-            transverse = -hz_minus / math.cos(phi)
-        elif c3 <= phi < c4:
-            transverse = -hy_minus / math.sin(phi)
-        else:
-            transverse = hz_plus / math.cos(phi)
-        if transverse <= 0:
-            raise DomainError("boundary point behind the axis plane")
-        return x1 + transverse ** 2 / (2.0 * x1)
-
-    raise DomainError(f"unsupported boundary {boundary!r}")
+        transverse = math.sqrt(boundary.radius ** 2 - (boundary.y * c) ** 2) \
+            - boundary.y * s
+    elif isinstance(boundary, RectangularBoundary):
+        h_z = boundary.l_z / 2 - boundary.z if c > 0 else boundary.l_z / 2 + boundary.z
+        h_y = boundary.l_y / 2 - boundary.y if s > 0 else boundary.l_y / 2 + boundary.y
+        # the ray leaves through the side it reaches first; of all doubles
+        # only phi1 = 0 has sin phi1 = 0, and there it heads for the +z side
+        transverse = min(h_z / abs(c), h_y / abs(s)) if s else h_z / abs(c)
+    else:
+        raise DomainError(f"unsupported boundary {boundary!r}")
+    if transverse <= 0:
+        raise DomainError("boundary point behind the axis plane")
+    return x1 + transverse ** 2 / (2.0 * x1)

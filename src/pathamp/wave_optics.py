@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from pathamp.core_num import CONSTANTS, DomainError, PreconditionError, Record, phase_exp
+from pathamp.core_num import CONSTANTS, DomainError, Record, phase_exp
 from pathamp.propagators import EmitterSpec
 
 
@@ -42,25 +42,6 @@ def spherical_wave(kappa: float, r1: float) -> complex:
     if r1 <= 0:
         raise DomainError("r1 must be positive")
     return cmath.exp(1j * kappa * r1) / r1
-
-
-def helmholtz_residual(kappa: float, r1: float, step: float) -> float:
-    """Relative residual |lap U + kappa^2 U| / |kappa^2 U| of the spherical
-    wave, with the radial Laplacian (1/r) d^2(r U)/dr^2 evaluated by a
-    second-order central difference of step ``step``.
-    """
-    if step <= 0:
-        raise DomainError("step must be positive")
-    if step >= 0.1 / kappa:
-        raise PreconditionError("step must be well below 1/kappa")
-    if step >= r1:
-        raise PreconditionError("step must be well below r1")
-    u0 = spherical_wave(kappa, r1)
-    num = ((r1 + step) * spherical_wave(kappa, r1 + step)
-           - 2.0 * r1 * u0
-           + (r1 - step) * spherical_wave(kappa, r1 - step))
-    lap = num / (r1 * step * step)
-    return abs(lap + kappa * kappa * u0) / abs(kappa * kappa * u0)
 
 
 def diffraction_amplitude(kappa: float, alpha: float, alpha1: float) -> complex:

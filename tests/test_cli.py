@@ -148,6 +148,30 @@ class TestRoundTrip:
         with open(replay_file, "rb") as a, open(first_file, "rb") as b:
             assert a.read() == b.read()
 
+    @pytest.mark.parametrize("argv", [
+        ["--out=a.json", "reflect", "--n2", "1.5"],
+        ["--ou", "a.json", "reflect", "--n2", "1.5"],
+        [],
+    ], ids=["out-equals", "out-abbreviated", "empty"])
+    def test_replayed_argv_must_start_at_a_subcommand(self, capsys, tmp_path, argv,
+                                                      monkeypatch):
+        # a summary written before the stored argv started at the subcommand
+        # kept "--out=a.json" first: its replay wrote over a.json, never
+        # wrote the file --out named, and exited 0
+        monkeypatch.chdir(tmp_path)
+        stored, replay_file = tmp_path / "a.json", tmp_path / "b.json"
+        stored.write_text(json.dumps({"argv": argv}))
+        first = argv[0] if argv else ""
+        before = stored.read_bytes()
+        code, out, err = run_cli(["--config", str(stored), "--out", str(replay_file)],
+                                 capsys)
+        assert (code, out) == (2, "")
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigError"
+        assert f"starts at {first!r}, not at a subcommand" in payload["message"]
+        assert stored.read_bytes() == before
+        assert not replay_file.exists()
+
     def test_seed_changes_output(self, capsys):
         _, a, _ = run_cli(["oracle", "--op", "mc-volume", "--order", "4",
                            "--length", "1m", "--samples", "20000",
@@ -689,6 +713,17 @@ class TestErrorContract:
         path.write_text(json.dumps({"argv": ["--config", str(path)]}))
         code, out, err = run_cli(["--config", str(path)], capsys)
         self._assert_config_error(code, out, err, "another --config")
+
+    def test_config_refuses_a_subcommand_beside_it(self, capsys, tmp_path):
+        # the snell arguments were once dropped without a word and the
+        # stored reflect run replayed
+        path = tmp_path / "r.json"
+        code, _, _ = run_cli(["--out", str(path), "reflect", "--n2", "1.5"], capsys)
+        assert code == 0
+        code, out, err = run_cli(["--config", str(path), "snell", "--n1", "1.5",
+                                  "--n2", "1.0", "--theta-i", "30deg"], capsys)
+        self._assert_config_error(code, out, err, "--config replays a whole run")
+        assert "'snell'" in json.loads(err)["message"]
 
     @pytest.mark.parametrize("argv", [
         ["--out", "{path}", "reflect", "--n2", "1.5"],

@@ -17,7 +17,6 @@ from pathamp.flavour import (
     NeutrinoExperiment,
     SlitGeometry,
     classify_experiment,
-    combine_two_amplitudes,
     electron_double_slit,
     electron_phase_difference,
     emission_time_offset_closed_form,
@@ -36,24 +35,6 @@ from pathamp.flavour import (
 )
 
 HBARC_MEV_M = CONSTANTS.hbarc_ev_m * 1e-6
-
-
-class TestCombineTwoAmplitudes:
-    def test_equal_amplitudes_quadruple(self):
-        a = 0.3 + 0.4j
-        res = combine_two_amplitudes(a, a)
-        assert res.probability == pytest.approx(4 * abs(a) ** 2, rel=1e-14)
-
-    def test_opposite_amplitudes_cancel(self):
-        a = 0.3 + 0.4j
-        assert combine_two_amplitudes(a, -a).probability == 0.0
-
-    @given(st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2))
-    def test_decomposition_identity(self, ar, ai, br, bi):
-        a, b = complex(ar, ai), complex(br, bi)
-        res = combine_two_amplitudes(a, b)
-        total = res.direct_a + res.direct_b + res.interference
-        assert abs(res.probability - total) <= 1e-14 * max(1.0, abs(total))
 
 
 GEOM = SlitGeometry(l=0.10, r_prime=1.0, d=0.95e-3, h=0.1e-3, w=1e-3)

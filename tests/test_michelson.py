@@ -123,6 +123,12 @@ class TestPressureBroadening:
     def test_parallel_combination(self):
         assert pressure_broadening(2.0, 2.0) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("tau_nat,tau_p", [(0.0, 0.207e-9), (12.4e-9, 0.0)],
+                             ids=["tau_nat", "tau_p"])
+    def test_zero_lifetime_refused(self, tau_nat, tau_p):
+        with pytest.raises(DomainError, match="positive"):
+            pressure_broadening(tau_nat, tau_p)
+
 
 class TestLifetimeAnalysis:
     def test_blue_hydrogen_row(self):

@@ -33,6 +33,10 @@ class TestCovariant:
             OnShellParticle(1.0, 0.0) and covariant_propagator(
                 OnShellParticle(1.0, 0.0), 1.0, 1.0)
 
+    def test_zero_flight_time_refused(self):
+        with pytest.raises(DomainError, match="dt must be positive"):
+            covariant_propagator(OnShellParticle(0.0, 1.0), 2.0, 0.0)
+
     def test_beta_consistency_enforced(self):
         p = OnShellParticle(1.0, 0.6)
         with pytest.raises(PreconditionError):

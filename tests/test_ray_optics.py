@@ -223,10 +223,13 @@ class TestCurvatureAndSpread:
     THETA = snell_angle(1.5, 1.0, math.radians(30.0))
 
     def test_curvature_matches_closed_form(self):
-        r = self.GEOM.detector_r(self.THETA)
-        expected = KAPPA * self.GEOM.n2 * math.cos(self.THETA) ** 2 / r
-        fd = phase_curvature(self.GEOM, KAPPA, self.THETA)
-        assert fd == pytest.approx(expected, rel=1e-6)
+        # second central difference of the displaced path phase, step 1e-4 d;
+        # the closed form holds off the stationary point too
+        step = 1e-4 * self.GEOM.d
+        for theta in (self.THETA, 0.0, 1.0):
+            f = lambda big_r: path_phase(self.GEOM, KAPPA, theta, big_r)
+            fd = (f(step) - 2.0 * f(0.0) + f(-step)) / step ** 2
+            assert phase_curvature(self.GEOM, KAPPA, theta) == pytest.approx(fd, rel=1e-6)
 
     def test_pi_phase_across_angular_spread(self):
         # moving the crossing point by dR = r dtheta / cos(theta) with

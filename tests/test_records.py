@@ -28,7 +28,6 @@ _FLAG = DiscrepancyFlag("q", 1.0, 2.0, "note")
 # class -> (valid positional arguments, {field: default} of the omitted fields)
 CASES = {
     DiscrepancyFlag: (("q", 1.0, 2.0), {"note": ""}),
-    flavour.InterferenceBreakdown: ((0.68, 0.1, 0.2, 0.38), {}),
     flavour.SlitGeometry: ((0.1, 1.0, 0.95e-3, 0.1e-3, 1e-3), {}),
     flavour.PhotonSlitResult: ((_GEOM, 1.07e7, 5.4e-9, 2.9e-5, 1.8e-7, (_FLAG,)), {}),
     flavour.ElectronBeam: ((229.0, 1.374e-4), {}),

@@ -112,6 +112,12 @@ class TestEffectiveVelocity:
         v = effective_velocity(0.5, 1.001)
         assert v.relative_difference < 2.5e-7
 
+    @pytest.mark.parametrize("f,n,regime", [(0.5, 1.001, "thin-sheet"),
+                                            (1.0, 1.5, "thick-block")])
+    def test_regime_set_by_n_minus_one_times_f(self, f, n, regime):
+        # (n - 1) f is 5e-4 and 0.5 here, either side of the 1e-3 threshold
+        assert effective_velocity(f, n).regime == regime
+
     @pytest.mark.parametrize("f,n", [(0.5, math.inf), (0.0, math.inf),
                                      (0.5, math.nan), (0.0, math.nan)])
     def test_refuses_non_finite_index(self, f, n):
@@ -343,6 +349,18 @@ class TestBoundaryRadialLimit:
         below = boundary_radial_limit(b, 0.5, corner - 1e-9)
         above = boundary_radial_limit(b, 0.5, corner + 1e-9)
         assert below == pytest.approx(above, rel=1e-6)
+
+    @pytest.mark.parametrize("phi1,h", [
+        (0.0, 0.02 + 0.005), (math.pi / 2, 0.03 - 0.01),
+        (math.pi, 0.02 - 0.005), (3 * math.pi / 2, 0.03 + 0.01)],
+        ids=["+z", "+y", "-z", "-y"])
+    def test_off_centre_rectangle_side_by_side(self, phi1, h):
+        # along each axis direction the ray meets the side it heads for, at
+        # l_z/2 - z, l_y/2 - y, l_z/2 + z and l_y/2 + y from the axis
+        b = RectangularBoundary(l_y=0.06, l_z=0.04, y=0.01, z=-0.005)
+        x1 = 0.5
+        assert boundary_radial_limit(b, x1, phi1) \
+            == pytest.approx(x1 + h ** 2 / (2 * x1), rel=1e-12)
 
     def test_displaced_circle_depends_on_azimuth(self):
         b = CircularBoundary(radius=0.034, y=0.015)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from pathamp.core_num import CONSTANTS, DomainError, PreconditionError
+from pathamp.core_num import CONSTANTS, DomainError
 from pathamp.oracle import damped_radial_integral
 from pathamp.propagators import EmitterSpec
 from pathamp.wave_optics import (
@@ -11,7 +11,6 @@ from pathamp.wave_optics import (
     diffraction_amplitude,
     direct_factor,
     half_period_zone_integral,
-    helmholtz_residual,
     hole_path_amplitude,
     huygens_zone_value,
     plane_sum_factor,
@@ -41,32 +40,39 @@ class TestSphericalWave:
 
 
 class TestHelmholtz:
+    @staticmethod
+    def residual(u, kappa, r1, step):
+        """Relative residual |lap u + kappa^2 u| / |kappa^2 u| of the field
+        u(r) at r1, with the radial Laplacian (1/r) d^2(r u)/dr^2 taken by
+        a second-order central difference of the given step."""
+        num = ((r1 + step) * u(r1 + step) - 2.0 * r1 * u(r1)
+               + (r1 - step) * u(r1 - step))
+        lap = num / (r1 * step * step)
+        return abs(lap + kappa * kappa * u(r1)) / abs(kappa * kappa * u(r1))
+
     def test_spherical_wave_satisfies_equation(self):
-        assert helmholtz_residual(1.0e7, 1.0, 1.0e-9) < 1e-4
+        kappa = 1.0e7
+        u = lambda r: spherical_wave(kappa, r)
+        assert self.residual(u, kappa, 1.0, 1.0e-9) < 1e-4
 
     def test_plane_phase_without_falloff_fails(self):
         # e^{i kappa r} alone leaves a residual ~ 2/(kappa r), far above the
         # true solution's; kappa is kept moderate so the 2/(kappa r) signal
         # dominates the finite-difference truncation noise
         kappa, r1, step = 1.0e4, 1.0, 1.0e-6
-        u = lambda r: cmath.exp(1j * kappa * r)
-        num = ((r1 + step) * u(r1 + step) - 2 * r1 * u(r1)
-               + (r1 - step) * u(r1 - step))
-        lap = num / (r1 * step * step)
-        residual = abs(lap + kappa ** 2 * u(r1)) / abs(kappa ** 2 * u(r1))
+        plane = lambda r: cmath.exp(1j * kappa * r)
+        residual = self.residual(plane, kappa, r1, step)
         assert residual == pytest.approx(2.0 / (kappa * r1), rel=1e-2)
-        assert residual > 10 * helmholtz_residual(kappa, r1, step)
+        spherical = lambda r: spherical_wave(kappa, r)
+        assert residual > 10 * self.residual(spherical, kappa, r1, step)
 
     def test_second_order_convergence(self):
         # steps chosen so truncation dominates phase-rounding noise
         kappa, r1 = 1.0e6, 1.0
-        r_coarse = helmholtz_residual(kappa, r1, 2.0e-8)
-        r_fine = helmholtz_residual(kappa, r1, 1.0e-8)
+        u = lambda r: spherical_wave(kappa, r)
+        r_coarse = self.residual(u, kappa, r1, 2.0e-8)
+        r_fine = self.residual(u, kappa, r1, 1.0e-8)
         assert r_coarse / r_fine == pytest.approx(4.0, rel=0.15)
-
-    def test_step_guard(self):
-        with pytest.raises(PreconditionError):
-            helmholtz_residual(1.0e7, 1.0, 1.0e-7)
 
 
 class TestDiffractionAmplitude:
@@ -85,6 +91,10 @@ class TestDiffractionAmplitude:
     def test_grazing_vanishes(self):
         a = diffraction_amplitude(1.0e7, math.pi / 2, math.pi / 2)
         assert abs(a) < 1e-9
+
+    def test_zero_kappa_refused(self):
+        with pytest.raises(DomainError, match="kappa must be positive"):
+            diffraction_amplitude(0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("kappa,alpha,alpha1", [
         (math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0),
