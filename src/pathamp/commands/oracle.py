@@ -18,8 +18,10 @@ def _oracle(args):
     quadrature's error estimate (--dphi 0, an empty path-length budget, or
     an order-1 run at --dphi 2*pi), or a half-zone run whose damped integral
     is 0."""
-    from pathamp import oracle, refraction, wave_optics
+    from pathamp import oracle
+    # each op imports only the closed-form module it checks
     if args.op == "mc-volume":
+        from pathamp import refraction
         n, length = _order(args), args.quantity("--length")
         res = oracle.mc_ordered_volume(n, length, args.samples, seed=args.seed)
         target = refraction.nested_volume_integral(n, length)
@@ -28,6 +30,7 @@ def _oracle(args):
                    "sigmas_off": abs(res.value.real - target)
                    / res.error_estimate if res.error_estimate else 0.0}
     elif args.op == "half-zone":
+        from pathamp import wave_optics
         kappa = wavenumber(args.quantity("--wavelength"))
         x1 = args.quantity("--x1")
         rho = kappa * args.quantity("--rho-over-kappa")
@@ -40,6 +43,7 @@ def _oracle(args):
                    "damped": complex_out(damped),
                    "relative_difference": abs(analytic - damped) / abs(damped)}
     else:  # nested
+        from pathamp import refraction
         n, dphi = _order(args), args.quantity("--dphi")
         res = oracle.quad_nested(n, 1.0, dphi)
         closed = refraction.nested_phase_integral(n, 1.0, dphi, oracle.NESTED_X_START)

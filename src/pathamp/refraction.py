@@ -462,7 +462,10 @@ def boundary_radial_limit(boundary, x1: float, phi1: float) -> float:
     signs of cos phi1 and sin phi1 pick the z side and the y side the ray
     heads for, and it leaves through the nearer of the two; for a circle
     displaced by y the limit loses its phi1 dependence only when y = 0.
+    A non-finite x1 or phi1, or an x1 that is not > 0, raises DomainError.
     """
+    if not (math.isfinite(x1) and math.isfinite(phi1)):
+        raise DomainError(f"x1 and phi1 must be finite, got {x1!r}, {phi1!r}")
     if x1 <= 0:
         raise DomainError("x1 must be positive")
     c, s = math.cos(phi1), math.sin(phi1)

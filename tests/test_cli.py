@@ -910,19 +910,23 @@ class TestImportGuard:
         assert code == 2
         assert not modules & _HEAVY
 
-    @pytest.mark.parametrize("argv", [
-        pytest.param(["oracle", "--op", "nested", "--order", "2"],
+    @pytest.mark.parametrize("argv,other", [
+        pytest.param(["oracle", "--op", "nested", "--order", "2"], "pathamp.wave_optics",
                      id="oracle-nested"),
-        pytest.param(["oracle", "--op", "half-zone"], id="half-zone"),
-        pytest.param(["oracle", "--op", "mc-volume"], id="mc-volume"),
+        pytest.param(["oracle", "--op", "half-zone"], "pathamp.refraction", id="half-zone"),
+        pytest.param(["oracle", "--op", "mc-volume"], "pathamp.wave_optics", id="mc-volume"),
     ])
-    def test_array_work_still_loads_numpy(self, argv, tmp_path):
+    def test_array_work_still_loads_numpy(self, argv, other, tmp_path):
         code, modules = _loaded_modules(argv, tmp_path)
         assert code == 0
         assert "numpy" in modules
         assert "dataclasses" not in modules
         # only oracle.series_sum_highprec needs mpmath, and no command calls it
         assert "mpmath" not in modules
+        # the oracle builds its own Gauss rules, and an op loads only the
+        # closed-form module it checks
+        assert "numpy.polynomial" not in modules
+        assert other not in modules
 
 
 class TestPackaging:

@@ -387,6 +387,18 @@ class TestBoundaryRadialLimit:
                                abs(swing) / 2.0)
         assert abs(res.value) < 0.05 * 2 * math.pi
 
+    @pytest.mark.parametrize("x1,phi1", [
+        (math.nan, 0.0), (math.inf, 0.0), (0.5, math.nan), (0.5, math.inf),
+        (0.5, -math.inf)], ids=["x1-nan", "x1-inf", "phi1-nan", "phi1-inf", "phi1-minus-inf"])
+    @pytest.mark.parametrize("boundary", [
+        CircularBoundary(radius=0.03), RectangularBoundary(l_y=0.08, l_z=0.04)],
+        ids=["circle", "rectangle"])
+    def test_non_finite_input_refused(self, boundary, x1, phi1):
+        # NaN came back as NaN, x1 = inf as inf, and phi1 = +-inf raised a
+        # bare ValueError from math.cos
+        with pytest.raises(DomainError, match="finite"):
+            boundary_radial_limit(boundary, x1, phi1)
+
     def test_interior_required(self):
         with pytest.raises(DomainError):
             CircularBoundary(radius=0.03, y=0.05)
