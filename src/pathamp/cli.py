@@ -202,8 +202,8 @@ class _LazyParser:
         return parser.parse_known_args(args, namespace)
 
 
-def _load_replay(path: str) -> tuple[list[str], int]:
-    """The argv and the seed (0 if absent) of an emitted summary."""
+def _load_replay(path: str) -> list[str]:
+    """The argv of an emitted summary."""
     try:
         with open(path) as fh:
             stored = json.load(fh)
@@ -222,10 +222,7 @@ def _load_replay(path: str) -> tuple[list[str], int]:
     if first not in _COMMANDS:
         raise ConfigError(f"--config: {path!r} stores an argv that starts at {first!r},"
                           " not at a subcommand")
-    seed = stored.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise ConfigError(f"--config: {path!r} has a non-integer 'seed'")
-    return argv, 0 if seed is None else seed
+    return argv
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,13 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    try:
-        return _run(argv, 0)
-    except ConfigError as exc:
-        return _error_exit(type(exc).__name__, str(exc))
-
-
-def _run(argv: list[str], seed: int) -> int:
     # argparse (3.11) turns the value of "--flag=--" into [] and skips its
     # type and choices checks
     for a in argv:
@@ -260,24 +250,21 @@ def _run(argv: list[str], seed: int) -> int:
         args = parser.parse_args(argv, _Args())
     except _ArgumentError as exc:
         return _error_exit("ArgumentError", str(exc))
-    if getattr(args, "seed", 0) is None:
-        # oracle without --seed takes the run's seed: 0, or the seed a
-        # replayed summary stores although its argv does not name it
-        args.seed = seed
-
-    if args.config:
-        if args.subcommand:
-            raise ConfigError(f"--config replays a whole run: drop the {args.subcommand!r}"
-                              " subcommand given beside it")
-        replay, stored_seed = _load_replay(args.config)
-        # the replayed argv starts at its subcommand, so it names no --config
-        return _run((["--out", args.out] if args.out else []) + replay, stored_seed)
-
-    if not args.subcommand:
-        parser.print_help()
-        return 1
 
     try:
+        if args.config:
+            if args.subcommand:
+                raise ConfigError(f"--config replays a whole run: drop the"
+                                  f" {args.subcommand!r} subcommand given beside it")
+            # the stored argv is the whole run; it starts at its subcommand,
+            # so it names no --config
+            return main((["--out", args.out] if args.out else [])
+                        + _load_replay(args.config))
+
+        if not args.subcommand:
+            parser.print_help()
+            return 1
+
         inputs, outputs, provenance, flags = _command(args.subcommand)[0](args)
         summary = {
             "command": args.subcommand,

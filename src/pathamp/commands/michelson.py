@@ -37,8 +37,7 @@ def _michelson(args):
                 f"a {spec.arm_length:g} m arm puts the long-arm arrival where doubles"
                 f" are {math.ulp(t0_ns):g} ns apart, too coarse for 400 distinct"
                 f" gate times in the 12 tau = {12.0 * spec.tau_s * 1e9:g} ns after it")
-        rows = michelson.gated_visibility_table(spec.arm_length, [spec.imbalance],
-                                                spec.tau_s, spec.kappa, grid)
+        rows = michelson.gated_visibility_table([spec], grid)
         args.write_csv(args.curve, ["t_max_ns", "visibility"], rows)
         outputs["curve_csv"] = args.curve
     return ({"arm_m": spec.arm_length, "d_m": spec.imbalance,

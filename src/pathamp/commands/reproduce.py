@@ -10,13 +10,11 @@ def _recipe_fig9(args):
     from pathamp import michelson
     kappa = wavenumber(CONSTANTS.lambda_na_d)
     t_grid = [round(7.0 + 0.25 * i, 4) for i in range(170)]
-    imbalances = {"d=12.5cm": 0.125, "d=25cm": 0.25, "d=50cm": 0.50}
-    rows = michelson.gated_visibility_table(0.5, imbalances.values(),
-                                            1e-8, kappa, t_grid)
-    outputs = {"asymptotes": {
-        label: michelson.visibility_asymptote(
-            michelson.InterferometerSpec(0.5, d, 1e-8, kappa))
-        for label, d in imbalances.items()}}
+    specs = {label: michelson.InterferometerSpec(0.5, d, 1e-8, kappa)
+             for label, d in (("d=12.5cm", 0.125), ("d=25cm", 0.25), ("d=50cm", 0.50))}
+    rows = michelson.gated_visibility_table(specs.values(), t_grid)
+    outputs = {"asymptotes": {label: michelson.visibility_asymptote(spec)
+                              for label, spec in specs.items()}}
     if args.csv:
         args.write_csv(args.csv, ["t_max_ns", "V_A", "V_B", "V_C"], rows)
         outputs["curve_csv"] = args.csv

@@ -136,9 +136,8 @@ def phase(z: complex) -> float:
 
 def complex_out(z: complex) -> dict:
     """z as the command line's JSON summaries give an amplitude: re, im,
-    modulus and phase_rad, the last from atan2, so in [-pi, pi]."""
-    return {"re": z.real, "im": z.imag, "modulus": abs(z),
-            "phase_rad": math.atan2(z.imag, z.real)}
+    modulus and phase_rad, the last from ``phase``, so in (-pi, pi]."""
+    return {"re": z.real, "im": z.imag, "modulus": abs(z), "phase_rad": phase(z)}
 
 
 def wavenumber(wavelength: float) -> float:

@@ -17,18 +17,12 @@ import math
 from pathamp.core_num import CONSTANTS, DiscrepancyFlag, DomainError, Record, finite_phase
 
 #: Benchmark fringe-visibility rows: transition label -> (wavelength m,
-#: measured half-visibility path difference m, quoted natural lifetime s).
+#: measured half-visibility path difference m, quoted natural lifetime s,
+#: reference tau_s s and tau_p s quoted alongside the row).
 VISIBILITY_BENCHMARK_ROWS = {
-    "H_r 3p-2s": (6563e-10, 0.190, 5.4e-9),
-    "H_b 4p-2s": (4861e-10, 0.085, 12.4e-9),
-    "Na D 3p-3s": (5893e-10, 0.800, 12.4e-9),
-}
-
-#: Reference (tau_s ns, tau_p ns) quoted alongside those rows.
-_REFERENCE_ROW_VALUES = {
-    "H_r 3p-2s": (0.46e-9, 0.50e-9),
-    "H_b 4p-2s": (0.204e-9, 0.207e-9),
-    "Na D 3p-3s": (1.92e-9, 2.98e-9),
+    "H_r 3p-2s": (6563e-10, 0.190, 5.4e-9, 0.46e-9, 0.50e-9),
+    "H_b 4p-2s": (4861e-10, 0.085, 12.4e-9, 0.204e-9, 0.207e-9),
+    "Na D 3p-3s": (5893e-10, 0.800, 12.4e-9, 1.92e-9, 2.98e-9),
 }
 
 
@@ -107,17 +101,15 @@ def visibility_asymptote(spec: InterferometerSpec) -> float:
     return math.exp(-spec.imbalance / (CONSTANTS.c * spec.tau_s))
 
 
-def gated_visibility_table(arm_length: float, imbalances, tau_s: float,
-                           kappa: float, t_ns):
-    """Rows (t_ns, V_first, V_second, ...) of gated visibility for several
-    arm imbalances on a common gate-time grid in nanoseconds.
+def gated_visibility_table(specs, t_ns):
+    """Rows (t_ns, V_first, V_second, ...) of gated visibility, one column
+    per InterferometerSpec, on a common gate-time grid in nanoseconds.
 
     Gate times at or before a curve's long-arm arrival yield NaN for that
     curve; the CSV written by the command line keeps those cells empty.
     """
     cols = []
-    for d in imbalances:
-        spec = InterferometerSpec(arm_length, d, tau_s, kappa)
+    for spec in specs:
         col = []
         for t in t_ns:
             t_s = t * 1e-9
@@ -173,9 +165,9 @@ def visibility_benchmark_table() -> dict:
     rather than matched.
     """
     out = {}
-    for label, (wl, delta, tau_nat) in VISIBILITY_BENCHMARK_ROWS.items():
+    for label, (wl, delta, tau_nat, ref_tau_s, ref_tau_p) \
+            in VISIBILITY_BENCHMARK_ROWS.items():
         ana = lifetime_from_half_visibility(delta, tau_nat)
-        ref_tau_s, ref_tau_p = _REFERENCE_ROW_VALUES[label]
         flags = []
         if label.startswith("Na"):
             flags.append(DiscrepancyFlag(

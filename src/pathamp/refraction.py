@@ -470,8 +470,13 @@ def boundary_radial_limit(boundary, x1: float, phi1: float) -> float:
         raise DomainError("x1 must be positive")
     c, s = math.cos(phi1), math.sin(phi1)
     if isinstance(boundary, CircularBoundary):
-        transverse = math.sqrt(boundary.radius ** 2 - (boundary.y * c) ** 2) \
-            - boundary.y * s
+        # the reach sqrt(R^2 - (y cos)^2) - y sin, with no difference of
+        # nearly equal terms: R^2 - (y cos)^2 = (R - y)(R + y) + (y sin)^2,
+        # and where y sin > 0 the reach is (R - y)(R + y)/(root + y sin)
+        r, y = boundary.radius, boundary.y
+        gap = (r - y) * (r + y)
+        root = math.sqrt(gap + (y * s) ** 2)
+        transverse = gap / (root + y * s) if y * s > 0 else root - y * s
     elif isinstance(boundary, RectangularBoundary):
         h_z = boundary.l_z / 2 - boundary.z if c > 0 else boundary.l_z / 2 + boundary.z
         h_y = boundary.l_y / 2 - boundary.y if s > 0 else boundary.l_y / 2 + boundary.y

@@ -700,8 +700,7 @@ class TestErrorContract:
         ('["reflect", "--n2", "1.5"]', "no JSON object"),
         ("{}", "no 'argv' list"),
         ('{"argv": ["reflect", 1.5]}', "no 'argv' list"),
-        ('{"argv": ["reflect", "--n2", "1.5"], "seed": "7"}', "non-integer 'seed'"),
-    ], ids=["not-json", "not-object", "no-argv", "argv-not-strings", "seed-not-integer"])
+    ], ids=["not-json", "not-object", "no-argv", "argv-not-strings"])
     def test_config_unusable_summary(self, capsys, tmp_path, text, needle):
         path = tmp_path / "bad.json"
         path.write_text(text)
@@ -742,22 +741,23 @@ class TestErrorContract:
         assert payload["error"] == "OutputError"
         assert path in payload["message"]
 
-    def test_replay_honours_stored_seed(self, capsys, tmp_path):
-        # a summary's stored seed is the default of oracle --seed on replay,
-        # so a summary recorded with a seed its argv does not name replays
+    def test_replay_reads_only_the_argv(self, capsys, tmp_path):
+        # the stored argv is the whole run: a stored seed its argv does not
+        # name, and a stored outputs block, are not read, so this replays
+        # as the seed-0 run
         argv = ["oracle", "--op", "mc-volume", "--order", "3", "--samples", "1000"]
-        code, direct, _ = run_cli([*argv, "--seed", "7"], capsys)
+        code, seeded, _ = run_cli([*argv, "--seed", "7"], capsys)
         assert code == 0
-        assert json.loads(direct)["seed"] == 7
+        code, direct, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert json.loads(direct)["seed"] == 0
+        assert json.loads(direct)["outputs"] != json.loads(seeded)["outputs"]
         path = tmp_path / "mc.json"
-        path.write_text(json.dumps({"argv": argv, "seed": 7}))
+        path.write_text(json.dumps({"argv": argv, "seed": 7,
+                                    "outputs": json.loads(seeded)["outputs"]}))
         code, replayed, _ = run_cli(["--config", str(path)], capsys)
         assert code == 0
-        assert json.loads(replayed) == json.loads(direct) | {"argv": argv}
-        code, unseeded, _ = run_cli(argv, capsys)
-        assert code == 0
-        assert json.loads(unseeded)["seed"] == 0
-        assert json.loads(unseeded)["outputs"] != json.loads(direct)["outputs"]
+        assert replayed == direct
 
 
 def _child_env():

@@ -7,6 +7,7 @@ from hypothesis import assume, given, strategies as st
 from pathamp.core_num import (
     CONSTANTS,
     DomainError,
+    complex_out,
     linspace,
     phase,
     truncated_cos,
@@ -81,6 +82,14 @@ def test_truncated_series_converge(x, order):
                                complex(-2.5, -0.0), complex(-1.0, 0.0)])
 def test_phase_on_negative_real_axis_is_plus_pi(z):
     assert phase(z) == math.pi
+
+
+@pytest.mark.parametrize("z", [complex(-1.0, -0.0), complex(-1.0, -1e-17),
+                               complex(-2.5, -0.0)])
+def test_printed_phase_on_negative_real_axis_is_plus_pi(z):
+    # the JSON summaries print phase's (-pi, pi], not atan2's [-pi, pi]
+    assert complex_out(z) == {"re": z.real, "im": z.imag, "modulus": abs(z),
+                              "phase_rad": math.pi}
 
 
 @given(st.floats(0.1, 10.0), st.floats(-math.pi, math.pi),

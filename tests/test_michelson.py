@@ -106,8 +106,8 @@ class TestVisibility:
             assert va > vb > vc
 
     def test_gated_table_masks_undefined_region(self):
-        rows = gated_visibility_table(0.5, (0.125, 0.25, 0.50), 1e-8,
-                                      KAPPA, [7.0, 8.0, 12.0, 30.0])
+        rows = gated_visibility_table([spec(d=d) for d in (0.125, 0.25, 0.50)],
+                                      [7.0, 8.0, 12.0, 30.0])
         assert math.isnan(rows[0][3])   # d=50cm curve starts after 10 ns
         assert not math.isnan(rows[2][3])
 
@@ -220,7 +220,7 @@ class TestCurveHelpers:
         s = spec()
         t0_ns = s.long_path / C * 1e9
         grid = [float(t) for t in np.linspace(t0_ns * 1.01, t0_ns + 5 * s.tau_s * 1e9, 7)]
-        rows = gated_visibility_table(s.arm_length, [s.imbalance], s.tau_s, s.kappa, grid)
+        rows = gated_visibility_table([s], grid)
         assert [t for t, _ in rows] == grid
         for t, v in rows:
             assert type(v) is float

@@ -387,6 +387,37 @@ class TestBoundaryRadialLimit:
                                abs(swing) / 2.0)
         assert abs(res.value) < 0.05 * 2 * math.pi
 
+    @staticmethod
+    def _circle_reference(b, phi1):
+        """(x1, r1_max) at 50 digits, with x1 the transverse distance, so
+        the transverse term is half the value and not lost beside x1."""
+        with mpmath.workdps(50):
+            c, s = mpmath.cos(mpmath.mpf(phi1)), mpmath.sin(mpmath.mpf(phi1))
+            t = mpmath.sqrt(mpmath.mpf(b.radius) ** 2 - (b.y * c) ** 2) - b.y * s
+            x1 = float(t)
+            return x1, x1 + t ** 2 / (2 * x1)
+
+    def test_near_edge_circle_towards_its_near_side(self):
+        # sqrt(R^2 - (y cos phi1)^2) - y sin phi1 rounded to 0 here, and
+        # the call refused a valid circle as "behind the axis plane"
+        b = CircularBoundary(0.028642053201353646, 0.028642053201353643)
+        x1, ref = self._circle_reference(b, 1.570796335325029)
+        assert abs(boundary_radial_limit(b, x1, 1.570796335325029) - ref) <= 1e-15 * ref
+
+    def test_near_edge_circles_are_accurate(self):
+        # the axis 1e-16 to 1 radius from the edge, and half the azimuths
+        # within ~1e-8 rad of the near side, where the reach cancels
+        rng = random.Random(2026)
+        for _ in range(400):
+            radius = 10 ** rng.uniform(-3, 0)
+            y = radius * (1 - 10 ** rng.uniform(-16, 0)) * rng.choice((-1, 1))
+            phi1 = (math.copysign(math.pi / 2, y) + rng.gauss(0, 1e-8)
+                    if rng.random() < 0.5 else rng.uniform(-math.pi, math.pi))
+            b = CircularBoundary(radius, y)
+            x1, ref = self._circle_reference(b, phi1)
+            assert abs(boundary_radial_limit(b, x1, phi1) - ref) <= 1e-15 * ref, \
+                (radius, y, phi1)
+
     @pytest.mark.parametrize("x1,phi1", [
         (math.nan, 0.0), (math.inf, 0.0), (0.5, math.nan), (0.5, math.inf),
         (0.5, -math.inf)], ids=["x1-nan", "x1-inf", "phi1-nan", "phi1-inf", "phi1-minus-inf"])
