@@ -13,11 +13,13 @@ tautology.
 
 Each Gauss-Legendre rule is built here, by Newton's method on the
 three-term Legendre recurrence (no eigensolver), once per node count and
-kept: it depends only on the count, never on the integrand, so no result
-is cached.  No default path builds a rule of more than 64 points, and only
-quad_nested takes a node count, refused above 100: the rules are checked
-against a 48-digit reference at every count up to 100 (nodes within
-1.2e-16, weights within 8.7e-14 relative), and no further.
+kept, as are quad_nested's Chebyshev points and values-to-coefficients
+matrix, once per number of points: they depend only on the count, never
+on the integrand, so no result is cached.  No default path builds a rule
+of more than 64 points, and only quad_nested takes a node count, refused
+above 100: the rules are checked against a 48-digit reference at every
+count up to 100 (nodes within 1.2e-16, weights within 8.7e-14 relative),
+and no further.
 quad_oscillatory and the Gaussian-ratio average take one composite rule,
 not one dense rule over the whole range: the 20-point rule on each segment
 or panel for the value and, for the error estimate, the 10-point rule on
@@ -299,14 +301,55 @@ def damped_radial_integral(kappa: float, x1: float, rho: float) -> complex:
     return res.value
 
 
+@functools.lru_cache(maxsize=64)
+def _chebyshev(m: int) -> tuple:
+    """The m Chebyshev points cos(pi (k + 1/2)/m), k = 0 .. m - 1, and the
+    discrete cosine transform that takes the values there to the
+    coefficients of their interpolant, read-only.  quad_nested takes m
+    from 12 to 66, so the cache holds every size; each is built once and
+    shared, and the arrays are frozen so no caller can alter a shared
+    table."""
+    import numpy as np
+    theta = np.pi * (np.arange(m) + 0.5) / m
+    cheb = np.cos(theta)
+    to_coef = np.cos(np.multiply.outer(np.arange(m), theta)) * (2.0 / m)
+    to_coef[0] *= 0.5
+    cheb.flags.writeable = False
+    to_coef.flags.writeable = False
+    return cheb, to_coef
+
+
 def _clenshaw(coef, u):
     """The Chebyshev series sum_k coef[k] T_k(u), elementwise in the real
-    array u, by Clenshaw's recurrence (Math. Comp. 9 (1955) 118)."""
-    b1 = b2 = 0.0
-    u2 = 2.0 * u
+    array u, by Clenshaw's recurrence (Math. Comp. 9 (1955) 118), in three
+    reused complex buffers.  2u is cast to complex once, to the values
+    numpy's mixed real-complex product would cast it to at every step."""
+    import numpy as np
+    u2 = (2.0 * u).astype(complex)
+    b1 = np.zeros(u.shape, complex)
+    b2 = np.zeros(u.shape, complex)
+    t = np.empty(u.shape, complex)
     for c in coef[:0:-1]:
-        b1, b2 = c + u2 * b1 - b2, b1
-    return coef[0] + u * b1 - b2
+        # b1, b2 = c + 2u b1 - b2, b1
+        np.multiply(u2, b1, out=t)
+        t += c
+        t -= b2
+        b1, b2, t = t, b1, b2
+    np.multiply(u, b1, out=t)
+    t += coef[0]
+    t -= b2
+    return t
+
+
+def _times(a, b):
+    """The elementwise product of two complex arrays of one shape, from
+    their real and imaginary parts: numpy's AVX2 complex multiply fuses
+    multiply-adds, so its last bits depend on the CPU."""
+    import numpy as np
+    out = np.empty(a.shape, complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def quad_nested(order: int, kappa: float, delta_s: float,
@@ -332,7 +375,13 @@ def quad_nested(order: int, kappa: float, delta_s: float,
     of its Chebyshev interpolant.  Level j + 1 reads that series by
     Clenshaw's recurrence at its own Gauss nodes g, which in level j's
     variable sit at u = t + (1 - t)(1 + g)/2: they depend on M and nodes
-    only.  The outermost level has s = 0, so t = -1 and u = g.  Each level
+    only.  The outermost level has s = 0, so t = -1 and u = g.  Every
+    inner level has the same legs at the same Chebyshev points, so a run
+    forms their Gauss terms once, in one M x nodes table: level 1 sums it,
+    and each later level sums its product with the Clenshaw values.  The
+    outermost level takes its own nodes-point table at x1.  The Chebyshev
+    points and the values-to-coefficients matrix depend on M only, and
+    each size is built once and kept, read-only.  Each level
     is an entire function of s that turns through about |kappa| delta_s
     radians over its range, and M = ceil(|kappa| delta_s) + 16 resolves it
     to rounding at every |kappa| delta_s up to 50 (Trefethen, Approximation
@@ -376,38 +425,28 @@ def quad_nested(order: int, kappa: float, delta_s: float,
     def run(n_nodes: int, m: int) -> tuple:
         # (I_n, sum of the moduli of the outermost level's terms)
         g, w = _leggauss(n_nodes)
-
-        def level(j, t, u, coef):
-            # half-width and Gauss terms of level j at the points t of its
-            # variable; its nodes sit at u in the variable of the level
-            # below, whose Chebyshev coefficients are coef
-            half = 0.25 * delta_s * (1.0 - t)
-            r = (x1 if j == order else 0.0) + np.multiply.outer(half, 1.0 + g)
-            terms = w * np.exp(1j * kappa * r)
-            if coef is not None:
-                # from real parts: numpy's AVX2 complex multiply fuses
-                # multiply-adds, so its last bits depend on the CPU
-                c = _clenshaw(coef, u)
-                re = terms.real * c.real - terms.imag * c.imag
-                terms.imag = terms.real * c.imag + terms.imag * c.real
-                terms.real = re
-            return half, terms
-
-        coef = None
+        # the outermost level has s = 0, so t = -1 and its nodes sit at
+        # u = g; its leg starts at x1
+        half = 0.25 * delta_s * (1.0 - -1.0)
+        terms = w * np.exp(1j * kappa * (x1 + half * (1.0 + g)))
         if order > 1:
-            # m Chebyshev points, and the discrete cosine transform that
-            # takes the values there to the interpolant's coefficients
-            theta = np.pi * (np.arange(m) + 0.5) / m
-            cheb = np.cos(theta)
-            to_coef = np.cos(np.multiply.outer(np.arange(m), theta)) * (2.0 / m)
-            to_coef[0] *= 0.5
+            cheb, to_coef = _chebyshev(m)
+            # every inner level has the same legs at the same Chebyshev
+            # points: one table of half-widths and Gauss terms serves all
+            half_in = 0.25 * delta_s * (1.0 - cheb)
+            table = w * np.exp(1j * kappa * np.multiply.outer(half_in, 1.0 + g))
+            # the nodes of level j + 1 in the variable of level j
             u = cheb[:, None] + np.multiply.outer(0.5 * (1.0 - cheb), 1.0 + g)
-            for j in range(1, order):
-                half, terms = level(j, cheb, u, coef)
-                coef = (to_coef * (half * terms.sum(axis=1))).sum(axis=1)
-        half, terms = level(order, np.array([-1.0]), g, coef)
+            # level 1 sums the table; each later level first reads the
+            # interpolant of the level below at its nodes
+            sums = table.sum(axis=1)
+            for _ in range(2, order):
+                coef = (to_coef * (half_in * sums)).sum(axis=1)
+                sums = _times(table, _clenshaw(coef, u)).sum(axis=1)
+            coef = (to_coef * (half_in * sums)).sum(axis=1)
+            terms = _times(terms, _clenshaw(coef, g))
         moduli = np.hypot(terms.real, terms.imag).sum()
-        return complex(half[0] * terms.sum()), float(half[0] * moduli)
+        return complex(half * terms.sum()), float(half * moduli)
 
     check_nodes, check_points = nodes // 2 or 2, cheb_points - 4
     value, moduli = run(nodes, cheb_points)

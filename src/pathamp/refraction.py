@@ -453,6 +453,15 @@ def annulment_report(radius: float, axis_distance: float, wavelength: float,
                            prompt_fraction, flags)
 
 
+def _square(x: float) -> float:
+    """x ** 2, refused with DomainError where it passes the largest double
+    (a float ** raises a bare OverflowError there)."""
+    try:
+        return x ** 2
+    except OverflowError:
+        raise DomainError(f"{x!r} squared overflows a double") from None
+
+
 def boundary_radial_limit(boundary, x1: float, phi1: float) -> float:
     """Largest radial path length r1_max(phi1) before a detour at azimuth
     phi1 leaves the medium, for a detection plane x1 past the scattering
@@ -462,7 +471,9 @@ def boundary_radial_limit(boundary, x1: float, phi1: float) -> float:
     signs of cos phi1 and sin phi1 pick the z side and the y side the ray
     heads for, and it leaves through the nearer of the two; for a circle
     displaced by y the limit loses its phi1 dependence only when y = 0.
-    A non-finite x1 or phi1, or an x1 that is not > 0, raises DomainError.
+    A non-finite x1 or phi1, an x1 that is not > 0, or a limit that is not
+    a finite double (the reach or its square overflows, or x1 is so small
+    that the quotient does) raises DomainError.
     """
     if not (math.isfinite(x1) and math.isfinite(phi1)):
         raise DomainError(f"x1 and phi1 must be finite, got {x1!r}, {phi1!r}")
@@ -475,7 +486,7 @@ def boundary_radial_limit(boundary, x1: float, phi1: float) -> float:
         # and where y sin > 0 the reach is (R - y)(R + y)/(root + y sin)
         r, y = boundary.radius, boundary.y
         gap = (r - y) * (r + y)
-        root = math.sqrt(gap + (y * s) ** 2)
+        root = math.sqrt(gap + _square(y * s))
         transverse = gap / (root + y * s) if y * s > 0 else root - y * s
     elif isinstance(boundary, RectangularBoundary):
         h_z = boundary.l_z / 2 - boundary.z if c > 0 else boundary.l_z / 2 + boundary.z
@@ -487,4 +498,7 @@ def boundary_radial_limit(boundary, x1: float, phi1: float) -> float:
         raise DomainError(f"unsupported boundary {boundary!r}")
     if transverse <= 0:
         raise DomainError("boundary point behind the axis plane")
-    return x1 + transverse ** 2 / (2.0 * x1)
+    limit = x1 + _square(transverse) / (2.0 * x1)
+    if not math.isfinite(limit):
+        raise DomainError(f"radial limit {limit!r} is not a finite double")
+    return limit

@@ -6,11 +6,12 @@ every argv whose exit code, stdout, stderr or CSV differs.
 Each tree is a checkout of this repository.  The deck is
 ``perfbench.inputs.cli_deck`` at seeds 1 and 2 for 3 cycles (read from
 PARENT_TREE's perfbench/, which is left unchanged), plus every
-``reproduce`` recipe with ``--csv``: 186 argv.  Each argv runs in a fresh
-``python -m pathamp.cli`` process with the tree's src/ on PYTHONPATH and
-PYTHONDONTWRITEBYTECODE=1, in a temporary directory that receives its CSV,
-so neither tree gains files.  A CSV is compared by its sha256.  Exits 1 if
-any argv differs, 0 otherwise.
+``reproduce`` recipe with ``--csv`` and ``oracle --op nested`` at orders 1
+to 4 (the deck draws orders 1 to 3 only): 190 argv.  Each argv runs in a
+fresh ``python -m pathamp.cli`` process with the tree's src/ on PYTHONPATH
+and PYTHONDONTWRITEBYTECODE=1, in a temporary directory that receives its
+CSV, so neither tree gains files.  A CSV is compared by its sha256.  Exits
+1 if any argv differs, 0 otherwise.
 """
 
 import argparse
@@ -33,6 +34,8 @@ def deck(tree: str) -> list:
     spec.loader.exec_module(inputs)
     argvs = [argv for seed in (1, 2) for argv, _valid in inputs.cli_deck(seed, 3)]
     argvs += [["reproduce", "--recipe", r, "--csv", "{csv}"] for r in RECIPES]
+    argvs += [["oracle", "--op", "nested", "--order", str(n), "--dphi", "9.5"]
+              for n in range(1, 5)]
     return [[CSV if a == "{csv}" else a for a in argv] for argv in argvs]
 
 

@@ -104,6 +104,7 @@ GOLDEN_ARGV = {
     "oracle-nested-1": ["oracle", "--op", "nested", "--order", "1", "--dphi", "0.7"],
     "oracle-nested-2": ["oracle", "--op", "nested", "--order", "2"],
     "oracle-nested-3": ["oracle", "--op", "nested", "--order", "3", "--dphi", "5.5"],
+    "oracle-nested-4": ["oracle", "--op", "nested", "--order", "4", "--dphi", "9.5"],
     "oracle-nested-5": ["oracle", "--op", "nested", "--order", "5"],
     "oracle-samples-zero": ["oracle", "--op", "mc-volume", "--samples", "0"],
     # literal zeros that would reach a division

@@ -16,6 +16,7 @@ import pytest
 from pathamp.core_num import ConvergenceError, DomainError, PreconditionError
 from pathamp.oracle import (
     OracleResult,
+    _chebyshev,
     _leggauss,
     damped_radial_integral,
     gaussian_ratio_integral,
@@ -320,6 +321,28 @@ class TestQuadNested:
         assert got.evaluations == nodes * (1 + (order - 1) * m) \
             + nodes // 2 * (1 + (order - 1) * (m - 4))
 
+    # (order, kappa, delta_s, x1, nodes): hex of value.real, value.imag and
+    # error_estimate.  Any rewrite of the tabulation must keep these bits,
+    # under every SIMD kernel numpy selects
+    @pytest.mark.parametrize("args,bits", [
+        ((2, 1.3, 4.1, 0.4, 64),
+         ("-0x1.4ce147965b972p+0", "-0x1.b3d4b44854910p+1", "0x1.fe1ed3a674227p-44")),
+        ((2, -0.8, 11.0, -1.1, 7),
+         ("0x1.93e2a8f84091cp+3", "-0x1.d5d1795ec8b1cp+1", "0x1.a5794217bda32p+1")),
+        ((3, 1.0, 9.5, 0.4, 64),
+         ("-0x1.c3f25b1c259e2p+4", "0x1.0fbe465a4df6ep+5", "0x1.afb3d15c498a8p-40")),
+        ((3, 0.6, 20.0, -0.7, 7),
+         ("-0x1.eac51f0f47c59p+7", "-0x1.cfd28fe6f6676p+7", "0x1.c00c16cb91055p+6")),
+        ((4, 1.0, 9.5, 0.4, 64),
+         ("-0x1.8d643ac584237p+6", "0x1.8b429a5317c94p+6", "0x1.70e6806e33b9cp-38")),
+        ((4, -1.9, 3.2, 1.3, 48),
+         ("0x1.dae8b8ba1632fp-1", "-0x1.4f7fb053914fdp+1", "0x1.6b80c56a74955p-44")),
+    ], ids=["2-64", "2-7-negative-kappa", "3-64", "3-7", "4-64", "4-48-negative-kappa"])
+    def test_bits_are_pinned(self, args, bits):
+        got = quad_nested(*args)
+        assert (got.value.real.hex(), got.value.imag.hex(),
+                got.error_estimate.hex()) == bits
+
     def test_seeded_grid_matches_order_kernel_and_complex_exp(self):
         # 300 points, orders 1-4, budget phases 0.1-20, even and odd
         # node counts; order 4 takes fewer nodes, for the tensor
@@ -372,6 +395,14 @@ class TestQuadNested:
         exact = self._mp_reference(3, 1.0, 30.0, oracle.NESTED_X_START)
         assert abs(got.value - exact) > 30.0
         assert got.error_estimate >= abs(got.value - exact)
+
+    def test_chebyshev_tables_are_read_only_and_built_once(self):
+        cheb, to_coef = _chebyshev(20)
+        assert _chebyshev(20)[0] is cheb and _chebyshev(20)[1] is to_coef
+        with pytest.raises(ValueError):
+            cheb[0] = 0.0
+        with pytest.raises(ValueError):
+            to_coef[0, 0] = 0.0
 
     def test_order4_memory_is_capped(self):
         # the tensor product at 64 nodes holds 64**4 complex values

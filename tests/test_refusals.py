@@ -1,5 +1,5 @@
 """Every typed refusal under src/pathamp that no other in-process test
-raises, one row per `raise` site.
+raises, at least one row per `raise` site.
 
 Each row calls the library with an input the site refuses and asserts the
 exact exception type (not a subclass) and a fragment of the site's
@@ -171,6 +171,23 @@ ROWS = {
         lambda: refraction.boundary_radial_limit(
             refraction.CircularBoundary(1e-200), 0.5, 0.0),
         DomainError, "boundary point behind the axis plane"),
+    # a square, the reach or the quotient by x1 past the largest double
+    "boundary_radial_limit-rectangle-overflow": (
+        lambda: refraction.boundary_radial_limit(
+            refraction.RectangularBoundary(1e200, 1e200), 0.5, 0.1),
+        DomainError, "squared overflows a double"),
+    "boundary_radial_limit-displaced-circle-overflow": (
+        lambda: refraction.boundary_radial_limit(
+            refraction.CircularBoundary(1e200, 5e199), 0.5, 0.1),
+        DomainError, "squared overflows a double"),
+    "boundary_radial_limit-circle-overflow": (
+        lambda: refraction.boundary_radial_limit(
+            refraction.CircularBoundary(1e200), 0.5, 0.1),
+        DomainError, "radial limit inf is not a finite double"),
+    "boundary_radial_limit-tiny-x1": (
+        lambda: refraction.boundary_radial_limit(
+            refraction.CircularBoundary(0.03), 1e-320, 0.1),
+        DomainError, "radial limit inf is not a finite double"),
     # wave_optics
     "spherical_wave-kappa": (
         lambda: wave_optics.spherical_wave(0.0, 1.0),
