@@ -1,5 +1,5 @@
-"""Complex-amplitude helpers, frozen physical constants, truncated
-trigonometric series, and ``Record``, the base of the package's immutable
+"""Complex-amplitude helpers, frozen physical constants, argument checks,
+the package's exception types, and ``Record``, the base of its immutable
 value classes.
 
 Amplitudes are plain Python ``complex`` numbers throughout the package;
@@ -244,42 +244,3 @@ def checked_int(name: str, value, most: int | None = None, least: int = 1) -> in
         raise DomainError(f"{name} must be <= {most}, not {value}")
     return value
 
-
-def _check_finite(x: float, name: str) -> None:
-    if not math.isfinite(x):
-        raise DomainError(f"{name} must be finite, got {x!r}")
-
-
-def truncated_sin(order: int, x: float) -> float:
-    """Partial sum of the sine series: sum_{k=0}^{order-1} (-1)^k x^(2k+1)/(2k+1)!.
-
-    order 0 is identically 0, order 1 is x.  Terms are accumulated by the
-    stable recurrence term *= -x^2/((n+1)(n+2)) so large arguments do not
-    overflow intermediate factorials.
-    """
-    if order < 0:
-        raise DomainError("order must be >= 0")
-    _check_finite(x, "x")
-    total = 0.0
-    term = x
-    for k in range(order):
-        total += term
-        term *= -x * x / ((2 * k + 2) * (2 * k + 3))
-    return total
-
-
-def truncated_cos(order: int, x: float) -> float:
-    """Partial sum of the cosine series: sum_{k=0}^{order} (-1)^k x^(2k)/(2k)!.
-
-    order 0 is identically 1; note the sum runs to ``order`` inclusive, one
-    term more than ``truncated_sin`` of the same order.
-    """
-    if order < 0:
-        raise DomainError("order must be >= 0")
-    _check_finite(x, "x")
-    total = 0.0
-    term = 1.0
-    for k in range(order + 1):
-        total += term
-        term *= -x * x / ((2 * k + 1) * (2 * k + 2))
-    return total

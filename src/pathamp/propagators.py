@@ -74,13 +74,6 @@ class EmitterSpec(Record):
         """Amplitude damping rate per unit optical path, width/(2 hbar c), 1/m."""
         return self.width_ev / (2.0 * CONSTANTS.hbarc_ev_m)
 
-    @property
-    def lifetime(self) -> float:
-        """Mean life hbar/width in seconds (inf for zero width)."""
-        if self.width_ev == 0.0:
-            return math.inf
-        return CONSTANTS.hbar_ev_s / self.width_ev
-
 
 def covariant_propagator(particle: OnShellParticle, r: float, dt: float) -> complex:
     """Amplitude (1/m) for free flight over distance r (m) in lab time dt (s).

@@ -60,8 +60,8 @@ class InterfaceGeometry(Record):
         return self.d / math.cos(theta)
 
 
-def displaced_lengths(geom: InterfaceGeometry, theta: float,
-                      big_r: float, phi1: float) -> tuple[float, float]:
+def _displaced_lengths(geom: InterfaceGeometry, theta: float,
+                       big_r: float, phi1: float) -> tuple[float, float]:
     """Leg lengths (r', l') after displacing the interface crossing by
     (big_r, phi1) in the interface plane, for a detector at polar angle
     theta in the plane of incidence."""
@@ -76,7 +76,7 @@ def displaced_lengths(geom: InterfaceGeometry, theta: float,
 def path_phase(geom: InterfaceGeometry, kappa: float, theta: float,
                big_r: float = 0.0, phi1: float = 0.0) -> float:
     """Optical phase kappa (n2 r' + n1 l') of the displaced trajectory."""
-    rp, lp = displaced_lengths(geom, theta, big_r, phi1)
+    rp, lp = _displaced_lengths(geom, theta, big_r, phi1)
     return kappa * (geom.n2 * rp + geom.n1 * lp)
 
 
@@ -227,7 +227,7 @@ def fermat_stationary_angle(geom: InterfaceGeometry) -> float:
         h = 1e-6 * geom.d
 
         def t_of_r(big_r: float) -> float:
-            rp, lp = displaced_lengths(geom, theta, big_r, 0.0)
+            rp, lp = _displaced_lengths(geom, theta, big_r, 0.0)
             return (lp * geom.n1 + rp * geom.n2) / CONSTANTS.c
 
         return (t_of_r(h) - t_of_r(-h)) / (2.0 * h)

@@ -29,8 +29,6 @@ from pathamp.core_num import (
     Record,
     checked_int,
     phase_exp,
-    truncated_cos,
-    truncated_sin,
 )
 
 # Above this scattering strength the float64 series is meaningless
@@ -322,6 +320,35 @@ def _factor_kernel_route(delta_phi: float, beta_l: float):
     raise ConvergenceError(f"kernel-route series not converged after {_MAX_TERMS} orders")
 
 
+def _truncated_sin(order: int, x: float) -> float:
+    """Partial sum of the sine series: sum_{k=0}^{order-1} (-1)^k x^(2k+1)/(2k+1)!.
+
+    order 0 is identically 0, order 1 is x.  Terms are accumulated by the
+    stable recurrence term *= -x^2/((n+1)(n+2)) so large arguments do not
+    overflow intermediate factorials.
+    """
+    total = 0.0
+    term = x
+    for k in range(order):
+        total += term
+        term *= -x * x / ((2 * k + 2) * (2 * k + 3))
+    return total
+
+
+def _truncated_cos(order: int, x: float) -> float:
+    """Partial sum of the cosine series: sum_{k=0}^{order} (-1)^k x^(2k)/(2k)!.
+
+    order 0 is identically 1; note the sum runs to ``order`` inclusive, one
+    term more than ``_truncated_sin`` of the same order.
+    """
+    total = 0.0
+    term = 1.0
+    for k in range(order + 1):
+        total += term
+        term *= -x * x / ((2 * k + 1) * (2 * k + 2))
+    return total
+
+
 def _factor_trig_route(delta_phi: float, beta_l: float, n_terms: int) -> complex:
     """Re/Im series built from sin/cos of the budget phase and their
     truncated partial sums; algebraically identical to the kernel route but
@@ -336,15 +363,15 @@ def _factor_trig_route(delta_phi: float, beta_l: float, n_terms: int) -> complex
         if m % 2 == 0:
             n = m // 2
             sgn = -1.0 if n % 2 else 1.0
-            cn1 = truncated_cos(n - 1, delta_phi)
-            sn = truncated_sin(n, delta_phi)
+            cn1 = _truncated_cos(n - 1, delta_phi)
+            sn = _truncated_sin(n, delta_phi)
             re.append(sgn * fact * (1.0 - c * cn1 - s * sn))
             im.append(sgn * fact * (c * sn - s * cn1))
         else:
             n = (m - 1) // 2
             sgn = -1.0 if n % 2 else 1.0
-            cn = truncated_cos(n, delta_phi)
-            sn = truncated_sin(n, delta_phi)
+            cn = _truncated_cos(n, delta_phi)
+            sn = _truncated_sin(n, delta_phi)
             re.append(sgn * fact * (s * cn - c * sn))
             im.append(sgn * fact * (1.0 - c * cn - s * sn))
     return complex(math.fsum(re), math.fsum(im))
@@ -453,15 +480,6 @@ def annulment_report(radius: float, axis_distance: float, wavelength: float,
                            prompt_fraction, flags)
 
 
-def _square(x: float) -> float:
-    """x ** 2, refused with DomainError where it passes the largest double
-    (a float ** raises a bare OverflowError there)."""
-    try:
-        return x ** 2
-    except OverflowError:
-        raise DomainError(f"{x!r} squared overflows a double") from None
-
-
 def boundary_radial_limit(boundary, x1: float, phi1: float) -> float:
     """Largest radial path length r1_max(phi1) before a detour at azimuth
     phi1 leaves the medium, for a detection plane x1 past the scattering
@@ -472,8 +490,7 @@ def boundary_radial_limit(boundary, x1: float, phi1: float) -> float:
     heads for, and it leaves through the nearer of the two; for a circle
     displaced by y the limit loses its phi1 dependence only when y = 0.
     A non-finite x1 or phi1, an x1 that is not > 0, or a limit that is not
-    a finite double (the reach or its square overflows, or x1 is so small
-    that the quotient does) raises DomainError.
+    a finite double raises DomainError.
     """
     if not (math.isfinite(x1) and math.isfinite(phi1)):
         raise DomainError(f"x1 and phi1 must be finite, got {x1!r}, {phi1!r}")
@@ -482,12 +499,16 @@ def boundary_radial_limit(boundary, x1: float, phi1: float) -> float:
     c, s = math.cos(phi1), math.sin(phi1)
     if isinstance(boundary, CircularBoundary):
         # the reach sqrt(R^2 - (y cos)^2) - y sin, with no difference of
-        # nearly equal terms: R^2 - (y cos)^2 = (R - y)(R + y) + (y sin)^2,
-        # and where y sin > 0 the reach is (R - y)(R + y)/(root + y sin)
+        # nearly equal terms and no square: R^2 - (y cos)^2 = g^2 + (y sin)^2
+        # with g = sqrt(R - |y|) sqrt(R + |y|), the second root taken as the
+        # hypot of sqrt R and sqrt |y|; where y sin > 0 the reach is
+        # g^2/(root + y sin), taken as g (g/root)/(1 + y sin/root).  No step
+        # overflows unless the reach does, and none rounds the reach to 0
         r, y = boundary.radius, boundary.y
-        gap = (r - y) * (r + y)
-        root = math.sqrt(gap + _square(y * s))
-        transverse = gap / (root + y * s) if y * s > 0 else root - y * s
+        g = math.sqrt(r - abs(y)) * math.hypot(math.sqrt(r), math.sqrt(abs(y)))
+        ys = y * s
+        root = math.hypot(g, ys)
+        transverse = g * (g / root) / (1.0 + ys / root) if ys > 0 else root - ys
     elif isinstance(boundary, RectangularBoundary):
         h_z = boundary.l_z / 2 - boundary.z if c > 0 else boundary.l_z / 2 + boundary.z
         h_y = boundary.l_y / 2 - boundary.y if s > 0 else boundary.l_y / 2 + boundary.y
@@ -496,9 +517,11 @@ def boundary_radial_limit(boundary, x1: float, phi1: float) -> float:
         transverse = min(h_z / abs(c), h_y / abs(s)) if s else h_z / abs(c)
     else:
         raise DomainError(f"unsupported boundary {boundary!r}")
-    if transverse <= 0:
-        raise DomainError("boundary point behind the axis plane")
-    limit = x1 + _square(transverse) / (2.0 * x1)
+    # R1 (R1/(2 x1)) passes the largest double only where the limit does,
+    # but for R1 < 1 and a subnormal x1 the quotient can: R1^2/(2 x1) there
+    quotient = transverse / (2.0 * x1)
+    limit = x1 + (transverse * quotient if math.isfinite(quotient)
+                  else transverse * transverse / (2.0 * x1))
     if not math.isfinite(limit):
         raise DomainError(f"radial limit {limit!r} is not a finite double")
     return limit

@@ -10,8 +10,6 @@ from pathamp.core_num import (
     complex_out,
     linspace,
     phase,
-    truncated_cos,
-    truncated_sin,
     wavenumber,
 )
 
@@ -49,33 +47,6 @@ def test_wavenumber_refuses_overflow(wavelength):
     with pytest.raises(DomainError, match=f"^wavelength {wavelength!r} gives no finite"
                                           " wavenumber$"):
         wavenumber(wavelength)
-
-
-def test_truncated_sin_low_orders():
-    assert truncated_sin(0, 1.0) == 0.0
-    assert truncated_sin(1, 0.5) == 0.5
-    assert abs(truncated_sin(50, 0.5) - math.sin(0.5)) < 1e-12
-
-
-def test_truncated_cos_low_orders():
-    assert truncated_cos(0, 2.0) == 1.0
-    assert truncated_cos(1, 1.0) == 0.5
-    assert abs(truncated_cos(50, 1.0) - math.cos(1.0)) < 1e-12
-
-
-def test_truncated_series_reject_bad_input():
-    with pytest.raises(DomainError):
-        truncated_sin(10, math.nan)
-    with pytest.raises(DomainError):
-        truncated_cos(10, math.inf)
-    with pytest.raises(DomainError):
-        truncated_sin(-1, 1.0)
-
-
-@given(st.floats(-10.0, 10.0), st.integers(30, 60))
-def test_truncated_series_converge(x, order):
-    assert abs(truncated_sin(order, x) - math.sin(x)) < 1e-10
-    assert abs(truncated_cos(order, x) - math.cos(x)) < 1e-10
 
 
 @pytest.mark.parametrize("z", [complex(-1.0, -0.0), complex(-1.0, -1e-17),

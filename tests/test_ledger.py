@@ -43,14 +43,6 @@ LEDGER = {
     "core_num.phase_exp": (NOT_A_CLOSED_FORM, "cmath.exp that refuses an infinite phase"),
     "core_num.linspace": (NOT_A_CLOSED_FORM, "a grid helper, numpy.linspace bit for bit"),
     "core_num.checked_int": (NOT_A_CLOSED_FORM, "an argument check"),
-    "core_num.truncated_sin": (
-        NOT_A_CLOSED_FORM,
-        "a partial Taylor sum of the budget factor's trigonometric route, checked"
-        " through that route against series_sum_highprec"),
-    "core_num.truncated_cos": (
-        NOT_A_CLOSED_FORM,
-        "a partial Taylor sum of the budget factor's trigonometric route, checked"
-        " through that route against series_sum_highprec"),
     # flavour
     "flavour.photon_double_slit": (
         NO_ORACLE_YET, "the stored 29 um fringe spacing; its damping is a DiscrepancyFlag site"),
@@ -124,8 +116,6 @@ LEDGER = {
     "propagators.free_decay_detection_probability": (
         NO_ORACLE_YET, "scipy.integrate.quad of the smeared onset in a test"),
     # ray_optics
-    "ray_optics.displaced_lengths": (
-        NOT_A_CLOSED_FORM, "the exact leg lengths that path_phase and the Fermat search use"),
     "ray_optics.path_phase": (
         NOT_A_CLOSED_FORM,
         "the exact phase of one displaced path, which tests differentiate to check"

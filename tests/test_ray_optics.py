@@ -193,6 +193,11 @@ class TestRootSearch:
         assert theta in (step, math.nextafter(step, 0.0))
 
 
+    @pytest.mark.parametrize("end", [0, 1], ids=["lower", "upper"])
+    def test_exact_zero_at_a_window_end_is_that_end(self, end):
+        root = ray_optics._WINDOW[end]
+        assert ray_optics._window_root(lambda x: x - root) == root
+
 class TestPathPhase:
     def test_undisplaced_value(self):
         geom = geometry(1.5, 1.0, math.radians(30.0))

@@ -5,6 +5,7 @@ import re
 
 import mpmath
 import pytest
+from hypothesis import given, strategies as st
 from mpmath import arg as mp_arg
 
 from pathamp import refraction
@@ -278,6 +279,55 @@ class TestTimeBudgetFactor:
         stopped = int(re.search(r"order (\d+)", str(err.value)).group(1))
         assert stopped <= dphi + beta_l + 2
 
+    # (dphi, beta_l, value.real, value.imag, trig_route.real, trig_route.imag,
+    # n_terms) in hex; n_terms runs from 5 to 652
+    PINNED = [
+        (0.01, 0.5, "0x1.014815985c129p+0", "0x1.a4205acc884f2p-16",
+         "0x1.014815985c129p+0", "0x1.a4205acc8835bp-16", 5),
+        (2.0, 5.0, "0x1.525abee8f3c68p+3", "0x1.3fdfa452ec046p+6",
+         "0x1.525abee8f3c67p+3", "0x1.3fdfa452ec045p+6", 17),
+        (10.0, 10.0, "-0x1.d09dad25887d4p+24", "0x1.a6f1c0705ddccp+22",
+         "-0x1.d09dad25887d4p+24", "0x1.a6f1c0705ddcap+22", 32),
+        (50.0, 10.0, "0x1.4aa20c31d1a8dp+56", "-0x1.1ace1123b4bd9p+59",
+         "0x1.4aa20c31d1a89p+56", "-0x1.1ace1123b4bd5p+59", 61),
+        (300.0, 10.0, "-0x1.c6334075dbcb8p+150", "-0x1.1e0f905c38e38p+148",
+         "-0x1.c6334075dbcb5p+150", "-0x1.1e0f905c38e37p+148", 311),
+        (200.0, 50.0, "-0x1.537810c423bfap+281", "-0x1.efac7a8e60581p+281",
+         "-0x1.537810c423bf4p+281", "-0x1.efac7a8e60577p+281", 251),
+        (650.0, 1.0, "0x1.c3c8e699600a1p+62", "0x1.958bfb8c8d5a0p+64",
+         "0x1.c3c8e699600a1p+62", "0x1.958bfb8c8d59fp+64", 652),
+        (3.0, 25.0, "-0x1.4d513eecf2294p+21", "0x1.521bd17d0257dp+20",
+         "-0x1.4d513eecf198ap+21", "0x1.521bd17d028d5p+20", 37),
+    ]
+
+    def test_bits_are_pinned(self):
+        # a rewrite of either route that claims the same outputs keeps
+        # these to the last bit
+        got = []
+        for dphi, beta_l, *_ in self.PINNED:
+            f = time_budget_factor(dphi, beta_l)
+            got.append((dphi, beta_l, f.value.real.hex(), f.value.imag.hex(),
+                        f.trig_route.real.hex(), f.trig_route.imag.hex(), f.n_terms))
+        assert got == self.PINNED
+
+
+class TestTruncatedSeries:
+    """The trigonometric route's partial sums of the sine and cosine series."""
+
+    def test_truncated_sin_low_orders(self):
+        assert refraction._truncated_sin(0, 1.0) == 0.0
+        assert refraction._truncated_sin(1, 0.5) == 0.5
+        assert abs(refraction._truncated_sin(50, 0.5) - math.sin(0.5)) < 1e-12
+
+    def test_truncated_cos_low_orders(self):
+        assert refraction._truncated_cos(0, 2.0) == 1.0
+        assert refraction._truncated_cos(1, 1.0) == 0.5
+        assert abs(refraction._truncated_cos(50, 1.0) - math.cos(1.0)) < 1e-12
+
+    @given(st.floats(-10.0, 10.0), st.integers(30, 60))
+    def test_truncated_series_converge(self, x, order):
+        assert abs(refraction._truncated_sin(order, x) - math.sin(x)) < 1e-10
+        assert abs(refraction._truncated_cos(order, x) - math.cos(x)) < 1e-10
 
 class TestAnnulmentRegime:
     def test_phase_suppressed_on_log_grid(self):
@@ -399,7 +449,7 @@ class TestBoundaryRadialLimit:
 
     def test_near_edge_circle_towards_its_near_side(self):
         # sqrt(R^2 - (y cos phi1)^2) - y sin phi1 rounded to 0 here, and
-        # the call refused a valid circle as "behind the axis plane"
+        # the call refused a valid circle
         b = CircularBoundary(0.028642053201353646, 0.028642053201353643)
         x1, ref = self._circle_reference(b, 1.570796335325029)
         assert abs(boundary_radial_limit(b, x1, 1.570796335325029) - ref) <= 1e-15 * ref
@@ -417,6 +467,27 @@ class TestBoundaryRadialLimit:
             x1, ref = self._circle_reference(b, phi1)
             assert abs(boundary_radial_limit(b, x1, phi1) - ref) <= 1e-15 * ref, \
                 (radius, y, phi1)
+
+    @pytest.mark.parametrize("boundary,x1,phi1", [
+        (CircularBoundary(1e155, 1e155 - 1e150), 1.0, math.pi / 2),
+        (RectangularBoundary(1e200, 1e200), 1e200, 0.1),
+        (CircularBoundary(1e200), 1e200, 0.3),
+        (CircularBoundary(1e-10), 1e-320, 0.3)],
+        ids=["near-edge-circle", "rectangle", "circle", "subnormal-x1"])
+    def test_finite_limits_near_the_double_range(self, boundary, x1, phi1):
+        # 5.0e299, 1.126e200 and 1.5e200 were refused because a square on
+        # the way passed the largest double; at x1 = 1e-320 the quotient
+        # R1/(2 x1) does, though R1^2/(2 x1) is 5.0e299
+        with mpmath.workdps(50):
+            c, s = mpmath.cos(mpmath.mpf(phi1)), mpmath.sin(mpmath.mpf(phi1))
+            if isinstance(boundary, CircularBoundary):
+                t = mpmath.sqrt(mpmath.mpf(boundary.radius) ** 2
+                                - (boundary.y * c) ** 2) - boundary.y * s
+            else:
+                t = min(mpmath.mpf(boundary.l_z) / 2 / abs(c),
+                        mpmath.mpf(boundary.l_y) / 2 / abs(s))
+            ref = x1 + t ** 2 / (2 * x1)
+        assert abs(boundary_radial_limit(boundary, x1, phi1) - ref) <= 1e-15 * ref
 
     @pytest.mark.parametrize("x1,phi1", [
         (math.nan, 0.0), (math.inf, 0.0), (0.5, math.nan), (0.5, math.inf),

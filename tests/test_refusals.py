@@ -20,7 +20,6 @@ from pathamp.core_num import (
     ConvergenceError,
     DomainError,
     PreconditionError,
-    truncated_cos,
     wavenumber,
 )
 
@@ -40,9 +39,6 @@ def _grows(x):
 
 
 ROWS = {
-    # core_num
-    "truncated_cos-negative-order": (
-        lambda: truncated_cos(-1, 1.0), DomainError, "order must be >= 0"),
     # flavour
     "photon_double_slit-kappa": (
         lambda: flavour.photon_double_slit(GEOM, 0.0, 1e-8),
@@ -160,26 +156,24 @@ ROWS = {
     "boundary_averaged_factor-beta_l": (
         lambda: refraction.boundary_averaged_factor(-1.0),
         DomainError, "beta_l must be >= 0"),
+    "annulment_report-wavelength": (
+        lambda: refraction.annulment_report(1e-3, 1.0, 0.0, 0.4, 1.5, 1e-8),
+        DomainError, "all lengths and times must be positive"),
     "annulment_report-index": (
         lambda: refraction.annulment_report(1e-3, 1.0, 589e-9, 0.4, 0.5, 1e-8),
         DomainError, "n must be >= 1"),
     "boundary_radial_limit-x1": (
         lambda: refraction.boundary_radial_limit(refraction.CircularBoundary(0.03), 0.0, 0.0),
         DomainError, "x1 must be positive"),
-    # (R - y)(R + y) underflows to 0, so the boundary meets the axis
-    "boundary_radial_limit-underflow": (
-        lambda: refraction.boundary_radial_limit(
-            refraction.CircularBoundary(1e-200), 0.5, 0.0),
-        DomainError, "boundary point behind the axis plane"),
-    # a square, the reach or the quotient by x1 past the largest double
+    # a finite reach whose limit passes the largest double
     "boundary_radial_limit-rectangle-overflow": (
         lambda: refraction.boundary_radial_limit(
             refraction.RectangularBoundary(1e200, 1e200), 0.5, 0.1),
-        DomainError, "squared overflows a double"),
+        DomainError, "radial limit inf is not a finite double"),
     "boundary_radial_limit-displaced-circle-overflow": (
         lambda: refraction.boundary_radial_limit(
             refraction.CircularBoundary(1e200, 5e199), 0.5, 0.1),
-        DomainError, "squared overflows a double"),
+        DomainError, "radial limit inf is not a finite double"),
     "boundary_radial_limit-circle-overflow": (
         lambda: refraction.boundary_radial_limit(
             refraction.CircularBoundary(1e200), 0.5, 0.1),

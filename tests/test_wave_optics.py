@@ -18,7 +18,8 @@ from pathamp.wave_optics import (
 )
 
 C = CONSTANTS.c
-NA = EmitterSpec.from_line(CONSTANTS.lambda_na_d, 16.2e-9)
+NA_LIFETIME = 16.2e-9  # s
+NA = EmitterSpec.from_line(CONSTANTS.lambda_na_d, NA_LIFETIME)
 
 
 class TestSphericalWave:
@@ -136,7 +137,7 @@ class TestHolePathAmplitude:
 
     def test_later_detection_damps(self):
         t_on = (self.GEOM.r + self.GEOM.r1) / C
-        tau = NA.lifetime
+        tau = NA_LIFETIME
         a0 = abs(hole_path_amplitude(NA, self.GEOM, t_on))
         a1 = abs(hole_path_amplitude(NA, self.GEOM, t_on + 3.0 * tau))
         assert a1 / a0 == pytest.approx(math.exp(-1.5), rel=1e-9)
