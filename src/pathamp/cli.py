@@ -12,11 +12,13 @@ The subcommands live in pathamp.commands, one module per pathamp module
 they drive.  _COMMANDS names each subcommand's module, and a run imports
 only the module of the subcommand it runs, which in turn imports only the
 pathamp modules it calls (and numpy only where an oracle computes).
+A valid run's exact argv is read straight from its flag rows
+(_read_exact), so it loads no argparse; argparse reads every other argv
+and writes all help, usage and error text.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import re
@@ -105,7 +107,7 @@ def _dest(flag: str) -> str:
     return flag.lstrip("-").replace("-", "_")
 
 
-class _Args(argparse.Namespace):
+class _Args:
     """Parsed flags.  A quantity is converted only when a handler asks for
     it, so flags a mode ignores stay unparsed, and errors are reported in
     the order the handler reads its flags."""
@@ -177,9 +179,17 @@ class _ArgumentError(ValueError):
     emit a machine-readable error object for unknown flags or values."""
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _ArgumentError(message)
+def _parser(**kwargs):
+    """An argparse parser that raises _ArgumentError where argparse would
+    print its usage and exit.  argparse is imported only here, so a run
+    the exact reader answers never loads it."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _ArgumentError(message)
+
+    return Parser(**kwargs)
 
 
 class _LazyParser:
@@ -195,11 +205,86 @@ class _LazyParser:
     def parse_known_args(self, args, namespace=None):
         # args are the tokens argparse routed to this subcommand, so the
         # summary's argv starts at the subcommand and holds no global option
-        parser = _Parser(**self.kwargs)
+        parser = _parser(**self.kwargs)
         parser.set_defaults(argv=[self.name, *args])
         for names, _unit, options in _command(self.name)[1]:
             parser.add_argument(*names.split(), **options)
         return parser.parse_known_args(args, namespace)
+
+
+# the row options the exact reader understands (action only as
+# "store_true"); metavar and help shape only the text argparse writes
+_EXACT_OPTIONS = {"default", "required", "choices", "type", "action", "metavar", "help"}
+
+
+def _typed(value, options):
+    """value through the row's type, as argparse converts it; None where
+    argparse would refuse it."""
+    try:
+        return options["type"](value) if "type" in options else value
+    except Exception:   # argparse then reads argv, and reports or raises it
+        return None
+
+
+def _read_exact(argv: list[str]) -> _Args | None:
+    """The flags of an exact argv, read from its subcommand's flag rows as
+    argparse would read them, or None when argparse must read argv.
+
+    An exact argv starts at a subcommand and names each flag by one of its
+    row names, as "--flag value" (a value not starting with "-") or
+    "--flag=value", or bare for a store_true row.  Its values pass the
+    rows' type and choices checks, every required row is given, and a
+    repeated flag keeps its last value.  Anything else (help, an unknown
+    or abbreviated flag, a missing or refused value, an option before the
+    subcommand) is left to argparse, which alone writes usage, help and
+    error text."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    rows = _command(argv[0])[1]
+    for _names, _unit, options in rows:
+        if (not options.keys() <= _EXACT_OPTIONS
+                or options.get("action", "store_true") != "store_true"):
+            return None
+    by_name = {name: row for row in rows for name in row[0].split()}
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if name not in by_name:
+            return None
+        names, _unit, options = by_name[name]
+        if "action" in options:
+            if eq:
+                return None
+            value = True
+        else:
+            if not eq:
+                value = next(tokens, "-")
+                if value.startswith("-"):   # none, or one argparse may read as a flag
+                    return None
+            elif value == "--":             # argparse (3.11) reads it as []
+                return None
+            value = _typed(value, options)
+            choices = options.get("choices")
+            if value is None or (choices is not None and value not in choices):
+                return None
+        given[names] = value
+    args = _Args()
+    args.config = args.out = None
+    args.subcommand, args.argv = argv[0], list(argv)
+    for names, _unit, options in rows:
+        if names in given:
+            value = given[names]
+        elif options.get("required"):
+            return None
+        else:
+            value = options.get("default", False if "action" in options else None)
+            if isinstance(value, str):   # argparse converts a str default
+                value = _typed(value, options)
+                if value is None:
+                    return None
+        setattr(args, _dest(names.split()[0]), value)
+    return args
 
 
 def _load_replay(path: str) -> list[str]:
@@ -225,9 +310,9 @@ def _load_replay(path: str) -> list[str]:
     return argv
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
     """The command-line parser, one subparser per _COMMANDS entry."""
-    p = _Parser(
+    p = _parser(
         prog="pathamp",
         description="Path-amplitude optics and flavour-oscillation calculator")
     p.add_argument("--config", help="re-run from an emitted JSON summary")
@@ -245,11 +330,12 @@ def main(argv: list[str] | None = None) -> int:
     for a in argv:
         if a.startswith("-") and a.endswith("=--"):
             return _error_exit("ArgumentError", f"argument {a[:-3]}: expected one argument")
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv, _Args())
-    except _ArgumentError as exc:
-        return _error_exit("ArgumentError", str(exc))
+    args = _read_exact(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv, _Args())
+        except _ArgumentError as exc:
+            return _error_exit("ArgumentError", str(exc))
 
     try:
         if args.config:
@@ -262,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
                         + _load_replay(args.config))
 
         if not args.subcommand:
-            parser.print_help()
+            build_parser().print_help()
             return 1
 
         inputs, outputs, provenance, flags = _command(args.subcommand)[0](args)

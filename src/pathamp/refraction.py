@@ -51,6 +51,14 @@ class SeriesDisagreement(RuntimeError):
     """The two independent series evaluations failed to agree."""
 
 
+def _refuse_non_finite(**values: float) -> None:
+    """DomainError naming the first of values that is not finite: NaN
+    passes every sign and ordering check, and inf overflows past them."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
+
+
 class RectangularBoundary(Record):
     """Rectangular transverse boundary of sides (l_y, l_z); the beam axis
     pierces the plane at (y, z) relative to the centre."""
@@ -59,6 +67,7 @@ class RectangularBoundary(Record):
     _defaults = {"y": 0.0, "z": 0.0}
 
     def __post_init__(self):
+        _refuse_non_finite(l_y=self.l_y, l_z=self.l_z, y=self.y, z=self.z)
         if self.l_y <= 0 or self.l_z <= 0:
             raise DomainError("sides must be positive")
         if abs(self.y) >= self.l_y / 2 or abs(self.z) >= self.l_z / 2:
@@ -73,6 +82,7 @@ class CircularBoundary(Record):
     _defaults = {"y": 0.0}
 
     def __post_init__(self):
+        _refuse_non_finite(radius=self.radius, y=self.y)
         if self.radius <= 0:
             raise DomainError("radius must be positive")
         if abs(self.y) >= self.radius:
@@ -459,6 +469,8 @@ def annulment_report(radius: float, axis_distance: float, wavelength: float,
     detour paths stay clear of the transverse boundary; photons from decays
     within delta_s_max/c of production cross unrefracted.
     """
+    _refuse_non_finite(radius=radius, axis_distance=axis_distance, wavelength=wavelength,
+                       block_length=block_length, n=n, tau_s=tau_s)
     if radius >= axis_distance:
         raise PreconditionError("requires radius << axis distance")
     if min(radius, axis_distance, wavelength, block_length, tau_s) <= 0:

@@ -6,8 +6,9 @@ every argv whose exit code, stdout, stderr or CSV differs.
 Each tree is a checkout of this repository.  The deck is
 ``perfbench.inputs.cli_deck`` at seeds 1 and 2 for 3 cycles (read from
 PARENT_TREE's perfbench/, which is left unchanged), plus every
-``reproduce`` recipe with ``--csv`` and ``oracle --op nested`` at orders 1
-to 4 (the deck draws orders 1 to 3 only): 190 argv.  Each argv runs in a
+``reproduce`` recipe with ``--csv``, ``oracle --op nested`` at orders 1
+to 4 (the deck draws orders 1 to 3 only) and the argv of BOUNDARY: 201
+argv.  Each argv runs in a
 fresh ``python -m pathamp.cli`` process with the tree's src/ on PYTHONPATH
 and PYTHONDONTWRITEBYTECODE=1, in a temporary directory that receives its
 CSV, so neither tree gains files.  A CSV is compared by its sha256.  Exits
@@ -24,6 +25,21 @@ import tempfile
 
 RECIPES = ("fig9", "table1", "table2-ratios", "table3", "eq7.8", "eq9.65")
 CSV = "out.csv"  # relative, so the stdout that names it is the same for both trees
+# argv at the line between the command line's exact reader and argparse:
+# each is read by one of them, so a change to either is compared here
+BOUNDARY = [
+    ["snell", "--n1", "1.5", "--n2", "1.0", "--theta-i", "30deg", "--search"],
+    ["snell", "--n1", "1.5", "--n2", "1.0", "--theta-i", "30deg", "--search", "x"],
+    ["snell", "--n1", "1.5", "--n2", "1.0", "--theta-i", "30deg", "--search=x"],
+    ["reflect", "--n2=1.5", "--n1=1.2"],
+    ["michelson", "--L=50cm", "--d", "25cm", "--tau=10ns", "--curve={csv}"],
+    ["oracle", "--op=mc-volume", "--samples=2000", "--seed=5"],
+    ["reflect", "--n2", "1.2", "--n2", "1.5"],          # the last repeat wins
+    ["refract-series", "--dphi=-1", "--betal", "5"],
+    ["refract-series", "--dphi", "-1", "--betal", "5"],
+    ["diffraction", "--wave", "589nm"],                 # abbreviated
+    ["--out", "{csv}", "reflect", "--n2", "1.5"],       # the summary goes to the CSV
+]
 
 
 def deck(tree: str) -> list:
@@ -31,12 +47,18 @@ def deck(tree: str) -> list:
     spec = importlib.util.spec_from_file_location(
         "perfbench_inputs", os.path.join(tree, "perfbench", "inputs.py"))
     inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
+    # loading perfbench/inputs.py must not leave its bytecode in the tree
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(inputs)
+    finally:
+        sys.dont_write_bytecode = saved
     argvs = [argv for seed in (1, 2) for argv, _valid in inputs.cli_deck(seed, 3)]
     argvs += [["reproduce", "--recipe", r, "--csv", "{csv}"] for r in RECIPES]
     argvs += [["oracle", "--op", "nested", "--order", str(n), "--dphi", "9.5"]
               for n in range(1, 5)]
-    return [[CSV if a == "{csv}" else a for a in argv] for argv in argvs]
+    argvs += BOUNDARY
+    return [[a.replace("{csv}", CSV) for a in argv] for argv in argvs]
 
 
 def run(tree: str, argv: list, work: str) -> dict:
@@ -61,8 +83,6 @@ def main() -> int:
     parser.add_argument("parent_tree")
     parser.add_argument("change_tree")
     args = parser.parse_args()
-    # loading perfbench/inputs.py must not leave its bytecode in the tree
-    sys.dont_write_bytecode = True
     argvs = deck(args.parent_tree)
     differ = 0
     with tempfile.TemporaryDirectory() as work:

@@ -7,10 +7,15 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pathamp
+import same_outputs
 from pathamp import cli
 from pathamp.cli import main
+from test_cli_golden import GOLDEN_ARGV
+from test_cli_properties import _argv, _mutated
 
 
 def run_cli(args, capsys):
@@ -771,7 +776,8 @@ def _child_env():
 
 def _loaded_modules(argv, tmp_path=None):
     """Exit code of main(argv) in a fresh interpreter (None when argv is
-    None: import only) and the names in its sys.modules afterwards.  A
+    None: import only; the SystemExit code of a help request) and the
+    names in its sys.modules afterwards.  A
     fresh interpreter, so modules the test suite imported cannot mask what
     the command line itself pulls in."""
     if tmp_path is not None:
@@ -780,7 +786,10 @@ def _loaded_modules(argv, tmp_path=None):
               "from pathamp.cli import main\n"
               "argv = json.loads(sys.argv[1])\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
-              "    code = None if argv is None else main(argv)\n"
+              "    try:\n"
+              "        code = None if argv is None else main(argv)\n"
+              "    except SystemExit as exc:\n"   # --help
+              "        code = exc.code\n"
               "print(json.dumps([code, sorted(sys.modules)]))\n")
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
                           env=_child_env(), capture_output=True, text=True, timeout=120)
@@ -885,6 +894,7 @@ class TestImportGuard:
         _, modules = _loaded_modules(None)
         assert not modules & _HEAVY
         assert not modules & _INTROSPECTION
+        assert "argparse" not in modules
         assert {m for m in modules if m.startswith("pathamp")} \
             == {"pathamp", "pathamp.cli", "pathamp.core_num"}
 
@@ -894,6 +904,17 @@ class TestImportGuard:
         assert code == 0
         assert not modules & _HEAVY
         assert not modules & _INTROSPECTION
+        # the exact reader reads every valid argv here from the flag rows
+        assert "argparse" not in modules
+
+    @pytest.mark.parametrize("argv,expected", [
+        pytest.param(["--help"], 0, id="help"),
+        pytest.param(GOLDEN_ARGV["bad-choice"], 2, id="bad-choice"),
+    ])
+    def test_argparse_loads_for_help_and_errors(self, argv, expected):
+        code, modules = _loaded_modules(argv)
+        assert code == expected
+        assert "argparse" in modules
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["oracle", "--op", "nested", "--order", "5"], id="nested-order-5"),
@@ -927,6 +948,117 @@ class TestImportGuard:
         # closed-form module it checks
         assert "numpy.polynomial" not in modules
         assert other not in modules
+
+
+def _argparse_vars(argv):
+    """vars() of the namespace argparse builds for argv; None where it
+    refuses argv."""
+    try:
+        return vars(cli.build_parser().parse_args(argv, cli._Args()))
+    except cli._ArgumentError:
+        return None
+
+
+def _assert_readers_agree(argv):
+    """Wherever the exact reader answers, its namespace is argparse's."""
+    exact = cli._read_exact(argv)
+    if exact is not None:
+        assert vars(exact) == _argparse_vars(argv), argv
+    return exact
+
+
+# tokens that lie near the line between the exact reader and argparse
+_STRAYS = ["--help", "-h", "--", "", "x", "-1", "--search", "--search=x", "--out",
+           "o.json", "--config", "--kind=--", "--curve=--", "--n2=1.5=2"]
+
+
+@st.composite
+def _near_exact(draw):
+    """An argv of test_cli_properties, then up to two edits: a repeated
+    flag and value, a dropped or shortened token, or a stray token."""
+    argv = [a.replace("{csv}", "curve.csv") for a in draw(st.one_of(_argv(), _mutated()))]
+    for _ in range(draw(st.integers(0, 2))):
+        if not argv:
+            break
+        i = draw(st.integers(0, len(argv) - 1))
+        edit = draw(st.sampled_from(["repeat", "drop", "shorten", "insert"]))
+        if edit == "repeat":
+            argv += argv[i:i + 2]
+        elif edit == "drop":
+            del argv[i]
+        elif edit == "shorten":
+            argv[i] = argv[i][:-1]
+        else:
+            argv.insert(i, draw(st.sampled_from(_STRAYS)))
+    return argv
+
+
+class TestExactReader:
+    """cli._read_exact reads an exact argv from the flag rows, and leaves
+    every other argv to argparse; where it answers, it must build the
+    namespace argparse builds."""
+
+    def test_agrees_on_every_recorded_argv(self):
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        recorded = [*GOLDEN_ARGV.values(), *same_outputs.deck(root)]
+        answered = [argv for argv in recorded if _assert_readers_agree(argv) is not None]
+        # the reader is no shortcut unless it answers most valid runs
+        assert len(answered) > len(recorded) // 2
+
+    @settings(max_examples=300, derandomize=True)
+    @given(argv=_near_exact())
+    def test_agrees_on_generated_argv(self, argv):
+        _assert_readers_agree(argv)
+
+    @pytest.mark.parametrize("argv", [
+        *_ONE_PER_SUBCOMMAND.values(),
+        ["snell", "--n1=1.5", "--n2", "1.0", "--theta-i=30deg", "--search", "--search"],
+        ["neutrino", "--dm2", "2e-3eV2", "--L", "1m", "--baseline", "100m"],
+        ["refract-series", "--dphi=-1", "--betal=5"],
+        ["reflect", "--n2="],
+    ])
+    def test_answers_an_exact_argv(self, argv):
+        assert _assert_readers_agree(argv) is not None
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        ["reflect", "--help"],
+        [],
+        ["--out", "o.json", "reflect", "--n2", "1.5"],
+        ["diffraction", "--wave", "589nm"],                 # abbreviated
+        ["snell", "--n1", "1.5", "--n2", "1.0", "--theta-i", "30deg", "--search", "x"],
+        ["snell", "--n1", "1.5", "--n2", "1.0", "--theta-i", "30deg", "--search=x"],
+        ["reflect", "--n2"],                                # no value
+        ["reflect", "--n2", "1.5", "--bogus", "1"],
+        ["michelson", "--d", "1cm"],                        # required flags absent
+        ["classify", "--kind", "muon"],
+        ["oracle", "--op", "mc-volume", "--samples", "many"],
+        ["oracle", "--op", "mc-volume", "--samples=--"],
+        ["kaon", "--curve=--"],                             # argparse (3.11) reads []
+    ])
+    def test_leaves_the_rest_to_argparse(self, argv):
+        assert cli._read_exact(argv) is None
+
+    def test_argparse_reads_a_spaced_negative_value(self):
+        # argparse takes "-1" for a value, since no flag looks like a
+        # number; the exact reader leaves that to argparse, and reads
+        # "--dphi=-1" itself
+        spaced = ["refract-series", "--dphi", "-1", "--betal", "5"]
+        assert cli._read_exact(spaced) is None
+        assert _argparse_vars(spaced)["dphi"] == "-1"
+        joined = ["refract-series", "--dphi=-1", "--betal", "5"]
+        assert _assert_readers_agree(joined).dphi == "-1"
+
+    def test_a_row_option_it_does_not_know_goes_to_argparse(self, monkeypatch, capsys):
+        from pathamp.commands import reflection
+        argv = ["reflect", "--n2", "1.5"]
+        expected = run_cli(argv, capsys)
+        handler, rows = reflection.COMMANDS["reflect"]
+        monkeypatch.setitem(reflection.COMMANDS, "reflect",
+                            (handler, (*rows, ("--extra", None, {"nargs": "?"}))))
+        assert cli._read_exact(argv) is None
+        assert _argparse_vars(argv)["extra"] is None
+        assert run_cli(argv, capsys) == expected
 
 
 class TestPackaging:

@@ -112,6 +112,14 @@ REFUSED = {
     "RectangularBoundary-32": (refraction.RectangularBoundary, (2.0, 3.0), {"z": 1.5}),
     "CircularBoundary-33": (refraction.CircularBoundary, (0.0,), {}),           # radius
     "CircularBoundary-34": (refraction.CircularBoundary, (1.0,), {"y": -1.0}),
+    # NaN passes the sign and interior checks
+    "RectangularBoundary-nan-side": (refraction.RectangularBoundary, (math.nan, 3.0), {}),
+    "RectangularBoundary-inf-side": (refraction.RectangularBoundary, (2.0, math.inf), {}),
+    "RectangularBoundary-nan-offset": (refraction.RectangularBoundary, (2.0, 3.0),
+                                       {"z": math.nan}),
+    "CircularBoundary-nan-radius": (refraction.CircularBoundary, (math.nan,), {}),
+    "CircularBoundary-inf-radius": (refraction.CircularBoundary, (math.inf,), {"y": 1.0}),
+    "CircularBoundary-nan-offset": (refraction.CircularBoundary, (1.0,), {"y": math.nan}),
     "MediumSpec-35": (refraction.MediumSpec, (0.0, 1e-10, 0.01), {}),           # density
     "MediumSpec-36": (refraction.MediumSpec, (1e25, 1e-10, -0.01), {}),         # thickness
 }

@@ -162,6 +162,24 @@ ROWS = {
     "annulment_report-index": (
         lambda: refraction.annulment_report(1e-3, 1.0, 589e-9, 0.4, 0.5, 1e-8),
         DomainError, "n must be >= 1"),
+    # a lifetime of inf gave prompt_fraction 0.0, and NaN gave nan
+    "annulment_report-infinite-tau": (
+        lambda: refraction.annulment_report(1e-3, 1.0, 589e-9, 0.4, 1.5, math.inf),
+        DomainError, "tau_s must be finite, got inf"),
+    "annulment_report-nan-tau": (
+        lambda: refraction.annulment_report(1e-3, 1.0, 589e-9, 0.4, 1.5, math.nan),
+        DomainError, "tau_s must be finite, got nan"),
+    # a non-finite boundary was refused only by boundary_radial_limit, as
+    # "radial limit nan", which names no input
+    "CircularBoundary-nan-radius": (
+        lambda: refraction.CircularBoundary(math.nan),
+        DomainError, "radius must be finite, got nan"),
+    "CircularBoundary-infinite-radius": (
+        lambda: refraction.CircularBoundary(math.inf, 1.0),
+        DomainError, "radius must be finite, got inf"),
+    "RectangularBoundary-nan-offset": (
+        lambda: refraction.RectangularBoundary(2.0, 3.0, z=math.nan),
+        DomainError, "z must be finite, got nan"),
     "boundary_radial_limit-x1": (
         lambda: refraction.boundary_radial_limit(refraction.CircularBoundary(0.03), 0.0, 0.0),
         DomainError, "x1 must be positive"),
