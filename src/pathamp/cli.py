@@ -13,8 +13,10 @@ they drive.  _COMMANDS names each subcommand's module, and a run imports
 only the module of the subcommand it runs, which in turn imports only the
 pathamp modules it calls (and numpy only where an oracle computes).
 A valid run's exact argv is read straight from its flag rows
-(_read_exact), so it loads no argparse; argparse reads every other argv
-and writes all help, usage and error text.
+(_read_exact), so it loads no argparse.  Every other argv goes to
+pathamp._cli_argparse, imported only then: its argparse parser writes all
+help, usage and error text, and it reads --config and loads the replayed
+summary.
 """
 
 from __future__ import annotations
@@ -62,10 +64,6 @@ def _command(name: str):
 
 class UnitError(ValueError):
     pass
-
-
-class ConfigError(ValueError):
-    """A --config summary that cannot be read or replayed."""
 
 
 class OutputError(ValueError):
@@ -174,44 +172,6 @@ def _error_exit(kind: str, message: str) -> int:
     return 2
 
 
-class _ArgumentError(ValueError):
-    """Raised instead of argparse's usage-text exit so the command line can
-    emit a machine-readable error object for unknown flags or values."""
-
-
-def _parser(**kwargs):
-    """An argparse parser that raises _ArgumentError where argparse would
-    print its usage and exit.  argparse is imported only here, so a run
-    the exact reader answers never loads it."""
-    import argparse
-
-    class Parser(argparse.ArgumentParser):
-        def error(self, message):
-            raise _ArgumentError(message)
-
-    return Parser(**kwargs)
-
-
-class _LazyParser:
-    """A subcommand's parser as the subparsers action holds it (its
-    parser_class).  The real parser is built from the subcommand's flag
-    rows only when it parses, so a run imports and builds just the one it
-    runs."""
-
-    def __init__(self, **kwargs):
-        self.kwargs = kwargs      # prog, from add_parser
-        self.name = None
-
-    def parse_known_args(self, args, namespace=None):
-        # args are the tokens argparse routed to this subcommand, so the
-        # summary's argv starts at the subcommand and holds no global option
-        parser = _parser(**self.kwargs)
-        parser.set_defaults(argv=[self.name, *args])
-        for names, _unit, options in _command(self.name)[1]:
-            parser.add_argument(*names.split(), **options)
-        return parser.parse_known_args(args, namespace)
-
-
 # the row options the exact reader understands (action only as
 # "store_true"); metavar and help shape only the text argparse writes
 _EXACT_OPTIONS = {"default", "required", "choices", "type", "action", "metavar", "help"}
@@ -287,69 +247,25 @@ def _read_exact(argv: list[str]) -> _Args | None:
     return args
 
 
-def _load_replay(path: str) -> list[str]:
-    """The argv of an emitted summary."""
-    try:
-        with open(path) as fh:
-            stored = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"--config: cannot read {path!r}: {exc.strerror}") from None
-    except ValueError as exc:
-        raise ConfigError(f"--config: {path!r} is not JSON: {exc}") from None
-    if not isinstance(stored, dict):
-        raise ConfigError(f"--config: {path!r} holds no JSON object")
-    argv = stored.get("argv")
-    if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
-        raise ConfigError(f"--config: {path!r} has no 'argv' list of strings")
-    first = argv[0] if argv else ""
-    if first.startswith("--config"):
-        raise ConfigError("--config: a replayed summary cannot name another --config")
-    if first not in _COMMANDS:
-        raise ConfigError(f"--config: {path!r} stores an argv that starts at {first!r},"
-                          " not at a subcommand")
-    return argv
-
-
-def build_parser():
-    """The command-line parser, one subparser per _COMMANDS entry."""
-    p = _parser(
-        prog="pathamp",
-        description="Path-amplitude optics and flavour-oscillation calculator")
-    p.add_argument("--config", help="re-run from an emitted JSON summary")
-    p.add_argument("--out", help="also write the JSON summary to this file")
-    sub = p.add_subparsers(dest="subcommand", parser_class=_LazyParser)
-    for name in _COMMANDS:
-        sub.add_parser(name).name = name
-    return p
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse (3.11) turns the value of "--flag=--" into [] and skips its
-    # type and choices checks
+    # a value that is exactly "--" ("--tau=--"): argparse (3.11) turns it
+    # into [] and skips its type and choices checks
     for a in argv:
-        if a.startswith("-") and a.endswith("=--"):
-            return _error_exit("ArgumentError", f"argument {a[:-3]}: expected one argument")
+        flag, _eq, value = a.partition("=")
+        if a.startswith("-") and value == "--":
+            return _error_exit("ArgumentError", f"argument {flag}: expected one argument")
     args = _read_exact(argv)
-    if args is None:
-        try:
-            args = build_parser().parse_args(argv, _Args())
-        except _ArgumentError as exc:
-            return _error_exit("ArgumentError", str(exc))
-
     try:
-        if args.config:
-            if args.subcommand:
-                raise ConfigError(f"--config replays a whole run: drop the"
-                                  f" {args.subcommand!r} subcommand given beside it")
-            # the stored argv is the whole run; it starts at its subcommand,
-            # so it names no --config
-            return main((["--out", args.out] if args.out else [])
-                        + _load_replay(args.config))
-
-        if not args.subcommand:
-            build_parser().print_help()
-            return 1
+        if args is None:
+            # every other argv goes to argparse, which writes help and
+            # errors, and reads --config; only such a run loads it
+            from pathamp import _cli_argparse
+            args = _cli_argparse._parse(argv, _Args(), _COMMANDS, _command)
+            if args is None:                # help was printed
+                return 1
+            if isinstance(args, list):      # the argv a --config replay runs
+                return main(args)
 
         inputs, outputs, provenance, flags = _command(args.subcommand)[0](args)
         summary = {

@@ -7,9 +7,10 @@ aliases; the unit names a unit table of ``pathamp.cli`` ("length",
 "time", "angle", "energy", "momentum", "dm2", "density"), or is "bare"
 for a number without a unit, or None for a value used as parsed.
 
-The rows feed both parsers of ``pathamp.cli``: its exact reader, which
+The rows feed both parsers: the exact reader of ``pathamp.cli``, which
 reads a valid run's argv without loading argparse, and the argparse
-parser, which reads every other argv and writes help and errors.  The
+parser of ``pathamp._cli_argparse``, which reads every other argv, writes
+help and errors, and reads ``--config`` replays.  The
 reader understands the options ``default``, ``required``, ``choices``,
 ``type`` and ``action="store_true"``, and ``metavar`` and ``help``, which
 shape only argparse's text; a row with any other option makes it leave

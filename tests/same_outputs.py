@@ -7,7 +7,7 @@ Each tree is a checkout of this repository.  The deck is
 ``perfbench.inputs.cli_deck`` at seeds 1 and 2 for 3 cycles (read from
 PARENT_TREE's perfbench/, which is left unchanged), plus every
 ``reproduce`` recipe with ``--csv``, ``oracle --op nested`` at orders 1
-to 4 (the deck draws orders 1 to 3 only) and the argv of BOUNDARY: 201
+to 4 (the deck draws orders 1 to 3 only) and the argv of BOUNDARY: 202
 argv.  Each argv runs in a
 fresh ``python -m pathamp.cli`` process with the tree's src/ on PYTHONPATH
 and PYTHONDONTWRITEBYTECODE=1, in a temporary directory that receives its
@@ -39,6 +39,7 @@ BOUNDARY = [
     ["refract-series", "--dphi", "-1", "--betal", "5"],
     ["diffraction", "--wave", "589nm"],                 # abbreviated
     ["--out", "{csv}", "reflect", "--n2", "1.5"],       # the summary goes to the CSV
+    ["reflect", "--n2=1.5=--"],                         # a value that only ends in "--"
 ]
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import pathamp
 import same_outputs
-from pathamp import cli
+from pathamp import _cli_argparse, cli
 from pathamp.cli import main
 from test_cli_golden import GOLDEN_ARGV
 from test_cli_properties import _argv, _mutated
@@ -671,6 +671,16 @@ class TestTypedRefusals:
         assert json.loads(err) == {"error": "ArgumentError",
                                    "message": f"argument {flag}: expected one argument"}
 
+    def test_value_that_only_ends_in_double_dash_is_read(self, capsys):
+        # only a value that is exactly "--" is refused before the parsers;
+        # "1.5=--" is --n2's value, which the handler refuses as a quantity
+        code, out, err = run_cli(["reflect", "--n2=1.5=--"], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "UnitError",
+            "message": "--n2: expected a bare dimensionless number, got '1.5=--'"}
+
 
 class TestRecipeRoundTrip:
     def test_recipe_summary_replays_identically(self, capsys, tmp_path):
@@ -776,8 +786,7 @@ def _child_env():
 
 def _loaded_modules(argv, tmp_path=None):
     """Exit code of main(argv) in a fresh interpreter (None when argv is
-    None: import only; the SystemExit code of a help request) and the
-    names in its sys.modules afterwards.  A
+    None: import only) and the names in its sys.modules afterwards.  A
     fresh interpreter, so modules the test suite imported cannot mask what
     the command line itself pulls in."""
     if tmp_path is not None:
@@ -786,10 +795,7 @@ def _loaded_modules(argv, tmp_path=None):
               "from pathamp.cli import main\n"
               "argv = json.loads(sys.argv[1])\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
-              "    try:\n"
-              "        code = None if argv is None else main(argv)\n"
-              "    except SystemExit as exc:\n"   # --help
-              "        code = exc.code\n"
+              "    code = None if argv is None else main(argv)\n"
               "print(json.dumps([code, sorted(sys.modules)]))\n")
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
                           env=_child_env(), capture_output=True, text=True, timeout=120)
@@ -799,6 +805,8 @@ def _loaded_modules(argv, tmp_path=None):
 
 
 _HEAVY = {"numpy", "mpmath", "scipy"}
+# what only an argv the exact reader declines loads
+_ARGPARSE_SIDE = {"argparse", "pathamp._cli_argparse"}
 # the package defines its value classes without dataclasses, whose import
 # pulls in inspect (numpy imports inspect itself)
 _INTROSPECTION = {"dataclasses", "inspect"}
@@ -889,6 +897,8 @@ class TestImportGuard:
         assert "pathamp.cli" not in modules
         assert {m for m in modules if m.startswith("pathamp.commands.")} \
             == {f"pathamp.commands.{cli._COMMANDS[name]}"}
+        # the exact reader reads it: the argparse side is not compiled
+        assert not modules & _ARGPARSE_SIDE
 
     def test_cli_import_loads_only_core(self):
         _, modules = _loaded_modules(None)
@@ -905,16 +915,24 @@ class TestImportGuard:
         assert not modules & _HEAVY
         assert not modules & _INTROSPECTION
         # the exact reader reads every valid argv here from the flag rows
-        assert "argparse" not in modules
+        assert not modules & _ARGPARSE_SIDE
 
     @pytest.mark.parametrize("argv,expected", [
         pytest.param(["--help"], 0, id="help"),
         pytest.param(GOLDEN_ARGV["bad-choice"], 2, id="bad-choice"),
+        pytest.param(["diffraction", "--wave", "589nm"], 0, id="abbreviated"),
+        pytest.param(["--config", "{config}"], 0, id="config-replay"),
     ])
-    def test_argparse_loads_for_help_and_errors(self, argv, expected):
-        code, modules = _loaded_modules(argv)
+    def test_argparse_loads_for_help_and_errors(self, argv, expected, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"argv": ["reflect", "--n2", "1.5"]}))
+        code, modules = _importtime_modules(
+            [str(config) if a == "{config}" else a for a in argv])
         assert code == expected
-        assert "argparse" in modules
+        assert modules >= _ARGPARSE_SIDE
+        # the argparse side is handed what it needs: it does not import
+        # pathamp.cli, which runs as __main__
+        assert "pathamp.cli" not in modules
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["oracle", "--op", "nested", "--order", "5"], id="nested-order-5"),
@@ -953,9 +971,10 @@ class TestImportGuard:
 def _argparse_vars(argv):
     """vars() of the namespace argparse builds for argv; None where it
     refuses argv."""
+    parser = _cli_argparse._build_parser(cli._COMMANDS, cli._command)
     try:
-        return vars(cli.build_parser().parse_args(argv, cli._Args()))
-    except cli._ArgumentError:
+        return vars(parser.parse_args(argv, cli._Args()))
+    except _cli_argparse.ArgumentError:
         return None
 
 
@@ -969,7 +988,8 @@ def _assert_readers_agree(argv):
 
 # tokens that lie near the line between the exact reader and argparse
 _STRAYS = ["--help", "-h", "--", "", "x", "-1", "--search", "--search=x", "--out",
-           "o.json", "--config", "--kind=--", "--curve=--", "--n2=1.5=2"]
+           "o.json", "--config", "--kind=--", "--curve=--", "--n2=1.5=2",
+           "--n2=1.5=--"]
 
 
 @st.composite
