@@ -7,8 +7,8 @@ Each tree is a checkout of this repository.  The deck is
 ``perfbench.inputs.cli_deck`` at seeds 1 and 2 for 3 cycles (read from
 PARENT_TREE's perfbench/, which is left unchanged), plus every
 ``reproduce`` recipe with ``--csv``, ``oracle --op nested`` at orders 1
-to 4 (the deck draws orders 1 to 3 only) and the argv of BOUNDARY: 202
-argv.  Each argv runs in a
+to 4 (the deck draws orders 1 to 3 only), the argv of BOUNDARY and those
+of SERIES: 208 argv.  Each argv runs in a
 fresh ``python -m pathamp.cli`` process with the tree's src/ on PYTHONPATH
 and PYTHONDONTWRITEBYTECODE=1, in a temporary directory that receives its
 CSV, so neither tree gains files.  A CSV is compared by its sha256.  Exits
@@ -42,6 +42,18 @@ BOUNDARY = [
     ["reflect", "--n2=1.5=--"],                         # a value that only ends in "--"
 ]
 
+# refract-series across the budget factor's trig route, whose cost grows as
+# n_terms^2: long series, a large beta_l, the golden SeriesDisagreement and
+# PreconditionError, and the float64 overflow past delta_phi ~ 710
+SERIES = [
+    ["refract-series", "--dphi", "300", "--betal", "10"],
+    ["refract-series", "--dphi", "650", "--betal", "1"],
+    ["refract-series", "--dphi", "3", "--betal", "25"],
+    ["refract-series", "--dphi", "1", "--betal", "40"],
+    ["refract-series", "--dphi", "1", "--betal", "60"],
+    ["refract-series", "--dphi", "720", "--betal", "0.5"],
+]
+
 
 def deck(tree: str) -> list:
     """The argv to compare, with "{csv}" replaced by CSV."""
@@ -58,7 +70,7 @@ def deck(tree: str) -> list:
     argvs += [["reproduce", "--recipe", r, "--csv", "{csv}"] for r in RECIPES]
     argvs += [["oracle", "--op", "nested", "--order", str(n), "--dphi", "9.5"]
               for n in range(1, 5)]
-    argvs += BOUNDARY
+    argvs += BOUNDARY + SERIES
     return [[a.replace("{csv}", CSV) for a in argv] for argv in argvs]
 
 

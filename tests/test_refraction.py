@@ -5,7 +5,6 @@ import re
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
 from mpmath import arg as mp_arg
 
 from pathamp import refraction
@@ -98,6 +97,24 @@ class TestRefractiveIndex:
             scattering_length_for_index(1.5, density, lam)
         with pytest.raises(DomainError, match="density and wavelength must be positive"):
             refractive_index(density, 1e-10, lam)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", [
+    lambda x: MediumSpec(1e25, x, 1e-9),
+    lambda x: thin_sheet_phase_shift(MediumSpec(1e25, 1e-15, 1e-9), x),
+    lambda x: refractive_index(1e25, x, 5e-7),
+    lambda x: scattering_length_for_index(x, 1e25, 5e-7),
+    lambda x: boundary_averaged_factor(x),
+    lambda x: regime_classification(x, 1.0),
+], ids=["MediumSpec", "thin_sheet_phase_shift", "refractive_index",
+        "scattering_length_for_index", "boundary_averaged_factor",
+        "regime_classification"])
+def test_entry_points_refuse_non_finite_input(entry, bad):
+    # NaN passes every sign check and inf overflows past them: each of
+    # these answered nan, inf, 0.0 or a regime label before it refused
+    with pytest.raises(DomainError, match="must be finite"):
+        entry(bad)
 
 
 class TestEffectiveVelocity:
@@ -284,6 +301,10 @@ class TestTimeBudgetFactor:
     PINNED = [
         (0.01, 0.5, "0x1.014815985c129p+0", "0x1.a4205acc884f2p-16",
          "0x1.014815985c129p+0", "0x1.a4205acc8835bp-16", 5),
+        (0.02, 2.5, "0x1.0cf5c404a41acp+0", "0x1.0a8813b2677fbp-11",
+         "0x1.0cf5c404a41acp+0", "0x1.0a8813b266cd9p-11", 7),
+        (0.4, 5.0, "0x1.0972ca0839cf6p+2", "0x1.76d585b239b85p-1",
+         "0x1.0972ca0839cf7p+2", "0x1.76d585b239ba1p-1", 12),
         (2.0, 5.0, "0x1.525abee8f3c68p+3", "0x1.3fdfa452ec046p+6",
          "0x1.525abee8f3c67p+3", "0x1.3fdfa452ec045p+6", 17),
         (10.0, 10.0, "-0x1.d09dad25887d4p+24", "0x1.a6f1c0705ddccp+22",
@@ -310,24 +331,6 @@ class TestTimeBudgetFactor:
                         f.trig_route.real.hex(), f.trig_route.imag.hex(), f.n_terms))
         assert got == self.PINNED
 
-
-class TestTruncatedSeries:
-    """The trigonometric route's partial sums of the sine and cosine series."""
-
-    def test_truncated_sin_low_orders(self):
-        assert refraction._truncated_sin(0, 1.0) == 0.0
-        assert refraction._truncated_sin(1, 0.5) == 0.5
-        assert abs(refraction._truncated_sin(50, 0.5) - math.sin(0.5)) < 1e-12
-
-    def test_truncated_cos_low_orders(self):
-        assert refraction._truncated_cos(0, 2.0) == 1.0
-        assert refraction._truncated_cos(1, 1.0) == 0.5
-        assert abs(refraction._truncated_cos(50, 1.0) - math.cos(1.0)) < 1e-12
-
-    @given(st.floats(-10.0, 10.0), st.integers(30, 60))
-    def test_truncated_series_converge(self, x, order):
-        assert abs(refraction._truncated_sin(order, x) - math.sin(x)) < 1e-10
-        assert abs(refraction._truncated_cos(order, x) - math.cos(x)) < 1e-10
 
 class TestAnnulmentRegime:
     def test_phase_suppressed_on_log_grid(self):
