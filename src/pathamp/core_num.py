@@ -2,6 +2,10 @@
 the package's exception types, and ``Record``, the base of its immutable
 value classes.
 
+``refuse_non_finite`` is the package's one check of a non-finite argument
+or ``Record`` field: every entry point that refuses NaN or +-inf calls it,
+so each such refusal reads "<name> must be finite, got <value>".
+
 Amplitudes are plain Python ``complex`` numbers throughout the package;
 ``abs`` gives the modulus and ``phase`` the argument in (-pi, pi].
 """
@@ -140,12 +144,20 @@ def complex_out(z: complex) -> dict:
     return {"re": z.real, "im": z.imag, "modulus": abs(z), "phase_rad": phase(z)}
 
 
+def refuse_non_finite(**values: float) -> None:
+    """DomainError naming the first of values, in call order, that is not
+    finite: NaN passes every sign and ordering check, and inf overflows
+    past them."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
+
+
 def wavenumber(wavelength: float) -> float:
     """2 pi / wavelength; DomainError for a wavelength that is not finite
     (it would give 0 or NaN) or is negative, and when 2 pi / wavelength is
     not a finite double, as for a zero or subnormal wavelength."""
-    if not math.isfinite(wavelength):
-        raise DomainError(f"wavelength must be finite, got {wavelength!r}")
+    refuse_non_finite(wavelength=wavelength)
     if wavelength < 0:
         raise DomainError(f"wavelength must be positive, got {wavelength!r}")
     kappa = 2.0 * math.pi / wavelength if wavelength else math.inf

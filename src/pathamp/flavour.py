@@ -17,7 +17,8 @@ from __future__ import annotations
 import cmath
 import math
 
-from pathamp.core_num import CONSTANTS, DiscrepancyFlag, DomainError, Record, finite_phase
+from pathamp.core_num import (CONSTANTS, DiscrepancyFlag, DomainError, Record, finite_phase,
+                               refuse_non_finite)
 
 # Stored reference figures (with provenance) that the library cannot derive
 # from its own formulas; each is reported next to the computed value.
@@ -110,15 +111,13 @@ class ElectronBeam(Record):
     __slots__ = ("mean_p", "sigma_p")
 
     def __post_init__(self):
+        refuse_non_finite(mean_p=self.mean_p, sigma_p=self.sigma_p)
         if not self.mean_p > 0:
             raise DomainError("momentum must be positive")
         if not self.sigma_p > 0:
             raise DomainError(
                 "sigma_p must be positive: interference requires a"
                 " non-vanishing momentum spread")
-        if not (math.isfinite(self.mean_p) and math.isfinite(self.sigma_p)):
-            raise DomainError(f"momentum {self.mean_p!r} and spread {self.sigma_p!r}"
-                              " MeV/c must be finite")
 
     @property
     def energy(self) -> float:
@@ -126,7 +125,12 @@ class ElectronBeam(Record):
 
     @property
     def gamma_sq(self) -> float:
-        return (self.energy / CONSTANTS.m_electron) ** 2
+        """(E/(m c^2))^2; DomainError where it passes the largest double."""
+        try:
+            return (self.energy / CONSTANTS.m_electron) ** 2
+        except OverflowError:
+            raise DomainError(f"gamma^2 at momentum {self.mean_p!r} MeV/c overflows"
+                              " a double") from None
 
     @property
     def de_broglie(self) -> float:
@@ -254,10 +258,9 @@ class KaonSystem(Record):
     gamma_l = CONSTANTS.hbar_mev_s / CONSTANTS.tau_kl
 
     def __post_init__(self):
+        refuse_non_finite(mean_p=self.mean_p)
         if not self.mean_p > 0:
             raise DomainError("mean momentum must be positive")
-        if not math.isfinite(self.mean_p):
-            raise DomainError(f"mean momentum {self.mean_p!r} MeV/c must be finite")
         # proper_time and kaon_oscillation_phase_lab divide by these, which
         # a subnormal momentum sends to 0
         if not (self.mean_p / self.mean_mass * CONSTANTS.c > 0
@@ -389,11 +392,9 @@ class NeutrinoExperiment(Record):
     def __post_init__(self):
         # NaN would pass the sign checks and come out as probability nan;
         # inf as a bare ValueError from cos(inf)
-        for name in ("source_mass", "source_width", "recoil_mass", "dm2_ev2",
-                     "theta_12", "baseline"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value!r}")
+        refuse_non_finite(source_mass=self.source_mass, source_width=self.source_width,
+                          recoil_mass=self.recoil_mass, dm2_ev2=self.dm2_ev2,
+                          theta_12=self.theta_12, baseline=self.baseline)
         if self.dm2_ev2 <= 0:
             raise DomainError("dm2 must be positive")
         if self.baseline <= 0:
@@ -425,9 +426,8 @@ class NeutrinoExperiment(Record):
             if self.beta_energy_mev is None or self.neutrino_p_mev is None:
                 raise DomainError("beta kinematics need both beta_energy_mev and"
                                   " neutrino_p_mev")
-            if not (math.isfinite(self.beta_energy_mev)
-                    and math.isfinite(self.neutrino_p_mev)):
-                raise DomainError("beta_energy_mev and neutrino_p_mev must be finite")
+            refuse_non_finite(beta_energy_mev=self.beta_energy_mev,
+                              neutrino_p_mev=self.neutrino_p_mev)
             if self.beta_energy_mev <= 0:
                 raise DomainError("beta energy release must be positive")
             # the phase and the damping divide by the momentum in eV, squared
@@ -560,7 +560,12 @@ def _path_oscillation(exp: NeutrinoExperiment,
     phi_path = finite_phase((dm2 / p0_ev) * (es_ev / (2.0 * p0_ev) - 1.0) * l / hbarc,
                             "(dm^2/p0)(E_S/(2 p0) - 1) L/(hbar c)")
     gamma_ev = exp.source_width * 1e6
-    damping_exponent = gamma_ev * dm2 * l / (4.0 * hbarc * p0_ev ** 2)
+    try:
+        p0_ev_sq = p0_ev ** 2
+    except OverflowError:
+        raise DomainError(f"(p0 c)^2 in eV^2 at p0 = {exp.p0!r} MeV/c overflows"
+                          " a double") from None
+    damping_exponent = gamma_ev * dm2 * l / (4.0 * hbarc * p0_ev_sq)
     damping = math.exp(-damping_exponent)
     # normalised so that zero damping gives sin^2(2 theta) sin^2(phi/2)
     s2c2 = math.sin(exp.theta_12) ** 2 * math.cos(exp.theta_12) ** 2

@@ -55,7 +55,7 @@ import sys
 from collections.abc import Callable
 
 from pathamp.core_num import (ConvergenceError, DomainError, PreconditionError, Record,
-                               checked_int)
+                               checked_int, refuse_non_finite)
 
 # most half-period segments quad_oscillatory takes over a finite range
 _MAX_SEGMENTS = 2_000_000
@@ -206,9 +206,9 @@ def quad_oscillatory(f: Callable, a: float, b: float, kappa: float,
     A non-finite kappa or a, a NaN b, or b <= a (b = -inf included) raises
     DomainError.
     """
-    if not (math.isfinite(kappa) and math.isfinite(a)) or math.isnan(b):
-        raise DomainError(f"kappa and a must be finite and b not NaN, got "
-                          f"{kappa!r}, {a!r}, {b!r}")
+    refuse_non_finite(a=a, kappa=kappa)
+    if math.isnan(b):
+        raise DomainError("b must not be NaN")
     if kappa <= 0:
         raise DomainError("kappa must be positive")
     seg_len = math.pi / kappa
@@ -412,9 +412,7 @@ def quad_nested(order: int, kappa: float, delta_s: float,
     if order > 4:
         raise PreconditionError("order must be between 1 and 4")
     nodes = checked_int("nodes", nodes, _MAX_RULE)
-    if not (math.isfinite(kappa) and math.isfinite(delta_s) and math.isfinite(x1)):
-        raise DomainError(f"kappa, delta_s and x1 must be finite,"
-                          f" got {kappa!r}, {delta_s!r}, {x1!r}")
+    refuse_non_finite(kappa=kappa, delta_s=delta_s, x1=x1)
     if delta_s < 0:
         raise DomainError(f"delta_s must be >= 0, got {delta_s!r}")
     if abs(kappa) * delta_s > 50:
@@ -480,8 +478,7 @@ def mc_ordered_volume(order: int, length: float, samples: int,
     order = checked_int("order", order)
     if order > 8:
         raise PreconditionError("order must be between 1 and 8")
-    if not math.isfinite(length):
-        raise DomainError("length must be finite")
+    refuse_non_finite(length=length)
     if length <= 0:
         raise DomainError("length must be positive")
     samples = checked_int("samples", samples)
@@ -529,8 +526,7 @@ def gaussian_ratio_integral(weight: Callable, phase: Callable,
     window or overflows), or a numpy float64 overflow or invalid operation
     in the integrand or the sums, raises ConvergenceError.
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError(f"a and b must be finite, got {a!r}, {b!r}")
+    refuse_non_finite(a=a, b=b)
     if b <= a:
         raise DomainError("need b > a")
     import numpy as np
@@ -602,8 +598,7 @@ def series_sum_highprec(delta_phi: float, beta_l: float):
     The recurrences come from the series itself, not from any closed form
     of S, so an agreement with a closed form remains evidence.
     """
-    if not (math.isfinite(delta_phi) and math.isfinite(beta_l)):
-        raise DomainError("beta_l and delta_phi must be finite")
+    refuse_non_finite(delta_phi=delta_phi, beta_l=beta_l)
     if beta_l < 0 or delta_phi < 0:
         raise DomainError("beta_l and delta_phi must be >= 0")
     from mpmath import expj, mpc, mpf, workdps

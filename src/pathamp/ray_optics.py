@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from pathamp.core_num import CONSTANTS, DiscrepancyFlag, DomainError, Record
+from pathamp.core_num import CONSTANTS, DiscrepancyFlag, DomainError, Record, refuse_non_finite
 
 # detector-angle bracket of the stationary-point searches
 _WINDOW = (0.0, math.pi / 2 - 1e-6)
@@ -45,10 +45,7 @@ class InterfaceGeometry(Record):
     def __post_init__(self):
         # NaN passes the comparisons below; an infinite index or length
         # gives a meaningless geometry
-        for name in ("n1", "n2", "d", "segment"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value!r}")
+        refuse_non_finite(n1=self.n1, n2=self.n2, d=self.d, segment=self.segment)
         if self.n1 < 1.0 or self.n2 < 1.0:
             raise DomainError("indices must be >= 1")
         if self.d <= 0 or self.segment <= 0:
@@ -86,8 +83,7 @@ def snell_angle(n1: float, n2: float, theta_i: float) -> float:
     Raises TotalInternalReflection (carrying the critical angle) when
     (n1/n2) sin theta_i > 1.
     """
-    if not (math.isfinite(n1) and math.isfinite(n2)):
-        raise DomainError(f"indices must be finite, got n1={n1!r}, n2={n2!r}")
+    refuse_non_finite(n1=n1, n2=n2)
     if n1 < 1.0 or n2 < 1.0:
         raise DomainError("indices must be >= 1")
     if not 0.0 <= theta_i < math.pi / 2:
@@ -184,8 +180,8 @@ def trajectory_spread(kappa: float, n2: float, r: float,
     A kappa or r that is not finite and > 0, an n2 that is not finite and
     >= 1, or a non-finite theta_o raises DomainError.
     """
-    if not (0 < kappa < math.inf and 0 < r < math.inf and 1.0 <= n2 < math.inf
-            and math.isfinite(theta_o)):
+    refuse_non_finite(kappa=kappa, n2=n2, r=r, theta_o=theta_o)
+    if not (kappa > 0 and r > 0 and n2 >= 1.0):
         raise DomainError("kappa, r must be finite and positive, n2 finite and >= 1"
                           " and theta_o finite")
     lam = 2.0 * math.pi / kappa

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from pathamp.core_num import DomainError, Record, phase_exp, wavenumber
+from pathamp.core_num import DomainError, Record, phase_exp, refuse_non_finite, wavenumber
 
 
 class ReflectionSetup(Record):
@@ -29,6 +29,7 @@ class ReflectionSetup(Record):
     _defaults = {"t_hsm": 1.0}
 
     def __post_init__(self):
+        refuse_non_finite(n1=self.n1, n2=self.n2)
         if self.n1 < 1.0 or self.n2 < 1.0:
             raise DomainError("indices must be >= 1")
         if not 0.0 < self.t_hsm <= 1.0:
@@ -38,6 +39,7 @@ class ReflectionSetup(Record):
 def reflection_amplitude_path(n1: float, n2: float) -> float:
     """Signed reflected amplitude -(n2 - n1)/(2 n1^2 n2) from the path sum
     (relative to the incident amplitude; real by construction)."""
+    refuse_non_finite(n1=n1, n2=n2)
     if n1 < 1.0 or n2 < 1.0:
         raise DomainError("indices must be >= 1")
     return -(n2 - n1) / (2.0 * n1 ** 2 * n2)
@@ -51,6 +53,7 @@ def reflection_coeff_path(n1: float, n2: float) -> float:
 
 def reflection_coeff_fresnel(n1: float, n2: float) -> float:
     """Classical normal-incidence coefficient ((n2 - n1)/(n2 + n1))^2."""
+    refuse_non_finite(n1=n1, n2=n2)
     if n1 < 1.0 or n2 < 1.0:
         raise DomainError("indices must be >= 1")
     return ((n2 - n1) / (n2 + n1)) ** 2
@@ -60,6 +63,7 @@ def reflection_phase_path(n1: float, n2: float) -> float:
     """Phase of the reflected amplitude: pi when entering a denser medium
     (n2 > n1), 0 when leaving one.  Undefined at n1 = n2, where the
     back-scattered amplitude vanishes by destructive interference."""
+    refuse_non_finite(n1=n1, n2=n2)
     if n1 == n2:
         raise DomainError("reflected amplitude vanishes for n1 = n2;"
                           " no phase is defined")
@@ -86,6 +90,7 @@ def thin_film_coeff(n: float, wavelength: float, thickness: float) -> float:
     integral to the film and are model-derived rather than independently
     benchmarked.
     """
+    refuse_non_finite(n=n, thickness=thickness)
     if thickness <= 0:
         raise DomainError("thickness must be positive")
     kappa = wavenumber(wavelength)

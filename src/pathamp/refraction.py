@@ -29,6 +29,7 @@ from pathamp.core_num import (
     Record,
     checked_int,
     phase_exp,
+    refuse_non_finite,
 )
 
 # Above this scattering strength the float64 series is meaningless
@@ -51,14 +52,6 @@ class SeriesDisagreement(RuntimeError):
     """The two independent series evaluations failed to agree."""
 
 
-def _refuse_non_finite(**values: float) -> None:
-    """DomainError naming the first of values that is not finite: NaN
-    passes every sign and ordering check, and inf overflows past them."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value!r}")
-
-
 class RectangularBoundary(Record):
     """Rectangular transverse boundary of sides (l_y, l_z); the beam axis
     pierces the plane at (y, z) relative to the centre."""
@@ -67,7 +60,7 @@ class RectangularBoundary(Record):
     _defaults = {"y": 0.0, "z": 0.0}
 
     def __post_init__(self):
-        _refuse_non_finite(l_y=self.l_y, l_z=self.l_z, y=self.y, z=self.z)
+        refuse_non_finite(l_y=self.l_y, l_z=self.l_z, y=self.y, z=self.z)
         if self.l_y <= 0 or self.l_z <= 0:
             raise DomainError("sides must be positive")
         if abs(self.y) >= self.l_y / 2 or abs(self.z) >= self.l_z / 2:
@@ -82,7 +75,7 @@ class CircularBoundary(Record):
     _defaults = {"y": 0.0}
 
     def __post_init__(self):
-        _refuse_non_finite(radius=self.radius, y=self.y)
+        refuse_non_finite(radius=self.radius, y=self.y)
         if self.radius <= 0:
             raise DomainError("radius must be positive")
         if abs(self.y) >= self.radius:
@@ -99,8 +92,8 @@ class MediumSpec(Record):
     __slots__ = ("density", "scattering_length", "thickness")
 
     def __post_init__(self):
-        _refuse_non_finite(density=self.density, scattering_length=self.scattering_length,
-                           thickness=self.thickness)
+        refuse_non_finite(density=self.density, scattering_length=self.scattering_length,
+                          thickness=self.thickness)
         if self.density <= 0 or self.thickness <= 0:
             raise DomainError("density and thickness must be positive")
 
@@ -112,7 +105,7 @@ def thin_sheet_phase_shift(medium: MediumSpec, kappa: float) -> float:
     Valid only while the result is << 1 (the linearised single-scattering
     amplitude is exponentiated); a result >= 0.1 warns.
     """
-    _refuse_non_finite(kappa=kappa)
+    refuse_non_finite(kappa=kappa)
     if kappa <= 0:
         raise DomainError("kappa must be positive")
     dphi = 2.0 * math.pi * medium.density * medium.scattering_length \
@@ -125,26 +118,47 @@ def thin_sheet_phase_shift(medium: MediumSpec, kappa: float) -> float:
     return dphi
 
 
-def refractive_index(density: float, scattering_length: float,
-                     wavelength: float) -> float:
-    """n = 1 + lambda^2 N a / (2 pi)."""
-    _refuse_non_finite(density=density, scattering_length=scattering_length,
-                       wavelength=wavelength)
+def _column(density: float, wavelength: float) -> float:
+    """lambda^2 N for a positive density and wavelength, or DomainError
+    where lambda^2 or lambda^2 N passes the largest double."""
     if density <= 0 or wavelength <= 0:
         raise DomainError("density and wavelength must be positive")
-    return 1.0 + wavelength ** 2 * density * scattering_length / (2.0 * math.pi)
+    try:
+        # ** 2, not a product: the two round some doubles differently
+        lam2 = wavelength ** 2
+    except OverflowError:
+        raise DomainError("wavelength^2 overflows a double") from None
+    column = lam2 * density
+    if column == math.inf:
+        raise DomainError("wavelength^2 * density overflows a double")
+    return column
+
+
+def refractive_index(density: float, scattering_length: float,
+                     wavelength: float) -> float:
+    """n = 1 + lambda^2 N a / (2 pi); DomainError where lambda^2, lambda^2 N
+    or n passes the largest double."""
+    refuse_non_finite(density=density, scattering_length=scattering_length,
+                      wavelength=wavelength)
+    n = 1.0 + _column(density, wavelength) * scattering_length / (2.0 * math.pi)
+    if not math.isfinite(n):
+        raise DomainError(f"the index {n!r} is not a finite double")
+    return n
 
 
 def scattering_length_for_index(n: float, density: float, wavelength: float) -> float:
     """The forward scattering length a = (n - 1) 2 pi / (lambda^2 N) that
-    gives index n: the inverse of ``refractive_index``."""
-    _refuse_non_finite(n=n, density=density, wavelength=wavelength)
-    if density <= 0 or wavelength <= 0:
-        raise DomainError("density and wavelength must be positive")
-    column = wavelength ** 2 * density
+    gives index n: the inverse of ``refractive_index``.  DomainError where
+    lambda^2, lambda^2 N or a leaves the double range."""
+    refuse_non_finite(n=n, density=density, wavelength=wavelength)
+    column = _column(density, wavelength)
     if column == 0:
         raise DomainError("wavelength^2 * density underflows a double")
-    return (n - 1.0) * 2.0 * math.pi / column
+    scattering_length = (n - 1.0) * 2.0 * math.pi / column
+    if not math.isfinite(scattering_length):
+        raise DomainError(f"the scattering length {scattering_length!r} is not a"
+                          " finite double")
+    return scattering_length
 
 
 class EffectiveVelocity(Record):
@@ -166,7 +180,8 @@ def effective_velocity(filling_fraction: float, n: float) -> EffectiveVelocity:
     f = filling_fraction
     if not 0.0 <= f <= 1.0:
         raise DomainError("filling fraction must lie in [0, 1]")
-    if not 1.0 <= n < math.inf:
+    refuse_non_finite(n=n)
+    if n < 1.0:
         raise DomainError(f"n must be finite and >= 1, got {n!r}")
     linear = (1.0 - f) * CONSTANTS.c + f * CONSTANTS.c / n
     reciprocal = CONSTANTS.c / (1.0 + (n - 1.0) * f)
@@ -181,8 +196,7 @@ def nested_volume_integral(order: int, length: float) -> float:
     that is not an integer >= 1, a length that is not finite and > 0, or a
     volume beyond float64 raises DomainError."""
     order = checked_int("order", order)
-    if not math.isfinite(length):
-        raise DomainError("length must be finite")
+    refuse_non_finite(length=length)
     if length <= 0:
         raise DomainError("length must be positive")
     try:
@@ -206,8 +220,7 @@ def unconstrained_block_amplitude(beta_l: float) -> SeriesValue:
     Returns the value and the number of terms needed for the running term
     to drop below 1e-12 of the partial sum.
     """
-    if not math.isfinite(beta_l):
-        raise DomainError("beta_l must be finite")
+    refuse_non_finite(beta_l=beta_l)
     if beta_l < 0:
         raise DomainError("beta_l must be >= 0")
     if beta_l > BETA_L_SUMMATION_LIMIT:
@@ -238,8 +251,7 @@ def scattering_order_kernel(order: int, delta_phi: float) -> complex:
     DomainError.
     """
     order = checked_int("order", order)
-    if not math.isfinite(delta_phi):
-        raise DomainError("delta_phi must be finite")
+    refuse_non_finite(delta_phi=delta_phi)
     if delta_phi < 0:
         raise DomainError("delta_phi must be >= 0")
     kernel = _order_kernel(order, delta_phi)
@@ -285,12 +297,11 @@ def nested_phase_integral(order: int, kappa: float, delta_s: float,
         e^{i kappa x1} (i/kappa)^n K_n(kappa delta_s)
 
     with K_n the ``scattering_order_kernel`` of order n.  A kappa that is not
-    finite and > 0, a non-finite x1, or a value beyond float64 (as (i/kappa)^n
-    is for a tiny kappa) raises DomainError."""
-    if not math.isfinite(kappa) or kappa <= 0:
+    finite and > 0, a non-finite delta_s or x1, or a value beyond float64 (as
+    (i/kappa)^n is for a tiny kappa) raises DomainError."""
+    refuse_non_finite(kappa=kappa, delta_s=delta_s, x1=x1)
+    if kappa <= 0:
         raise DomainError("kappa must be finite and positive")
-    if not math.isfinite(x1):
-        raise DomainError("x1 must be finite")
     kernel = scattering_order_kernel(order, kappa * delta_s)
     phase = phase_exp(1j * kappa * x1, "kappa*x1")
     try:
@@ -402,8 +413,7 @@ def time_budget_factor(delta_phi: float, beta_l: float) -> MediumFactor:
     delta_phi = 0 the factor is exactly 1 for any beta_l: refraction is
     annulled outright when the detection time forbids any detour.
     """
-    if not (math.isfinite(delta_phi) and math.isfinite(beta_l)):
-        raise DomainError("delta_phi and beta_l must be finite")
+    refuse_non_finite(delta_phi=delta_phi, beta_l=beta_l)
     if delta_phi < 0:
         raise DomainError("delta_phi must be >= 0")
     if beta_l < 0:
@@ -423,7 +433,7 @@ def time_budget_factor(delta_phi: float, beta_l: float) -> MediumFactor:
 
 def regime_classification(delta_phi: float, beta_l: float) -> str:
     """Coarse physical regime of the (budget phase, scattering strength) pair."""
-    _refuse_non_finite(delta_phi=delta_phi, beta_l=beta_l)
+    refuse_non_finite(delta_phi=delta_phi, beta_l=beta_l)
     if delta_phi == 0.0:
         return "fully-annulled (factor exactly 1)"
     if beta_l >= 100.0 * delta_phi and delta_phi >= 10.0:
@@ -439,7 +449,7 @@ def boundary_averaged_factor(beta_l: float) -> complex:
     integrals average to zero over azimuth (their phase varies by many turns
     around any realistic boundary), leaving exactly e^{i beta_l} -- the
     ordinary refraction phase (n-1) kappa L."""
-    _refuse_non_finite(beta_l=beta_l)
+    refuse_non_finite(beta_l=beta_l)
     if beta_l < 0:
         raise DomainError("beta_l must be >= 0")
     return cmath.exp(1j * beta_l)
@@ -467,8 +477,8 @@ def annulment_report(radius: float, axis_distance: float, wavelength: float,
     detour paths stay clear of the transverse boundary; photons from decays
     within delta_s_max/c of production cross unrefracted.
     """
-    _refuse_non_finite(radius=radius, axis_distance=axis_distance, wavelength=wavelength,
-                       block_length=block_length, n=n, tau_s=tau_s)
+    refuse_non_finite(radius=radius, axis_distance=axis_distance, wavelength=wavelength,
+                      block_length=block_length, n=n, tau_s=tau_s)
     if radius >= axis_distance:
         raise PreconditionError("requires radius << axis distance")
     if min(radius, axis_distance, wavelength, block_length, tau_s) <= 0:
@@ -502,8 +512,7 @@ def boundary_radial_limit(boundary, x1: float, phi1: float) -> float:
     A non-finite x1 or phi1, an x1 that is not > 0, or a limit that is not
     a finite double raises DomainError.
     """
-    if not (math.isfinite(x1) and math.isfinite(phi1)):
-        raise DomainError(f"x1 and phi1 must be finite, got {x1!r}, {phi1!r}")
+    refuse_non_finite(x1=x1, phi1=phi1)
     if x1 <= 0:
         raise DomainError("x1 must be positive")
     c, s = math.cos(phi1), math.sin(phi1)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from pathamp.core_num import CONSTANTS, DomainError, Record, phase_exp
+from pathamp.core_num import CONSTANTS, DomainError, Record, phase_exp, refuse_non_finite
 from pathamp.propagators import EmitterSpec
 
 
@@ -50,10 +50,9 @@ def diffraction_amplitude(kappa: float, alpha: float, alpha1: float) -> complex:
     -i/lambda.  A kappa that is not finite and > 0, or a non-finite angle,
     raises DomainError.
     """
+    refuse_non_finite(kappa=kappa, alpha=alpha, alpha1=alpha1)
     if kappa <= 0:
         raise DomainError("kappa must be positive")
-    if not (math.isfinite(kappa) and math.isfinite(alpha) and math.isfinite(alpha1)):
-        raise DomainError("kappa and both angles must be finite")
     return -1j * kappa / (4.0 * math.pi) * (math.cos(alpha) + math.cos(alpha1))
 
 

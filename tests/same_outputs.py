@@ -7,8 +7,8 @@ Each tree is a checkout of this repository.  The deck is
 ``perfbench.inputs.cli_deck`` at seeds 1 and 2 for 3 cycles (read from
 PARENT_TREE's perfbench/, which is left unchanged), plus every
 ``reproduce`` recipe with ``--csv``, ``oracle --op nested`` at orders 1
-to 4 (the deck draws orders 1 to 3 only), the argv of BOUNDARY and those
-of SERIES: 208 argv.  Each argv runs in a
+to 4 (the deck draws orders 1 to 3 only), the argv of BOUNDARY, those of
+SERIES and those of REFUSALS: 214 argv.  Each argv runs in a
 fresh ``python -m pathamp.cli`` process with the tree's src/ on PYTHONPATH
 and PYTHONDONTWRITEBYTECODE=1, in a temporary directory that receives its
 CSV, so neither tree gains files.  A CSV is compared by its sha256.  Exits
@@ -54,6 +54,20 @@ SERIES = [
     ["refract-series", "--dphi", "720", "--betal", "0.5"],
 ]
 
+# library refusals that reach the command line: a square, a column or a
+# result past the largest double, which only extreme flag values give
+REFUSALS = [
+    ["refract-index", "--wavelength", "1e200m", "--density", "1e-20m-3",
+     "--scattering-length", "1e200m"],
+    ["refract-index", "--wavelength", "1e150m", "--density", "1e10m-3",
+     "--scattering-length", "1e10m"],
+    ["refract-index", "--wavelength", "1e10m", "--density", "1e300m-3", "--n", "1.5"],
+    ["refract-index", "--wavelength", "1e-150m", "--density", "1e-10m-3", "--n", "1.5"],
+    ["ydse", "--kind", "electron", "--p", "1e200MeV/c", "--sigma-p", "1e190MeV/c"],
+    ["neutrino", "--source", "beta", "--dm2", "1e-3eV2", "--L", "1m",
+     "--beta-energy", "1e300MeV", "--p-nu", "1e200MeV/c"],
+]
+
 
 def deck(tree: str) -> list:
     """The argv to compare, with "{csv}" replaced by CSV."""
@@ -70,7 +84,7 @@ def deck(tree: str) -> list:
     argvs += [["reproduce", "--recipe", r, "--csv", "{csv}"] for r in RECIPES]
     argvs += [["oracle", "--op", "nested", "--order", str(n), "--dphi", "9.5"]
               for n in range(1, 5)]
-    argvs += BOUNDARY + SERIES
+    argvs += BOUNDARY + SERIES + REFUSALS
     return [[a.replace("{csv}", CSV) for a in argv] for argv in argvs]
 
 

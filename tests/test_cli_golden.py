@@ -47,6 +47,18 @@ GOLDEN_ARGV = {
                               "--density", "2.5e27m-3", "--n", "1.5"],
     "refract-index-inverse-cm3": ["refract-index", "--wavelength", "0.5um",
                                   "--density", "1e19cm-3", "--n", "1.0003"],
+    # past the double range: wavelength^2, the column wavelength^2 * density
+    # and the result each refuse, with no OverflowError, inf or 0.0
+    "refract-index-wavelength-squared-overflow": [
+        "refract-index", "--wavelength", "1e200m", "--density", "1e-20m-3",
+        "--scattering-length", "1e200m"],
+    "refract-index-column-overflow": [
+        "refract-index", "--wavelength", "1e150m", "--density", "1e10m-3",
+        "--scattering-length", "1e10m"],
+    "refract-index-inverse-column-overflow": [
+        "refract-index", "--wavelength", "1e10m", "--density", "1e300m-3", "--n", "1.5"],
+    "refract-index-inverse-overflow": [
+        "refract-index", "--wavelength", "1e-150m", "--density", "1e-10m-3", "--n", "1.5"],
     "refract-series": ["refract-series", "--dphi", "2", "--betal", "5"],
     "refract-series-annulled": ["refract-series", "--dphi", "0", "--betal", "5"],
     "refract-series-disagreement": ["refract-series", "--dphi", "1", "--betal", "40"],
@@ -80,6 +92,8 @@ GOLDEN_ARGV = {
     "ydse-electron": ["ydse", "--kind", "electron"],
     "ydse-electron-curve": ["ydse", "--kind", "electron", "--p", "100MeV/c",
                             "--sigma-p", "1e-4MeV/c", "--slit-width", "2mm", "--curve", CSV],
+    "ydse-electron-gamma-squared-overflow": [
+        "ydse", "--kind", "electron", "--p", "1e200MeV/c", "--sigma-p", "1e190MeV/c"],
     # flavour
     "kaon": ["kaon"],
     "kaon-tau-distance": ["kaon", "--p", "1GeV", "--tau", "0.3ns", "--distance", "2m"],
@@ -93,6 +107,9 @@ GOLDEN_ARGV = {
                             "--curve", CSV],
     "neutrino-beta-curve": ["neutrino", "--source", "beta", "--dm2", "2e-3eV2", "--L", "1000m",
                             "--beta-energy", "3MeV", "--p-nu", "2MeV/c", "--curve", CSV],
+    "neutrino-beta-momentum-squared-overflow": [
+        "neutrino", "--source", "beta", "--dm2", "1e-3eV2", "--L", "1m",
+        "--beta-energy", "1e300MeV", "--p-nu", "1e200MeV/c"],
     "classify-kaon": ["classify", "--kind", "kaon"],
     "classify-photon": ["classify", "--kind", "photon-ydse"],
     # oracle

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -10,6 +11,7 @@ from pathamp.core_num import (
     complex_out,
     linspace,
     phase,
+    refuse_non_finite,
     wavenumber,
 )
 
@@ -22,6 +24,20 @@ def test_constants_positive_and_consistent():
     assert abs(CONSTANTS.h_ev_s - 2 * math.pi * CONSTANTS.hbar_ev_s) \
         <= 1e-9 * CONSTANTS.h_ev_s
     assert CONSTANTS.hbar_mev_s == CONSTANTS.hbar_ev_s * 1e-6
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, -5e-324, sys.float_info.max,
+                                   -sys.float_info.max, 1])
+def test_refuse_non_finite_passes_every_finite_value(value):
+    assert refuse_non_finite(x=value, y=1.0) is None
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_refuse_non_finite_names_the_first_non_finite_keyword(bad):
+    with pytest.raises(DomainError, match=f"^second must be finite, got {bad!r}$"):
+        refuse_non_finite(first=1.0, second=bad, third=math.nan)
+    with pytest.raises(DomainError, match=f"^third must be finite, got {bad!r}$"):
+        refuse_non_finite(third=bad, first=math.nan)
 
 
 def test_wavenumber():

@@ -43,6 +43,7 @@ LEDGER = {
     "core_num.phase_exp": (NOT_A_CLOSED_FORM, "cmath.exp that refuses an infinite phase"),
     "core_num.linspace": (NOT_A_CLOSED_FORM, "a grid helper, numpy.linspace bit for bit"),
     "core_num.checked_int": (NOT_A_CLOSED_FORM, "an argument check"),
+    "core_num.refuse_non_finite": (NOT_A_CLOSED_FORM, "an argument check"),
     # flavour
     "flavour.photon_double_slit": (
         NO_ORACLE_YET, "the stored 29 um fringe spacing; its damping is a DiscrepancyFlag site"),
