@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 
-from pathamp.core_num import CONSTANTS, DomainError, PreconditionError, Record, phase_exp
+from pathamp.core_num import (CONSTANTS, DomainError, PreconditionError, Record, phase_exp,
+                              refuse_non_finite)
 
 _BETA_CONSISTENCY_TOL = 1e-9
 
@@ -122,6 +123,7 @@ def energy_propagator(e_ev: float, e0_ev: float, width_ev: float) -> complex:
     |K|^2 is a Lorentzian in E with full width at half maximum equal to
     width_ev: the natural line shape of the decaying state.
     """
+    refuse_non_finite(e_ev=e_ev, e0_ev=e0_ev, width_ev=width_ev)
     if width_ev <= 0:
         raise DomainError("width must be positive")
     return CONSTANTS.hbar_ev_s / complex(-width_ev / 2.0, e_ev - e0_ev)
@@ -138,6 +140,7 @@ def free_decay_detection_probability(t_d: float, t0: float, sigma_t: float,
     t_d - t0 - r/c is several sigma_t past the onset.  With sigma_t = 0 the
     density is exactly zero before the light-travel onset t0 + r/c.
     """
+    refuse_non_finite(t_d=t_d, t0=t0, sigma_t=sigma_t, r=r, tau_s=tau_s)
     if sigma_t < 0:
         raise DomainError("sigma_t must be >= 0")
     if tau_s <= 0:

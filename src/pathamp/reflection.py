@@ -38,11 +38,21 @@ class ReflectionSetup(Record):
 
 def reflection_amplitude_path(n1: float, n2: float) -> float:
     """Signed reflected amplitude -(n2 - n1)/(2 n1^2 n2) from the path sum
-    (relative to the incident amplitude; real by construction)."""
+    (relative to the incident amplitude; real by construction).
+    DomainError where n1^2 or the denominator passes the largest double,
+    which would raise OverflowError or give an amplitude of 0.0."""
     refuse_non_finite(n1=n1, n2=n2)
     if n1 < 1.0 or n2 < 1.0:
         raise DomainError("indices must be >= 1")
-    return -(n2 - n1) / (2.0 * n1 ** 2 * n2)
+    try:
+        # ** 2, not a product: the two round some doubles differently
+        n1_sq = n1 ** 2
+    except OverflowError:
+        raise DomainError(f"n1^2 at n1 = {n1!r} overflows a double") from None
+    den = 2.0 * n1_sq * n2
+    if den == math.inf:
+        raise DomainError(f"2 n1^2 n2 at n1 = {n1!r}, n2 = {n2!r} overflows a double")
+    return -(n2 - n1) / den
 
 
 def reflection_coeff_path(n1: float, n2: float) -> float:

@@ -78,6 +78,10 @@ GOLDEN_ARGV = {
                     "--film-thickness", "100nm", "--wavelength", "600nm"],
     "reflect-equal": ["reflect", "--n1", "1.5", "--n2", "1.5"],
     "reflect-below-one": ["reflect", "--n2", "0.5"],
+    # past the double range: n1^2 and the amplitude's denominator each
+    # refuse, with no OverflowError and no rho_path of 0.0
+    "reflect-n1-squared-overflow": ["reflect", "--n1", "1e300", "--n2", "1"],
+    "reflect-denominator-overflow": ["reflect", "--n1", "1.2e154", "--n2", "2"],
     # interferometry
     "michelson": ["michelson", "--L", "50cm", "--d", "25cm", "--tau", "10ns"],
     "michelson-tmax": ["michelson", "--arm", "40cm", "--d", "10cm", "--tau", "5ns",

@@ -737,8 +737,8 @@ class TestHighPrecisionSeries:
     @staticmethod
     def _mpc_loop(delta_phi, beta_l):
         """The series summed term by term in mpmath complex arithmetic at
-        the same dps and order count: the reference the fixed-point sum must
-        reproduce."""
+        the same dps, always to the cap N with no early stop: the reference
+        the fixed-point sum must reproduce."""
         from mpmath import exp as mp_exp, mpc, mpf, workdps
         dps = int(30 + 1.1 * beta_l / math.log(10)
                   + 0.7 * delta_phi / math.log(10))
@@ -786,6 +786,40 @@ class TestHighPrecisionSeries:
             bl = 10 ** rng.uniform(-2.0, math.log10(2000.0))
         got = series_sum_highprec(dphi, bl)
         assert self._rel_diff(got, self._mpc_loop(dphi, bl)) <= 1e-25
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_mpc_loop_where_the_stop_drops_most_orders(self, seed):
+        # at beta_l >= 500 and a moderate dphi the sum stops at about half
+        # of N: 671 of 1431 orders at (10, 1000), 1100 of 2587 at (10, 2000)
+        rng = random.Random(100 + seed)
+        dphi = 10 ** rng.uniform(-2.0, math.log10(50.0))
+        bl = rng.uniform(500.0, 2000.0)
+        got = series_sum_highprec(dphi, bl)
+        assert self._rel_diff(got, self._mpc_loop(dphi, bl)) <= 1e-25
+
+    # complex() of the sum, as float.hex of its real and imaginary parts,
+    # recorded when every call ran to N: the early stop moves no bit.  The
+    # last three are points where N binds before the stop rule does
+    HEX_PINS = {
+        (0.5, 1.0): ("0x1.8a9890e44c29dp+0", "0x1.270073c0ac281p-3"),
+        (2.0, 5.0): ("0x1.525abee8f3c62p+3", "0x1.3fdfa452ec046p+6"),
+        (10.0, 10.0): ("-0x1.d09dad25887d5p+24", "0x1.a6f1c0705ddc3p+22"),
+        (15.0, 30.0): ("-0x1.d0b8b9c800c26p+54", "0x1.cfa5e8f9b1dbcp+56"),
+        (10.0, 1000.0): ("-0x1.2934093451d8ep+283", "-0x1.32482a5a73eb9p+282"),
+        (10.0, 2000.0): ("-0x1.60e08f45f32dap+402", "-0x1.85eb9e308b5a3p+401"),
+        (20.0, 2000.0): ("0x1.552e16116606ap+570", "0x1.2a02694a1bbfep+571"),
+        (700.0, 0.5): ("0x1.d2090f4be60adp+43", "0x1.7c7c0872faf5cp+44"),
+        (650.0, 10.0): ("0x1.232a3c4a6b7f6p+222", "0x1.7fe552d5031b5p+224"),
+        (250.0, 0.0): ("0x1.0000000000000p+0", "0x0.0p+0"),
+    }
+
+    def test_hex_pins_cover_the_suite_points(self):
+        assert set(self.SUITE_POINTS) <= set(self.HEX_PINS)
+
+    @pytest.mark.parametrize("dphi,bl", HEX_PINS)
+    def test_complex_value_keeps_its_bits(self, dphi, bl):
+        got = complex(series_sum_highprec(dphi, bl))
+        assert (got.real.hex(), got.imag.hex()) == self.HEX_PINS[dphi, bl]
 
     @pytest.mark.parametrize("dphi,bl", [(0.0, 0.0), (0.0, 7.5), (0.0, 300.0),
                                          (4.0, 0.0), (250.0, 0.0)])

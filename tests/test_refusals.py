@@ -149,6 +149,14 @@ ROWS = {
     "thin_film_coeff-thickness": (
         lambda: reflection.thin_film_coeff(1.5, 589e-9, 0.0),
         DomainError, "thickness must be positive"),
+    # past the double range: a bare OverflowError from n1 ** 2, and a
+    # denominator of inf that made the amplitude 0.0
+    "reflection_amplitude_path-n1-squared-overflow": (
+        lambda: reflection.reflection_amplitude_path(1e300, 1.0),
+        DomainError, "n1^2 at n1 = 1e+300 overflows a double"),
+    "reflection_amplitude_path-denominator-overflow": (
+        lambda: reflection.reflection_amplitude_path(1.2e154, 2.0),
+        DomainError, "2 n1^2 n2 at n1 = 1.2e+154, n2 = 2.0 overflows a double"),
     # refraction
     "thin_sheet_phase_shift-kappa": (
         lambda: refraction.thin_sheet_phase_shift(
@@ -287,6 +295,12 @@ NON_FINITE = {
     "gaussian_ratio_integral": (
         functools.partial(oracle.gaussian_ratio_integral, _wave, _wave), dict(a=0.0, b=1.0)),
     "series_sum_highprec": (oracle.series_sum_highprec, dict(delta_phi=1.0, beta_l=1.0)),
+    # propagators
+    "energy_propagator": (
+        propagators.energy_propagator, dict(e_ev=2.1, e0_ev=2.0, width_ev=1e-7)),
+    "free_decay_detection_probability": (
+        propagators.free_decay_detection_probability,
+        dict(t_d=2e-8, t0=0.0, sigma_t=1e-9, r=1.0, tau_s=1.6e-8)),
     # ray_optics
     "InterfaceGeometry": (
         functools.partial(ray_optics.InterfaceGeometry, alpha=0.5),
