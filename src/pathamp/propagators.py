@@ -121,12 +121,19 @@ def energy_propagator(e_ev: float, e0_ev: float, width_ev: float) -> complex:
     """Energy-domain propagator hbar/(i(E - E0) - width/2), in seconds.
 
     |K|^2 is a Lorentzian in E with full width at half maximum equal to
-    width_ev: the natural line shape of the decaying state.
+    width_ev: the natural line shape of the decaying state.  An E - E0
+    past the double range, or a width whose half rounds to 0, raises
+    DomainError.
     """
     refuse_non_finite(e_ev=e_ev, e0_ev=e0_ev, width_ev=width_ev)
     if width_ev <= 0:
         raise DomainError("width must be positive")
-    return CONSTANTS.hbar_ev_s / complex(-width_ev / 2.0, e_ev - e0_ev)
+    detuning = e_ev - e0_ev
+    if math.isinf(detuning):
+        raise DomainError(f"E - E0 at E = {e_ev!r} eV, E0 = {e0_ev!r} eV overflows a double")
+    if width_ev / 2.0 == 0.0:
+        raise DomainError(f"width/2 at width = {width_ev!r} eV underflows to 0")
+    return CONSTANTS.hbar_ev_s / complex(-width_ev / 2.0, detuning)
 
 
 def free_decay_detection_probability(t_d: float, t0: float, sigma_t: float,
@@ -138,7 +145,8 @@ def free_decay_detection_probability(t_d: float, t0: float, sigma_t: float,
     Gaussian production-time smearing convolved with exponential decay gives
     exp[-(t_d - t0 - r/c - sigma_t^2/(2 tau_s)) / tau_s], valid once
     t_d - t0 - r/c is several sigma_t past the onset.  With sigma_t = 0 the
-    density is exactly zero before the light-travel onset t0 + r/c.
+    density is exactly zero before the light-travel onset t0 + r/c.  A
+    sigma_t^2 or a density past the double range raises DomainError.
     """
     refuse_non_finite(t_d=t_d, t0=t0, sigma_t=sigma_t, r=r, tau_s=tau_s)
     if sigma_t < 0:
@@ -147,7 +155,20 @@ def free_decay_detection_probability(t_d: float, t0: float, sigma_t: float,
         raise DomainError("tau_s must be positive")
     if r <= 0:
         raise DomainError("r must be positive")
+    try:
+        # ** 2, not a product: the two round some doubles differently
+        sigma_sq = sigma_t ** 2
+    except OverflowError:
+        raise DomainError(f"sigma_t^2 at sigma_t = {sigma_t!r} s overflows a double") from None
     onset = t0 + r / CONSTANTS.c
     if sigma_t == 0.0 and t_d < onset:
         return 0.0
-    return math.exp(-(t_d - onset - sigma_t ** 2 / (2.0 * tau_s)) / tau_s)
+    try:
+        density = math.exp(-(t_d - onset - sigma_sq / (2.0 * tau_s)) / tau_s)
+    except OverflowError:
+        density = math.inf
+    # inf, or nan where t_d - onset and sigma_t^2 / tau_s both overflow
+    if not density < math.inf:
+        raise DomainError(f"the density at t_d = {t_d!r} s, sigma_t = {sigma_t!r} s,"
+                          f" tau_s = {tau_s!r} s overflows a double")
+    return density

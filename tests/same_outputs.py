@@ -8,7 +8,7 @@ Each tree is a checkout of this repository.  The deck is
 PARENT_TREE's perfbench/, which is left unchanged), plus every
 ``reproduce`` recipe with ``--csv``, ``oracle --op nested`` at orders 1
 to 4 (the deck draws orders 1 to 3 only), the argv of BOUNDARY, those of
-SERIES and those of REFUSALS: 216 argv.  Each argv runs in a
+SERIES and those of REFUSALS: 217 argv.  Each argv runs in a
 fresh ``python -m pathamp.cli`` process with the tree's src/ on PYTHONPATH
 and PYTHONDONTWRITEBYTECODE=1, in a temporary directory that receives its
 CSV, so neither tree gains files.  A CSV is compared by its sha256.  Exits
@@ -68,6 +68,8 @@ REFUSALS = [
      "--beta-energy", "1e300MeV", "--p-nu", "1e200MeV/c"],
     ["reflect", "--n1", "1e300", "--n2", "1"],
     ["reflect", "--n1", "1.2e154", "--n2", "2"],
+    ["propagator", "--mode", "energy", "--energy", "1e308eV", "--energy0=-1e308eV",
+     "--width", "1e-7eV"],
 ]
 
 

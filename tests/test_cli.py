@@ -960,7 +960,7 @@ class TestImportGuard:
         assert code == 0
         assert "numpy" in modules
         assert "dataclasses" not in modules
-        # only oracle.series_sum_highprec needs mpmath, and no command calls it
+        # no package module imports mpmath, which only the tests use
         assert "mpmath" not in modules
         # the oracle builds its own Gauss rules, and an op loads only the
         # closed-form module it checks

@@ -37,6 +37,10 @@ GOLDEN_ARGV = {
                                  "--tau", "16.2ns", "--dtau", "0ns"],
     "propagator-energy": ["propagator", "--mode", "energy", "--energy", "2.1eV",
                           "--energy0", "2eV", "--width", "1e-7eV"],
+    # E - E0 past the double range refuses, where it printed amplitude 0
+    "propagator-energy-detuning-overflow": [
+        "propagator", "--mode", "energy", "--energy", "1e308eV", "--energy0=-1e308eV",
+        "--width", "1e-7eV"],
     # diffraction, refraction
     "diffraction": ["diffraction", "--wavelength", "589.3nm"],
     "diffraction-oblique": ["diffraction", "--wavelength", "500nm", "--alpha", "20deg",

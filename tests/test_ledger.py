@@ -3,7 +3,9 @@
 The package's claim is that every closed form of the paper is backed by an
 independent brute-force oracle.  LEDGER makes that claim a checked fact.
 It maps each public module-level function under src/pathamp (the command
-line's entry points in cli.py aside) to one of three rows:
+line's entry points in cli.py aside), and each public class with no base
+class, to one of three rows (a Record subclass holds values and an
+exception is a refusal, but a class of its own computes):
 
 - ORACLE, naming the test that compares the function with a public
   function of pathamp.oracle;
@@ -44,6 +46,7 @@ LEDGER = {
     "core_num.linspace": (NOT_A_CLOSED_FORM, "a grid helper, numpy.linspace bit for bit"),
     "core_num.checked_int": (NOT_A_CLOSED_FORM, "an argument check"),
     "core_num.refuse_non_finite": (NOT_A_CLOSED_FORM, "an argument check"),
+    "core_num.Record": (NOT_A_CLOSED_FORM, "the base of the immutable value classes"),
     # flavour
     "flavour.photon_double_slit": (
         NO_ORACLE_YET, "the stored 29 um fringe spacing; its damping is a DiscrepancyFlag site"),
@@ -107,6 +110,10 @@ LEDGER = {
         NOT_A_CLOSED_FORM, "an oracle: checked on Gaussian averages known in closed form"),
     "oracle.series_sum_highprec": (
         NOT_A_CLOSED_FORM, "an oracle: checked against an mpmath loop"),
+    "oracle.DyadicComplex": (
+        NOT_A_CLOSED_FORM,
+        "series_sum_highprec's exact value: its rounding and mpmath tuples are checked"
+        " against mpmath"),
     # propagators
     "propagators.covariant_propagator": (
         NO_ORACLE_YET, "an mpmath recomputation of its phase and Lorentz invariance"),
@@ -198,14 +205,17 @@ LEDGER = {
 
 
 def _public_functions():
-    """{"module.function"} for every public module-level function, cli.py aside."""
+    """{"module.name"} for every public module-level function, and every
+    public class with no base class, cli.py aside."""
     found = set()
     for path in sorted(PACKAGE.rglob("*.py")):
         if path.name == "cli.py":
             continue
         module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            if (isinstance(node, ast.FunctionDef)
+                    or isinstance(node, ast.ClassDef) and not node.bases) \
+                    and not node.name.startswith("_"):
                 found.add(f"{module}.{node.name}")
     return found
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -15,8 +16,10 @@ import pytest
 
 from pathamp.core_num import ConvergenceError, DomainError, PreconditionError
 from pathamp.oracle import (
+    DyadicComplex,
     OracleResult,
     _chebyshev,
+    _expi,
     _leggauss,
     damped_radial_integral,
     gaussian_ratio_integral,
@@ -737,11 +740,11 @@ class TestHighPrecisionSeries:
     @staticmethod
     def _mpc_loop(delta_phi, beta_l):
         """The series summed term by term in mpmath complex arithmetic at
-        the same dps, always to the cap N with no early stop: the reference
-        the fixed-point sum must reproduce."""
+        30 digits more than the sum's own dps, always to the cap N with no
+        early stop: the reference the fixed-point sum must reproduce."""
         from mpmath import exp as mp_exp, mpc, mpf, workdps
         dps = int(30 + 1.1 * beta_l / math.log(10)
-                  + 0.7 * delta_phi / math.log(10))
+                  + 0.7 * delta_phi / math.log(10)) + 30
         n_max = int(beta_l + delta_phi + 12 * math.sqrt(beta_l + delta_phi) + 40)
         with workdps(dps):
             dp = mpf(delta_phi)
@@ -761,9 +764,15 @@ class TestHighPrecisionSeries:
 
     @staticmethod
     def _rel_diff(got, ref):
-        from mpmath import workdps
+        # mpmath reads the exact value through its _mpc_
+        from mpmath import mpc, workdps
         with workdps(40):
-            return float(abs(got - ref) / abs(ref))
+            return float(abs(mpc(got) - ref) / abs(ref))
+
+    # the worst relative error on every point below was 2.6e-49, at
+    # (0.5, 1) (9 units of 2**-P there); stopping the sum once
+    # v < 2**(P/2) gave 1.2e-29 at that point
+    WORKING_PRECISION = 1e-47
 
     # the (delta_phi, beta_l) pairs at which the suite calls the sum
     SUITE_POINTS = [(0.5, 1.0), (2.0, 5.0), (10.0, 10.0), (15.0, 30.0),
@@ -774,7 +783,7 @@ class TestHighPrecisionSeries:
         (250.0, 0.0), (0.0, 0.0), (1e-300, 1e-300), (5e-324, 7.0)])
     def test_matches_mpc_loop(self, dphi, bl):
         got = series_sum_highprec(dphi, bl)
-        assert self._rel_diff(got, self._mpc_loop(dphi, bl)) <= 1e-25
+        assert self._rel_diff(got, self._mpc_loop(dphi, bl)) <= self.WORKING_PRECISION
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_mpc_loop_on_seeded_grid(self, seed):
@@ -785,7 +794,7 @@ class TestHighPrecisionSeries:
             dphi = 10 ** rng.uniform(-2.0, math.log10(500.0))
             bl = 10 ** rng.uniform(-2.0, math.log10(2000.0))
         got = series_sum_highprec(dphi, bl)
-        assert self._rel_diff(got, self._mpc_loop(dphi, bl)) <= 1e-25
+        assert self._rel_diff(got, self._mpc_loop(dphi, bl)) <= self.WORKING_PRECISION
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_mpc_loop_where_the_stop_drops_most_orders(self, seed):
@@ -795,7 +804,7 @@ class TestHighPrecisionSeries:
         dphi = 10 ** rng.uniform(-2.0, math.log10(50.0))
         bl = rng.uniform(500.0, 2000.0)
         got = series_sum_highprec(dphi, bl)
-        assert self._rel_diff(got, self._mpc_loop(dphi, bl)) <= 1e-25
+        assert self._rel_diff(got, self._mpc_loop(dphi, bl)) <= self.WORKING_PRECISION
 
     # complex() of the sum, as float.hex of its real and imaginary parts,
     # recorded when every call ran to N: the early stop moves no bit.  The
@@ -848,6 +857,28 @@ class TestHighPrecisionSeries:
                               text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
         assert proc.stdout.split() == ["DomainError", "False"], proc.stderr
 
+    def test_answers_without_mpmath(self):
+        # a fresh interpreter in which importing mpmath fails still gives
+        # every pinned value, bit for bit
+        script = ("import sys\n"
+                  "sys.modules['mpmath'] = None\n"
+                  "from pathamp.oracle import series_sum_highprec\n"
+                  f"for dphi, bl in {list(self.HEX_PINS)!r}:\n"
+                  "    z = complex(series_sum_highprec(dphi, bl))\n"
+                  "    print(z.real.hex(), z.imag.hex())\n")
+        src = str(pathlib.Path(oracle.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert [tuple(line.split()) for line in proc.stdout.splitlines()] \
+            == list(self.HEX_PINS.values())
+
+    def test_no_package_module_imports_mpmath(self):
+        src = pathlib.Path(oracle.__file__).parent
+        assert [path.name for path in sorted(src.rglob("*.py"))
+                if "mpmath" in {name.split(".")[0] for name in
+                                _imported_modules(path, "pathamp")}] == []
+
     def test_agrees_with_float_summation_in_easy_regime(self):
         from pathamp.refraction import time_budget_factor
         for dphi, bl in ((0.5, 1.0), (2.0, 5.0), (10.0, 10.0), (15.0, 30.0)):
@@ -869,6 +900,88 @@ class TestHighPrecisionSeries:
             assert float(mp_arg(val)) == pytest.approx(phase_pin, abs=1e-9)
             assert float(mp_log10(mp_fabs(val))) \
                 == pytest.approx(logmag_pin, abs=1e-4)
+
+
+class TestDyadicComplex:
+    @pytest.mark.parametrize("theta", [0.0, 5e-324, 1e-300, 1e-5, 0.5, 3.0, 10.0, 20.0,
+                                       250.0, 700.0, 1e6])
+    @pytest.mark.parametrize("prec", [64, 164, 3410])
+    def test_expi_is_within_one_unit(self, theta, prec):
+        # cos and sin of the float theta, each within 1 of 2**prec times
+        # a 60-digit-finer mpmath value
+        cos, sin = _expi(*oracle._mantissa(theta), prec)
+        with mpmath.workprec(prec + 200):
+            ref = mpmath.expj(mpmath.mpf(theta)) * mpmath.mpf(2) ** prec
+            assert abs(cos - ref.real) <= 1 and abs(sin - ref.imag) <= 1
+
+    @pytest.mark.parametrize("dphi,bl", TestHighPrecisionSeries.HEX_PINS)
+    def test_sum_is_exact_dyadic(self, dphi, bl):
+        got = series_sum_highprec(dphi, bl)
+        assert isinstance(got, DyadicComplex)
+        for part in (got.real, got.imag):
+            assert isinstance(part, Fraction)
+            assert part.denominator & (part.denominator - 1) == 0
+
+    @pytest.mark.parametrize("re,im,scale", [
+        (3, -5, 0), (12, 0, 3), (-(3 << 70), 1, 200), (0, 0, 7), (5 << 4000, -7, 40)],
+        ids=["odd", "even", "large-exponent", "zero", "wide"])
+    def test_mpc_is_what_mpmath_builds(self, re, im, scale):
+        x = DyadicComplex(re, im, scale)
+        from mpmath.libmp import from_man_exp
+        assert x._mpc_ == (from_man_exp(re, -scale), from_man_exp(im, -scale))
+        assert mpmath.mpc(x)._mpc_ == x._mpc_
+
+    # (re, im, scale) of (re + i im) 2**-scale
+    ROUNDING_CASES = {
+        "overflow": (1 << 1100, -(1 << 1100), 0),
+        # the largest double, and the midpoint above it, which rounds to inf
+        "largest-double": ((1 << 1024) - (1 << 971), -((1 << 1024) - (1 << 970)), 0),
+        "exact-one": (1 << 50, 0, 50),
+        # exact zeros are +0.0; a negative value below half the smallest
+        # subnormal rounds to -0.0
+        "zeros": (0, 0, 9),
+        "signed-zero": (-1, 1, 1200),
+        # a subnormal, and a tie that rounds to even
+        "subnormal": (3, (1 << 54) + 1, 1075),
+        "tie": (1, (1 << 53) + 1, 0),
+    }
+
+    @pytest.mark.parametrize("case", ROUNDING_CASES)
+    def test_complex_rounds_as_mpmath_does(self, case):
+        re, im, scale = self.ROUNDING_CASES[case]
+        got = complex(DyadicComplex(re, im, scale))
+        ref = complex(mpmath.mpc(mpmath.mpf(re) * mpmath.mpf(2) ** -scale,
+                                 mpmath.mpf(im) * mpmath.mpf(2) ** -scale))
+        assert (got.real.hex(), got.imag.hex()) == (ref.real.hex(), ref.imag.hex())
+
+    def test_signs_of_infinities_and_zeros(self):
+        got = complex(DyadicComplex(-(1 << 1100), 1 << 1100, 1))
+        assert (got.real, got.imag) == (-math.inf, math.inf)
+        got = complex(DyadicComplex(0, -1, 1200))
+        assert (got.real.hex(), got.imag.hex()) == ("0x0.0p+0", "-0x0.0p+0")
+
+    def test_equality_with_numbers(self):
+        one = DyadicComplex(1 << 50, 0, 50)
+        assert one == 1 and one == 1.0 and one == 1 + 0j and one == Fraction(1)
+        assert one == DyadicComplex(1, 0, 0)
+        assert one != 1 + 1e-300j and one != 2 and one != "1"
+        assert DyadicComplex(1, -3, 2) == complex(0.25, -0.75)
+        x = series_sum_highprec(0.5, 1.0)
+        assert eval(repr(x), {"DyadicComplex": DyadicComplex}) == x
+
+    def test_has_no_value_attribute(self):
+        # perfbench/inproc.timed_call unwraps any result with a .value
+        assert not hasattr(series_sum_highprec(1.0, 1.0), "value")
+
+    def test_is_immutable(self):
+        x = DyadicComplex(1, 2, 3)
+        with pytest.raises(AttributeError, match="immutable DyadicComplex"):
+            x.real = Fraction(0)
+        with pytest.raises(AttributeError, match="immutable DyadicComplex"):
+            del x.imag
+        with pytest.raises(AttributeError):
+            x.other = 1
+        assert (x.real, x.imag) == (Fraction(1, 8), Fraction(1, 4))
 
 
 def _imported_modules(path: pathlib.Path, package: str) -> set:

@@ -135,7 +135,26 @@ ROWS = {
     "free_decay_detection_probability-r": (
         lambda: propagators.free_decay_detection_probability(1e-8, 0.0, 0.0, 0.0, 1e-8),
         DomainError, "r must be positive"),
+    "free_decay_detection_probability-sigma_t-squared-overflow": (
+        lambda: propagators.free_decay_detection_probability(2e-8, 0.0, 1e200, 1.0, 1.6e-8),
+        DomainError, "sigma_t^2 at sigma_t = 1e+200 s overflows a double"),
+    "free_decay_detection_probability-density-overflow": (
+        lambda: propagators.free_decay_detection_probability(2e-8, 0.0, 1e-6, 1.0, 1e-9),
+        DomainError, "the density at t_d = 2e-08 s, sigma_t = 1e-06 s, tau_s = 1e-09 s"
+                     " overflows a double"),
+    "free_decay_detection_probability-density-nan": (
+        lambda: propagators.free_decay_detection_probability(1e308, -1e308, 1e154, 1.0, 1e-300),
+        DomainError, "the density at t_d = 1e+308 s"),
+    "energy_propagator-detuning-overflow": (
+        lambda: propagators.energy_propagator(1e308, -1e308, 1.0),
+        DomainError, "E - E0 at E = 1e+308 eV, E0 = -1e+308 eV overflows a double"),
+    "energy_propagator-half-width-underflow": (
+        lambda: propagators.energy_propagator(0.0, 0.0, 5e-324),
+        DomainError, "width/2 at width = 5e-324 eV underflows to 0"),
     # ray_optics
+    "snell_angle-index": (
+        lambda: ray_optics.snell_angle(0.5, 1.5, 0.3),
+        DomainError, "indices must be >= 1"),
     "snell_angle-grazing": (
         lambda: ray_optics.snell_angle(1.0, 1.5, math.pi / 2),
         DomainError, "theta_i must lie in [0, pi/2)"),
